@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidExponent
+from .errors import InvalidExponent, InvalidSpec
 from .lattice import Graph
 
 
@@ -163,12 +163,14 @@ def translate(field: Field, shift) -> Field:
     """Shifted field v(x) = u(x + shift) with zero extension outside the box."""
     graph = field.graph
     shift = tuple(int(c) for c in shift)
-    out = np.zeros(graph.n)
-    for i, x in enumerate(graph.vertices):
-        j = graph.index.get(tuple(a + b for a, b in zip(x, shift)))
-        if j is not None:
-            out[i] = field.values[j]
-    return Field(graph, out)
+    if len(shift) != graph.d:
+        raise InvalidSpec(f"shift {shift} has wrong dimension (expected {graph.d})")
+    # per axis, v[a] = u[a + s] wherever both indices lie in [0, m)
+    dst = tuple(slice(max(0, -s), max(0, min(m, m - s))) for s, m in zip(shift, graph.shape))
+    src = tuple(slice(max(0, s), max(0, min(m, m + s))) for s, m in zip(shift, graph.shape))
+    out = np.zeros(graph.shape)
+    out[dst] = field.values.reshape(graph.shape)[src]
+    return Field(graph, out.ravel())
 
 
 def energy_report(graph: Graph, field, p, q_exponents=()) -> EnergyReport:

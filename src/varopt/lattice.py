@@ -12,15 +12,13 @@ zero-valued phantom endpoint (``boundary="dirichlet"``).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DisconnectedGraph, InvalidSpec, OutOfBox
 
-Vertex = tuple  # d-tuple of ints
-Edge = tuple    # canonical pair (lo, hi) of vertices, lo < hi lexicographically
+Edge = tuple  # canonical pair (lo, hi) of vertices, lo < hi lexicographically
 
 BOUNDARY_MODES = ("drop", "dirichlet")
 
@@ -31,8 +29,7 @@ def sup_norm(x) -> int:
 
 def canonical_edge(x, y) -> Edge:
     """Return the undirected edge (x, y) in its canonical ordered form."""
-    x = tuple(int(c) for c in x)
-    y = tuple(int(c) for c in y)
+    x, y = tuple(int(c) for c in x), tuple(int(c) for c in y)
     if x == y:
         raise InvalidSpec(f"degenerate edge at {x}")
     return (x, y) if x < y else (y, x)
@@ -70,12 +67,9 @@ class GraphSpec:
 
     def perturbation_radius(self) -> int | None:
         """R if set, else the smallest radius enclosing all perturbed edges."""
-        if self.R is not None:
+        if self.R is not None or not (self.deletions or self.additions):
             return self.R
-        ends = [v for e in self.deletions | self.additions for v in e]
-        if not ends:
-            return None
-        return max(sup_norm(v) for v in ends) + 1
+        return max(sup_norm(v) for e in self.deletions | self.additions for v in e) + 1
 
     def validate(self) -> None:
         if not isinstance(self.d, int) or self.d < 1:
@@ -91,18 +85,14 @@ class GraphSpec:
             for v in e:
                 if len(v) != self.d:
                     raise InvalidSpec(f"vertex {v} has wrong dimension (expected {self.d})")
-                if R_eff is not None and sup_norm(v) >= R_eff:
+                if sup_norm(v) >= R_eff:  # R_eff <= L, so v also lies in the box
                     raise InvalidSpec(f"perturbed vertex {v} lies outside B_{R_eff}")
-                if sup_norm(v) >= self.L:
-                    raise InvalidSpec(f"perturbed vertex {v} lies outside the box B_{self.L}")
         for e in self.deletions:
             if not is_base_edge(*e):
                 raise InvalidSpec(f"deletion {e} is not a base lattice edge")
         for e in self.additions:
             if is_base_edge(*e):
                 raise InvalidSpec(f"addition {e} is already a base lattice edge")
-        if self.deletions & self.additions:
-            raise InvalidSpec("an edge appears in both deletions and additions")
 
     def to_json_dict(self) -> dict:
         return {
@@ -127,55 +117,84 @@ class GraphSpec:
             raise InvalidSpec(f"malformed graph spec: {exc}") from exc
 
 
-class Graph:
-    """Immutable adjacency view of a built truncation.
+def _flat_ids(points, lo, shape) -> np.ndarray:
+    """C-order ids of an (..., d) array of points in the box lo + [0, shape)."""
+    offset = np.asarray(points, dtype=np.int64) - lo
+    if np.any((offset < 0) | (offset >= shape)):
+        raise OutOfBox("a point lies outside the truncation")
+    return np.ravel_multi_index(tuple(np.moveaxis(offset, -1, 0)), shape)
 
-    Holds the canonical vertex order (lexicographic on coordinates), a dense
-    vertex <-> id bijection, the undirected edge list as id pairs, per-vertex
-    neighbour lists, and the per-vertex count of base-lattice edges that
-    leave the box (used by the dirichlet boundary mode). Safe for concurrent
-    reads; never mutated after construction.
+
+class Graph:
+    """Immutable adjacency view of a truncation whose vertices fill the box lo + [0, shape).
+
+    Vertex ids run in C order, which is lexicographic order on coordinates,
+    so ids and ``coords`` are computed, never looked up. ``edges`` holds the
+    (m, 2) int64 id pairs sorted by (i, j); the neighbours of i, ascending,
+    are ``indices[indptr[i]:indptr[i + 1]]`` (CSR). ``phantom`` counts each
+    vertex's base-lattice edges that leave the box (dirichlet mode). Safe for
+    concurrent reads; never mutated after construction.
     """
 
     def __init__(self, vertices, edges, d, spec=None, boundary="drop", phantom=None):
+        """From vertex tuples listing a full box in lexicographic order and vertex-pair edges."""
+        coords = np.array(list(vertices), dtype=np.int64)
+        if coords.ndim != 2 or coords.shape[1] != d or not len(coords):
+            raise InvalidSpec(f"vertices must be a nonempty list of {d}-tuples")
+        lo, shape = coords.min(axis=0), np.ptp(coords, axis=0) + 1
+        if not np.array_equal(_flat_ids(coords, lo, shape), np.arange(np.prod(shape))):
+            raise InvalidSpec("vertices must list a full box in lexicographic order")
+        pairs = np.array(list(edges), dtype=np.int64)
+        if pairs.size and pairs.shape[1:] != (2, d):
+            raise InvalidSpec(f"edges must be pairs of {d}-tuples")
+        edges = _flat_ids(pairs.reshape(-1, 2, d), lo, shape)
+        self._setup(lo, shape, edges, spec, boundary, phantom)
+
+    @classmethod
+    def from_box(cls, lo, shape, edges, spec=None, boundary="drop", phantom=None) -> "Graph":
+        """From the box's lower corner and shape and an (m, 2) array of id-pair edges."""
+        graph = cls.__new__(cls)
+        graph._setup(lo, shape, edges, spec, boundary, phantom)
+        return graph
+
+    def _setup(self, lo, shape, edges, spec, boundary, phantom):
         if boundary not in BOUNDARY_MODES:
             raise InvalidSpec(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
-        self.spec = spec
-        self.d = d
-        self.boundary = boundary
-        self.vertices = list(vertices)
-        self.n = len(self.vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.coords = np.array(self.vertices, dtype=np.int64).reshape(self.n, d)
-        pairs = sorted((self.index[x], self.index[y]) for x, y in edges)
-        self.edges = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        adj = [[] for _ in range(self.n)]
-        for i, j in pairs:
-            adj[i].append(j)
-            adj[j].append(i)
-        self.adjacency = [np.array(sorted(a), dtype=np.int64) for a in adj]
-        if phantom is None:
-            phantom = np.zeros(self.n, dtype=np.float64)
-        self.phantom = np.asarray(phantom, dtype=np.float64)
+        self.spec, self.boundary = spec, boundary
+        self.lo, self.shape = tuple(int(a) for a in lo), tuple(int(m) for m in shape)
+        self.d = len(self.shape)
+        self.n = n = int(np.prod(self.shape))
+        self.strides = tuple(int(np.prod(self.shape[k + 1:])) for k in range(self.d))
+        self.coords = np.stack(np.unravel_index(np.arange(n), self.shape), axis=1) + self.lo
+        key = edges[:, 0] * n + edges[:, 1]  # (i, j) -> i * n + j sorts like the pair
+        self.edges = np.stack(np.divmod(np.sort(key), n), axis=1)
+        self.n_edges = len(self.edges)
+        # CSR adjacency: both directions of every edge, sorted by (source, target)
+        arcs = np.sort(np.concatenate([key, edges[:, 1] * n + edges[:, 0]]))
+        sources, self.indices = np.divmod(arcs, n)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(sources, minlength=n))])
+        self.phantom = np.zeros(n) if phantom is None else np.asarray(phantom, dtype=np.float64)
         # sup-norm extent of the vertex set; box semantics for localization
-        self.extent = int(np.max(np.abs(self.coords))) if self.n else 0
+        self.extent = max(max(-a, a + m - 1) for a, m in zip(self.lo, self.shape))
+        self.L = spec.L if spec is not None else self.extent + 1
 
     @property
-    def L(self) -> int:
-        return self.spec.L if self.spec is not None else self.extent + 1
+    def vertices(self) -> list:
+        """Vertex tuples in id order, built afresh on each access."""
+        return [tuple(x) for x in self.coords.tolist()]
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def degree(self, x) -> int:
-        return len(self.adjacency[self.vertex_id(x)])
+    def __contains__(self, x) -> bool:
+        return len(x) == self.d and all(0 <= c - a < m for c, a, m in zip(x, self.lo, self.shape))
 
     def vertex_id(self, x) -> int:
         x = tuple(int(c) for c in x)
-        if x not in self.index:
+        if x not in self:
             raise OutOfBox(f"vertex {x} is not in the truncation")
-        return self.index[x]
+        return sum((c - a) * s for c, a, s in zip(x, self.lo, self.strides))
+
+    def degree(self, x) -> int:
+        i = self.vertex_id(x)
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def __repr__(self):
         return f"Graph(d={self.d}, n={self.n}, edges={self.n_edges}, boundary={self.boundary!r})"
@@ -188,22 +207,20 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     InvalidSpec when the spec itself is inconsistent.
     """
     spec.validate()
-    vertices = box_vertices(spec.d, spec.L)
-    vset = set(vertices)
-    edges = set()
-    for x in vertices:
-        for k in range(spec.d):
-            y = x[:k] + (x[k] + 1,) + x[k + 1:]
-            if y in vset:
-                edges.add((x, y))  # x < y lexicographically by construction
-    for e in spec.deletions:
-        edges.discard(e)
-    edges |= spec.additions
-    # count of base-lattice neighbours outside the box, per vertex
-    coords = np.array(vertices, dtype=np.int64).reshape(len(vertices), spec.d)
-    phantom = np.sum(coords == spec.L - 1, axis=1) + np.sum(coords == -(spec.L - 1), axis=1)
-    graph = Graph(vertices, edges, spec.d, spec=spec, boundary=boundary,
-                  phantom=phantom.astype(np.float64))
+    lo, shape = (1 - spec.L,) * spec.d, (2 * spec.L - 1,) * spec.d
+    ids = np.arange(int(np.prod(shape))).reshape(shape)
+    # base edges join each vertex to its successor along each axis
+    edges = np.concatenate([np.stack([a[:-1].ravel(), a[1:].ravel()], axis=1)
+                            for a in (np.moveaxis(ids, k, 0) for k in range(spec.d))])
+    if spec.deletions:
+        cut = _flat_ids(list(spec.deletions), lo, shape)
+        edges = edges[~np.isin(edges @ (ids.size, 1), cut @ (ids.size, 1), assume_unique=True)]
+    if spec.additions:
+        edges = np.concatenate([edges, _flat_ids(list(spec.additions), lo, shape)])
+    # count of base-lattice neighbours outside the box: one per box face the vertex lies on
+    face = (np.abs(np.arange(1 - spec.L, spec.L)) == spec.L - 1).astype(np.float64)
+    phantom = sum(face.reshape((-1,) + (1,) * k) for k in range(spec.d)).ravel()
+    graph = Graph.from_box(lo, shape, edges, spec=spec, boundary=boundary, phantom=phantom)
     if spec.deletions and not is_connected(graph):
         raise DisconnectedGraph(
             f"deleting {len(spec.deletions)} edge(s) disconnected the box B_{spec.L}")
@@ -218,46 +235,39 @@ def path_graph(n_vertices: int, boundary: str = "drop") -> Graph:
     """
     if n_vertices < 1:
         raise InvalidSpec("path graph needs at least one vertex")
-    start = -((n_vertices - 1) // 2)
-    verts = [(start + i,) for i in range(n_vertices)]
-    edges = {(verts[i], verts[i + 1]) for i in range(n_vertices - 1)}
-    return Graph(verts, edges, 1, spec=None, boundary=boundary)
+    ids = np.arange(n_vertices)
+    return Graph.from_box((-((n_vertices - 1) // 2),), (n_vertices,),
+                          np.stack([ids[:-1], ids[1:]], axis=1), boundary=boundary)
 
 
 def neighbors(graph: Graph, x) -> list:
     """Neighbours of x in the graph, in canonical (lexicographic) order."""
     i = graph.vertex_id(x)
-    return [graph.vertices[j] for j in graph.adjacency[i]]
+    ids = graph.indices[graph.indptr[i]:graph.indptr[i + 1]]
+    return [tuple(y) for y in graph.coords[ids].tolist()]
 
 
 def is_connected(graph: Graph) -> bool:
-    """True iff breadth-first search from one vertex reaches the whole box."""
-    if graph.n == 0:
-        return True
+    """True iff a level-synchronous frontier BFS from the middle vertex reaches every vertex."""
     seen = np.zeros(graph.n, dtype=bool)
-    queue = deque([0])
-    seen[0] = True
-    count = 1
-    while queue:
-        i = queue.popleft()
-        for j in graph.adjacency[i]:
-            if not seen[j]:
-                seen[j] = True
-                count += 1
-                queue.append(j)
-    return count == graph.n
+    frontier = np.array([graph.n // 2])
+    while frontier.size:
+        seen[frontier] = True
+        starts = graph.indptr[frontier]
+        counts = graph.indptr[frontier + 1] - starts
+        # CSR slots of all the frontier's neighbour lists, concatenated
+        reached = graph.indices[np.repeat(starts - np.cumsum(counts) + counts, counts)
+                                + np.arange(counts.sum())]
+        frontier = np.unique(reached[~seen[reached]])
+    return bool(seen.all())
 
 
 def ball_boundary_edges(d: int, R: int) -> list:
     """Base edges (y, z) with y inside B_R and z outside, canonically ordered."""
-    out = set()
-    for y in box_vertices(d, R):
-        for k in range(d):
-            for s in (1, -1):
-                z = y[:k] + (y[k] + s,) + y[k + 1:]
-                if sup_norm(z) >= R:
-                    out.add(canonical_edge(y, z))
-    return sorted(out)
+    # z = y +- e_k leaves B_R exactly when its k-th coordinate reaches +-R
+    return sorted({canonical_edge(y, y[:k] + (y[k] + s,) + y[k + 1:])
+                   for y in box_vertices(d, R) for k in range(d) for s in (1, -1)
+                   if abs(y[k] + s) >= R})
 
 
 def sphere_deletion_spec(d: int, R: int, L: int, kept_edge=None) -> GraphSpec:
@@ -272,13 +282,8 @@ def sphere_deletion_spec(d: int, R: int, L: int, kept_edge=None) -> GraphSpec:
         raise InvalidSpec(f"need integers 1 <= R < L, got R={R!r}, L={L!r}")
     boundary = ball_boundary_edges(d, R)
     if kept_edge is None:
-        lo = tuple([R - 1] + [0] * (d - 1))
-        hi = tuple([R] + [0] * (d - 1))
-        kept = canonical_edge(lo, hi)
-    elif callable(kept_edge):
-        kept = canonical_edge(*kept_edge(boundary))
-    else:
-        kept = canonical_edge(*kept_edge)
+        kept_edge = ((R - 1,) + (0,) * (d - 1), (R,) + (0,) * (d - 1))
+    kept = canonical_edge(*(kept_edge(boundary) if callable(kept_edge) else kept_edge))
     if kept not in boundary:
         raise InvalidSpec(f"kept edge {kept} is not a boundary edge of B_{R}")
     deletions = frozenset(e for e in boundary if e != kept)
@@ -294,17 +299,10 @@ def star_addition_spec(d: int, R: int, L: int) -> GraphSpec:
     """
     if not (isinstance(R, int) and isinstance(L, int) and 2 <= R < L):
         raise InvalidSpec(f"need integers 2 <= R < L, got R={R!r}, L={L!r}")
-    origin = (0,) * d
-    centres = [origin]
-    for k in range(d):
-        for s in (1, -1):
-            centres.append(origin[:k] + (s,) + origin[k + 1:])
-    additions = set()
-    for c in centres:
-        for y in box_vertices(d, R):
-            if y == c or is_base_edge(c, y):
-                continue
-            additions.add(canonical_edge(c, y))
+    origin, ball = (0,) * d, box_vertices(d, R)
+    centres = [origin] + [origin[:k] + (s,) + origin[k + 1:] for k in range(d) for s in (1, -1)]
+    additions = {canonical_edge(c, y) for c in centres for y in ball
+                 if y != c and not is_base_edge(c, y)}
     if not additions:
         raise InvalidSpec(f"star addition with d={d}, R={R} produced no edges")
     return GraphSpec(d=d, L=L, additions=frozenset(additions), R=R)

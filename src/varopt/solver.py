@@ -230,8 +230,8 @@ def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.nd
         head, centre = "gauss", (-ext,) * graph.d
     if centre is None:
         centre = (0,) * graph.d
-        if centre not in graph.index:
-            centre = graph.vertices[graph.n // 2]
+        if centre not in graph:
+            centre = tuple(graph.coords[graph.n // 2].tolist())
     if head == "delta":
         u = np.zeros(graph.n)
         u[graph.vertex_id(centre)] = 1.0

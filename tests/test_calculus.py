@@ -10,6 +10,7 @@ from varopt import (
     Field,
     GraphSpec,
     InvalidExponent,
+    InvalidSpec,
     build_graph,
     dirichlet_energy,
     dirichlet_gradient,
@@ -187,6 +188,37 @@ def test_translate_delta():
     moved = translate(u, (1, 0))
     assert moved.values[g.vertex_id((-1, 0))] == 1.0
     assert np.sum(moved.values) == 1.0
+
+
+def translate_reference(graph, u, shift):
+    """Tuple-loop translate: v(x) = u(x + shift) where x + shift is a vertex, else 0."""
+    verts = graph.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    out = np.zeros(graph.n)
+    for i, x in enumerate(verts):
+        j = index.get(tuple(a + b for a, b in zip(x, shift)))
+        if j is not None:
+            out[i] = u[j]
+    return out
+
+
+@pytest.mark.parametrize("shift", [(0, 0), (1, -2), (-3, 3), (4, 0), (-2, -5), (6, 0),
+                                   (0, -9), (-12, 5)])
+def test_translate_matches_tuple_loop_on_perturbed_graph(shift):
+    # a field on B_2 of the box B_5 stays inside for |shift| <= 3, leaves it
+    # partly at 4 or 5 and entirely from 6 on; a field on the whole box leaves
+    # partly for every nonzero shift and entirely from 9 on
+    g = build_graph(sphere_deletion_spec(2, 2, 5))
+    local = np.where(np.max(np.abs(g.coords), axis=1) < 2, RNG.standard_normal(g.n), 0.0)
+    for u in (local, RNG.standard_normal(g.n)):
+        moved = translate(Field(g, u), shift).values
+        assert np.array_equal(moved, translate_reference(g, u, shift))
+
+
+def test_translate_rejects_shift_of_wrong_dimension():
+    g = build_graph(GraphSpec(d=2, L=3))
+    with pytest.raises(InvalidSpec):
+        translate(Field(g, np.zeros(g.n)), (1,))
 
 
 def test_translate_by_zero_is_identity():

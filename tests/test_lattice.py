@@ -4,6 +4,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varopt import (
     DisconnectedGraph,
@@ -15,6 +16,7 @@ from varopt import (
     box_vertices,
     build_graph,
     canonical_edge,
+    is_base_edge,
     is_connected,
     neighbors,
     path_graph,
@@ -181,6 +183,33 @@ def test_neighbors_out_of_box():
         neighbors(g, (5,))
 
 
+def test_out_of_box_points_never_alias_an_id():
+    # (0, 3) flattens to id 15 of the 25 in the d=2 L=3 box but lies outside it
+    g = build_graph(GraphSpec(d=2, L=3))
+    for x in [(0, 3), (3, 0), (-3, 2), (2, -3), (0,), (0, 0, 0)]:
+        for query in (g.vertex_id, g.degree, lambda y: neighbors(g, y)):
+            with pytest.raises(OutOfBox):
+                query(x)
+
+
+def test_graph_requires_a_full_box_in_lexicographic_order():
+    verts = box_vertices(2, 2)
+    edges = all_base_edges(2, 2)
+    for bad in (verts[::-1], verts[:-1], verts + [(0, 0)], verts[:4] + [(0, 1)] + verts[5:], []):
+        with pytest.raises(InvalidSpec):
+            Graph(bad, set(), 2)
+    # flattened, these 2-tuples would read as the 1-d box 0..3
+    with pytest.raises(InvalidSpec):
+        Graph([(0, 1), (2, 3)], set(), 1)
+    with pytest.raises(InvalidSpec):
+        Graph([(0,), (1,), (2,), (3,)], {((0, 1), (2, 3))}, 1)
+    assert Graph(verts, edges, 2).n_edges == 12
+    shifted = Graph([(5,), (6,), (7,)], {((5,), (6,))}, 1)
+    assert shifted.vertex_id((6,)) == 1
+    assert neighbors(shifted, (6,)) == [(5,)]
+    assert not is_connected(shifted)
+
+
 def test_is_connected_examples():
     for d, L in [(1, 4), (2, 3), (3, 2)]:
         assert is_connected(build_graph(GraphSpec(d=d, L=L)))
@@ -275,3 +304,43 @@ def test_phantom_counts():
 def test_boundary_mode_validation():
     with pytest.raises(InvalidSpec):
         build_graph(GraphSpec(d=1, L=2), boundary="periodic")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_build_graph_matches_tuple_reference(data):
+    """Random small specs against a tuple-and-set construction of the same graph."""
+    d = data.draw(st.integers(1, 3), label="d")
+    L = data.draw(st.integers(2, 5), label="L")
+    R = data.draw(st.integers(1, L), label="R")
+    verts = box_vertices(d, L)
+    ball = box_vertices(d, R)
+    base = all_base_edges(d, L)
+    deletions, additions = set(), set()
+    if data.draw(st.booleans(), label="delete"):
+        inside = sorted(e for e in base if all(max(map(abs, v)) < R for v in e))
+        if inside:
+            deletions = data.draw(st.sets(st.sampled_from(inside), max_size=8), label="deletions")
+    else:
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(ball), st.sampled_from(ball)),
+                                   max_size=8), label="pairs")
+        additions = {canonical_edge(x, y) for x, y in pairs if x != y and not is_base_edge(x, y)}
+    spec = GraphSpec(d=d, L=L, deletions=deletions, additions=additions, R=R)
+    edges = (base - spec.deletions) | spec.additions
+    connected = bfs_oracle(verts, edges)
+    if spec.deletions and not connected:
+        with pytest.raises(DisconnectedGraph):
+            build_graph(spec)
+        return
+    g = build_graph(spec, boundary=data.draw(st.sampled_from(["drop", "dirichlet"])))
+    assert g.vertices == verts
+    assert [(verts[i], verts[j]) for i, j in g.edges.tolist()] == sorted(edges)
+    assert g.phantom.tolist() == [sum(abs(c) == L - 1 for c in v) for v in verts]
+    adj = {v: set() for v in verts}
+    for x, y in edges:
+        adj[x].add(y)
+        adj[y].add(x)
+    for v in verts:
+        assert g.degree(v) == len(adj[v])
+        assert neighbors(g, v) == sorted(adj[v])
+    assert is_connected(g) == connected
