@@ -24,6 +24,7 @@ from .solver import (
     SOBOLEV,
     ProblemSpec,
     SolverConfig,
+    _constraint_weight,
     minimize,
     minimize_sobolev,
 )
@@ -499,12 +500,8 @@ def star_nonattainment_probe(d, R, p, q, L_list, a, solver_cfg=None,
             raise NotConverged(f"star probe at L={L} did not converge",
                                result=rp if not rp.converged else rb)
         u = rp.minimizer.values
-        if kind == NLS:
-            weight = u * u
-            origin_power = float(np.abs(u[star.vertex_id(origin)]) ** (p - 2.0))
-        else:
-            weight = np.abs(u) ** q
-            origin_power = 0.0
+        weight = _constraint_weight(problem, u)
+        origin_power = float(np.abs(u[star.vertex_id(origin)]) ** (p - 2.0)) if kind == NLS else 0.0
         com = (star.coords.T @ weight) / np.sum(weight)
         records.append(StarProbeRecord(
             L=L,

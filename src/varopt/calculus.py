@@ -75,10 +75,72 @@ def lp_norm(field, p) -> float:
     return float(np.sum(np.abs(u) ** p) ** (1.0 / p))
 
 
-def _edge_diffs(graph: Graph, u: np.ndarray) -> np.ndarray:
-    if graph.n_edges == 0:
-        return np.zeros(0)
-    return u[graph.edges[:, 1]] - u[graph.edges[:, 0]]
+def _abs_pow(x, p):
+    """|x|**p with cheap paths for small integer exponents (hot loops)."""
+    if p == 1.0:
+        return np.abs(x)
+    if p == 2.0:
+        return x * x
+    if p == 3.0:
+        return np.abs(x) * x * x
+    if p == 4.0:
+        x2 = x * x
+        return x2 * x2
+    if p == 5.0:
+        x2 = x * x
+        return np.abs(x) * x2 * x2
+    if p == 6.0:
+        x2 = x * x
+        return x2 * x2 * x2
+    return np.abs(x) ** p
+
+
+def _signed_pow(x, p):
+    """sign(x) |x|**p, continuous at 0 for p > 0."""
+    if p == 1.0:
+        return x
+    if p == 3.0:
+        return x * x * x
+    if p == 5.0:
+        x2 = x * x
+        return x * x2 * x2
+    if p == 2.0 or p == 4.0:
+        return x * _abs_pow(x, p - 1.0)
+    return np.sign(x) * np.abs(x) ** p
+
+
+# Raw-array kernels shared by the public functions below and the solver.
+# Each differs edge values as u[head] - u[tail] and adds the phantom terms
+# only in dirichlet mode; their summation order is part of the solver's output.
+
+def _dirichlet(graph: Graph, u: np.ndarray, p):
+    """Sum of |u(head) - u(tail)|^p over edges, plus phantom * |u|^p."""
+    e = np.sum(_abs_pow(u[graph.heads] - u[graph.tails], p))
+    if graph.boundary == "dirichlet":
+        e += np.dot(graph.phantom, _abs_pow(u, p))
+    return e
+
+
+def _kinetic(graph: Graph, u: np.ndarray):
+    """Twice the Schrodinger kinetic energy: the 2-Dirichlet sum taken by dot
+    products, which can differ from _dirichlet(graph, u, 2) in the last bits."""
+    d = u[graph.heads] - u[graph.tails]
+    e = np.dot(d, d)
+    if graph.boundary == "dirichlet":
+        e += np.dot(graph.phantom, u * u)
+    return e
+
+
+def _minus_p_laplacian(graph: Graph, u: np.ndarray, p, eps):
+    """Minus the p-Laplacian; at p = 1 the weight sign(t) is smoothed to
+    t / sqrt(t^2 + eps^2)."""
+    d = u[graph.heads] - u[graph.tails]
+    w = _signed_pow(d, p - 1.0) if p > 1 else d / np.sqrt(d * d + eps ** 2)
+    out = (np.bincount(graph.heads, weights=w, minlength=graph.n)
+           - np.bincount(graph.tails, weights=w, minlength=graph.n))
+    if graph.boundary == "dirichlet":
+        out += graph.phantom * (_signed_pow(u, p - 1.0) if p > 1 else u / np.sqrt(u * u + eps ** 2))
+    return out
 
 
 def dirichlet_energy(graph: Graph, field, p) -> float:
@@ -86,22 +148,12 @@ def dirichlet_energy(graph: Graph, field, p) -> float:
     dirichlet mode); equals the integral of the gradient p-norm to the p."""
     if p < 1:
         raise InvalidExponent(f"Dirichlet energy needs p >= 1, got {p}")
-    u = as_values(field)
-    total = float(np.sum(np.abs(_edge_diffs(graph, u)) ** p))
-    if graph.boundary == "dirichlet":
-        total += float(np.sum(graph.phantom * np.abs(u) ** p))
-    return total
+    return float(_dirichlet(graph, as_values(field), p))
 
 
 def laplacian(graph: Graph, field) -> Field:
     """Graph Laplacian: (Lu)(x) = sum over neighbours y of u(y) - u(x)."""
-    u = as_values(field)
-    d = _edge_diffs(graph, u)
-    out = (np.bincount(graph.edges[:, 0], weights=d, minlength=graph.n)
-           - np.bincount(graph.edges[:, 1], weights=d, minlength=graph.n))
-    if graph.boundary == "dirichlet":
-        out -= graph.phantom * u
-    return Field(graph, out)
+    return Field(graph, -_minus_p_laplacian(graph, as_values(field), 2.0, 0.0))
 
 
 def p_laplacian(graph: Graph, field, p) -> Field:
@@ -112,14 +164,7 @@ def p_laplacian(graph: Graph, field, p) -> Field:
     """
     if p <= 1:
         raise InvalidExponent(f"p-Laplacian needs p > 1, got {p}")
-    u = as_values(field)
-    d = _edge_diffs(graph, u)
-    w = np.sign(d) * np.abs(d) ** (p - 1.0)
-    out = (np.bincount(graph.edges[:, 0], weights=w, minlength=graph.n)
-           - np.bincount(graph.edges[:, 1], weights=w, minlength=graph.n))
-    if graph.boundary == "dirichlet":
-        out -= graph.phantom * np.sign(u) * np.abs(u) ** (p - 1.0)
-    return Field(graph, out)
+    return Field(graph, -_minus_p_laplacian(graph, as_values(field), p, 0.0))
 
 
 def nls_energy(graph: Graph, field, p) -> float:
@@ -128,7 +173,7 @@ def nls_energy(graph: Graph, field, p) -> float:
     if p <= 2:
         raise InvalidExponent(f"Schrodinger energy needs p > 2, got {p}")
     u = as_values(field)
-    return 0.5 * dirichlet_energy(graph, u, 2) - float(np.sum(np.abs(u) ** p)) / p
+    return float(0.5 * _kinetic(graph, u) - np.sum(_abs_pow(u, p)) / p)
 
 
 def nls_gradient(graph: Graph, field, p) -> np.ndarray:
@@ -136,7 +181,7 @@ def nls_gradient(graph: Graph, field, p) -> np.ndarray:
     if p <= 2:
         raise InvalidExponent(f"Schrodinger energy needs p > 2, got {p}")
     u = as_values(field)
-    return -laplacian(graph, u).values - np.sign(u) * np.abs(u) ** (p - 1.0)
+    return _minus_p_laplacian(graph, u, 2.0, 0.0) - _signed_pow(u, p - 1.0)
 
 
 def dirichlet_gradient(graph: Graph, field, p, eps: float = 0.0) -> np.ndarray:
@@ -145,18 +190,9 @@ def dirichlet_gradient(graph: Graph, field, p, eps: float = 0.0) -> np.ndarray:
     For p = 1 the energy is not differentiable; pass eps > 0 to use the
     smoothed weight t / sqrt(t^2 + eps^2) in place of sign(t).
     """
-    u = as_values(field)
-    if p > 1:
-        return -p * p_laplacian(graph, u, p).values
-    if eps <= 0:
-        raise InvalidExponent("gradient at p = 1 needs a smoothing eps > 0")
-    d = _edge_diffs(graph, u)
-    w = d / np.sqrt(d * d + eps * eps)
-    out = (np.bincount(graph.edges[:, 1], weights=w, minlength=graph.n)
-           - np.bincount(graph.edges[:, 0], weights=w, minlength=graph.n))
-    if graph.boundary == "dirichlet":
-        out += graph.phantom * (u / np.sqrt(u * u + eps * eps))
-    return out
+    if p < 1 or (p == 1 and eps <= 0):
+        raise InvalidExponent(f"gradient needs p > 1, or p = 1 with eps > 0; got p={p}, eps={eps}")
+    return p * _minus_p_laplacian(graph, as_values(field), p, eps)
 
 
 def translate(field: Field, shift) -> Field:

@@ -1,8 +1,7 @@
 """Command-line front end: JSON experiment configs in, JSON + CSV results out.
 
 Usage:
-    varopt <experiment> --config <file.json> [--out <dir>] [--seed <int>]
-                        [--emit-field] [--threads <int>]
+    varopt <experiment> --config <file.json> [--out <dir>] [--seed <int>] [--emit-field]
     varopt plot-data --results <results.csv> --kind <kind> [--out <file.csv>]
 
 Experiments: solve-nls, solve-sobolev, threshold, compare, sobolev-gap,
@@ -62,7 +61,6 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     output_dir: str = "."
     seed: int = 0
-    threads: int = 1
     emit_field: bool = False
 
     @classmethod
@@ -73,7 +71,7 @@ class ExperimentConfig:
         if experiment not in EXPERIMENTS:
             raise InvalidSpec(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
         known = {"experiment", "graph", "problem", "solver", "params", "output_dir",
-                 "seed", "threads", "emit_field"}
+                 "seed", "emit_field"}
         unknown = set(data) - known
         if unknown:
             raise InvalidSpec(f"unknown config keys: {sorted(unknown)}")
@@ -85,7 +83,6 @@ class ExperimentConfig:
             params=data.get("params", {}),
             output_dir=data.get("output_dir", "."),
             seed=int(data.get("seed", 0)),
-            threads=int(data.get("threads", 1)),
             emit_field=bool(data.get("emit_field", False)),
         )
 
@@ -117,7 +114,7 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
     unknown = set(cfg.solver) - _SOLVER_KEYS
     if unknown:
         raise InvalidSpec(f"unknown solver keys: {sorted(unknown)}")
-    return SolverConfig(rng_seed=cfg.seed, threads=cfg.threads, **cfg.solver)
+    return SolverConfig(rng_seed=cfg.seed, **cfg.solver)
 
 
 def _problem(cfg: ExperimentConfig, kind: str) -> ProblemSpec:
@@ -401,8 +398,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="RNG seed (overrides config)")
     parser.add_argument("--emit-field", action="store_true",
                         help="also write the minimizer field as minimizer.json")
-    parser.add_argument("--threads", type=int,
-                        help="solver restart threads (VAROPT_THREADS as fallback)")
     parser.add_argument("--results", help="plot-data: path to a results.csv")
     parser.add_argument("--kind", help="plot-data: one of " + ", ".join(sorted(_PLOT_KINDS)))
     args = parser.parse_args(argv)
@@ -430,10 +425,6 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.emit_field:
             config.emit_field = True
-        threads = args.threads
-        if threads is None:
-            threads = int(os.environ.get("VAROPT_THREADS", config.threads))
-        config.threads = threads
         return run(config)
     except (NotConverged, InconclusiveProbe) as exc:
         sys.stderr.write(_error_json(exc) + "\n")

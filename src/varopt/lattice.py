@@ -130,8 +130,9 @@ class Graph:
 
     Vertex ids run in C order, which is lexicographic order on coordinates,
     so ids and ``coords`` are computed, never looked up. ``edges`` holds the
-    (m, 2) int64 id pairs sorted by (i, j); the neighbours of i, ascending,
-    are ``indices[indptr[i]:indptr[i + 1]]`` (CSR). ``phantom`` counts each
+    (m, 2) int64 id pairs sorted by (i, j), and ``tails``, ``heads`` are its
+    columns; the neighbours of i, ascending, are
+    ``indices[indptr[i]:indptr[i + 1]]`` (CSR). ``phantom`` counts each
     vertex's base-lattice edges that leave the box (dirichlet mode). Safe for
     concurrent reads; never mutated after construction.
     """
@@ -169,6 +170,7 @@ class Graph:
         key = edges[:, 0] * n + edges[:, 1]  # (i, j) -> i * n + j sorts like the pair
         self.edges = np.stack(np.divmod(np.sort(key), n), axis=1)
         self.n_edges = len(self.edges)
+        self.tails, self.heads = self.edges.T  # column views for the edge kernels
         # CSR adjacency: both directions of every edge, sorted by (source, target)
         arcs = np.sort(np.concatenate([key, edges[:, 1] * n + edges[:, 0]]))
         sources, self.indices = np.divmod(arcs, n)

@@ -12,12 +12,11 @@ wins by (energy, residual, lexicographic centre of mass).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import Field, as_values
+from .calculus import Field, _abs_pow, _dirichlet, _kinetic, _minus_p_laplacian, _signed_pow
 from .errors import InvalidExponent, InvalidSpec, TooLarge
 from .lattice import Graph
 
@@ -26,40 +25,6 @@ SOBOLEV = "sobolev"
 
 _STEP_MAX = 1.0e3
 _STEP_MIN = 1.0e-18
-
-
-def _abs_pow(x, p):
-    """|x|**p with cheap paths for small integer exponents (hot loops)."""
-    if p == 1.0:
-        return np.abs(x)
-    if p == 2.0:
-        return x * x
-    if p == 3.0:
-        return np.abs(x) * x * x
-    if p == 4.0:
-        x2 = x * x
-        return x2 * x2
-    if p == 5.0:
-        x2 = x * x
-        return np.abs(x) * x2 * x2
-    if p == 6.0:
-        x2 = x * x
-        return x2 * x2 * x2
-    return np.abs(x) ** p
-
-
-def _signed_pow(x, p):
-    """sign(x) |x|**p, continuous at 0 for p > 0."""
-    if p == 1.0:
-        return x
-    if p == 3.0:
-        return x * x * x
-    if p == 5.0:
-        x2 = x * x
-        return x * x2 * x2
-    if p == 2.0 or p == 4.0:
-        return x * _abs_pow(x, p - 1.0)
-    return np.sign(x) * np.abs(x) ** p
 
 
 @dataclass(frozen=True)
@@ -81,6 +46,8 @@ class ProblemSpec:
     def validate_for(self, graph: Graph) -> None:
         if self.kind not in (NLS, SOBOLEV):
             raise InvalidSpec(f"unknown problem kind {self.kind!r}")
+        if not all(np.isfinite(x) for x in (self.a, self.p, self.q) if x is not None):
+            raise InvalidSpec(f"a, p and q must be finite, got a={self.a}, p={self.p}, q={self.q}")
         if not (self.a > 0):
             raise InvalidSpec(f"mass a must be positive, got {self.a}")
         if self.kind == NLS:
@@ -115,13 +82,15 @@ class SolverConfig:
     rng_seed: int = 0
     smoothing_eps: float = 1e-8        # p = 1 Sobolev gradient smoothing
     record_trace: bool = False
-    threads: int = 1
 
     def validate(self) -> None:
         if self.max_iters < 1 or self.tol_grad <= 0 or self.restarts < 1:
             raise InvalidSpec("solver config needs max_iters >= 1, tol_grad > 0, restarts >= 1")
         if self.step_rule not in ("backtracking", "fixed"):
             raise InvalidSpec(f"unknown step rule {self.step_rule!r}")
+        if not (0 < self.step < np.inf and 0 < self.smoothing_eps < np.inf):
+            raise InvalidSpec(f"solver config needs finite step > 0 and smoothing_eps > 0, "
+                              f"got step={self.step}, smoothing_eps={self.smoothing_eps}")
 
 
 @dataclass
@@ -216,7 +185,10 @@ def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.nd
     "ball[:radius]", "corner+", "corner-", "random", or an explicit array.
     """
     if isinstance(descriptor, (np.ndarray, list)):
-        return np.abs(np.asarray(descriptor, dtype=np.float64)), "explicit"
+        values = np.asarray(descriptor, dtype=np.float64)
+        if values.shape != (graph.n,):
+            raise InvalidSpec(f"explicit seed has shape {values.shape}, expected ({graph.n},)")
+        return np.abs(values), "explicit"
     name = str(descriptor)
     head, _, width_part = name.partition(":")
     head, _, at_part = head.partition("@")
@@ -275,36 +247,20 @@ def _functional(graph: Graph, problem: ProblemSpec, smoothing_eps: float):
     residual(u) -> (multiplier, residual_vector) with the sign conventions
     -Lu + lambda u - |u|^(p-2) u  (nls)  and  -L_p u - lambda |u|^(q-2) u
     (sobolev), both l2-orthogonal to the field by the choice of multiplier.
+    Built from the calculus kernels, so they agree bit for bit with
+    nls_energy, nls_gradient, dirichlet_energy and dirichlet_gradient.
     """
-    ei = graph.edges[:, 0]
-    ej = graph.edges[:, 1]
-    phantom = graph.phantom if graph.boundary == "dirichlet" else None
-    n = graph.n
-
     if problem.kind == NLS:
         p = problem.p
 
         def energy(u):
-            d = u[ej] - u[ei]
-            e2 = np.dot(d, d)
-            if phantom is not None:
-                e2 += np.dot(phantom, u * u)
-            return 0.5 * e2 - np.sum(_abs_pow(u, p)) / p
+            return 0.5 * _kinetic(graph, u) - np.sum(_abs_pow(u, p)) / p
 
         def gradient(u):
-            d = u[ej] - u[ei]
-            minus_lap = (np.bincount(ej, weights=d, minlength=n)
-                         - np.bincount(ei, weights=d, minlength=n))
-            if phantom is not None:
-                minus_lap += phantom * u
-            return minus_lap - _signed_pow(u, p - 1.0)
+            return _minus_p_laplacian(graph, u, 2.0, 0.0) - _signed_pow(u, p - 1.0)
 
         def residual(u, g):
-            d = u[ej] - u[ei]
-            e2 = np.dot(d, d)
-            if phantom is not None:
-                e2 += np.dot(phantom, u * u)
-            lam = (np.sum(_abs_pow(u, p)) - e2) / problem.a
+            lam = (np.sum(_abs_pow(u, p)) - _kinetic(graph, u)) / problem.a
             return lam, g + lam * u
 
         return energy, gradient, residual
@@ -312,25 +268,10 @@ def _functional(graph: Graph, problem: ProblemSpec, smoothing_eps: float):
     p, q = problem.p, problem.q
 
     def energy(u):
-        e = np.sum(_abs_pow(u[ej] - u[ei], p))
-        if phantom is not None:
-            e += np.dot(phantom, _abs_pow(u, p))
-        return e
+        return _dirichlet(graph, u, p)
 
     def gradient(u):
-        d = u[ej] - u[ei]
-        if p > 1:
-            w = _signed_pow(d, p - 1.0)
-        else:
-            w = d / np.sqrt(d * d + smoothing_eps ** 2)
-        minus_plap = (np.bincount(ej, weights=w, minlength=n)
-                      - np.bincount(ei, weights=w, minlength=n))
-        if phantom is not None:
-            if p > 1:
-                minus_plap += phantom * _signed_pow(u, p - 1.0)
-            else:
-                minus_plap += phantom * (u / np.sqrt(u * u + smoothing_eps ** 2))
-        return p * minus_plap
+        return p * _minus_p_laplacian(graph, u, p, smoothing_eps)
 
     def residual(u, g):
         lam = energy(u) / problem.a
@@ -449,15 +390,7 @@ def _minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig) -> SolveRes
         rng = np.random.default_rng([cfg.rng_seed, k])
         seeds.append(make_seed(graph, descriptor, rng))
 
-    def job(item):
-        values, label = item
-        return _descend(graph, problem, cfg, values, label)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(job, seeds))
-    else:
-        outcomes = [job(s) for s in seeds]
+    outcomes = [_descend(graph, problem, cfg, values, label) for values, label in seeds]
 
     def sort_key(out):
         weight = _constraint_weight(problem, out["values"])

@@ -17,17 +17,20 @@ from varopt import (
     brute_force_oracle,
     build_graph,
     dirichlet_energy,
+    dirichlet_gradient,
     localization_report,
     lp_norm,
     minimize,
     minimize_nls,
     minimize_sobolev,
     nls_energy,
+    nls_gradient,
     path_graph,
     sphere_deletion_spec,
     star_addition_spec,
     translate,
 )
+from varopt.solver import _functional, make_seed
 
 CFG = SolverConfig(restarts=4, tol_grad=1e-9, max_iters=30000)
 
@@ -218,9 +221,15 @@ def test_problem_validation():
         minimize_nls(g, ProblemSpec(kind="nls", a=-1.0, p=4), CFG)
     with pytest.raises(InvalidSpec):
         ProblemSpec(kind="sobolev", a=1.0, p=2, q=4).validate_for(build_graph(GraphSpec(d=3, L=2)))
+    for a, p in [(1.0, math.nan), (1.0, math.inf), (math.inf, 4.0), (math.nan, 4.0)]:
+        with pytest.raises(InvalidSpec):
+            minimize_nls(g, ProblemSpec(kind="nls", a=a, p=p), CFG)
+    for p, q in [(2.0, math.nan), (2.0, math.inf), (math.nan, 6.0), (math.inf, 6.0)]:
+        with pytest.raises(InvalidSpec):
+            minimize_sobolev(g, ProblemSpec(kind="sobolev", a=1.0, p=p, q=q, allow_subcritical=True), CFG)
 
 
-def test_determinism_across_runs_and_threads():
+def test_determinism_across_runs():
     g = build_graph(GraphSpec(d=1, L=8))
     prob = ProblemSpec(kind="nls", a=2.0, p=4)
     cfg1 = SolverConfig(restarts=8, tol_grad=1e-9, max_iters=20000, rng_seed=11)
@@ -228,9 +237,6 @@ def test_determinism_across_runs_and_threads():
     res_b = minimize_nls(g, prob, cfg1)
     assert res_a.energy == res_b.energy
     assert np.array_equal(res_a.minimizer.values, res_b.minimizer.values)
-    cfg2 = SolverConfig(restarts=8, tol_grad=1e-9, max_iters=20000, rng_seed=11, threads=3)
-    res_c = minimize_nls(g, prob, cfg2)
-    assert np.array_equal(res_a.minimizer.values, res_c.minimizer.values)
 
 
 def test_fixed_step_rule_runs():
@@ -253,3 +259,39 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0).validate()
     with pytest.raises(InvalidSpec):
         SolverConfig(step_rule="newton").validate()
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidSpec):
+            SolverConfig(step=bad).validate()
+        with pytest.raises(InvalidSpec):
+            SolverConfig(smoothing_eps=bad).validate()
+
+
+def test_explicit_seed_must_match_the_graph():
+    g = path_graph(3)
+    rng = np.random.default_rng(0)
+    values, label = make_seed(g, [0.5, -1.0, 2.0], rng)
+    assert label == "explicit" and np.array_equal(values, [0.5, 1.0, 2.0])
+    for bad in ([1.0, 1.0], np.ones(4), np.ones((3, 1))):
+        with pytest.raises(InvalidSpec):
+            make_seed(g, bad, rng)
+    with pytest.raises(InvalidSpec):
+        minimize_nls(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=[np.ones(2)]))
+
+
+@pytest.mark.parametrize("boundary", ["drop", "dirichlet"])
+def test_solver_functional_is_the_calculus_functions(boundary):
+    # one implementation: the solver's closures equal the public functions bit for bit
+    g = build_graph(GraphSpec(d=2, L=6), boundary=boundary)
+    rng = np.random.default_rng(5)
+    eps = 1e-8
+    for _ in range(3):
+        u = rng.standard_normal(g.n)
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0):
+            prob = ProblemSpec(kind="sobolev", a=1.0, p=p, q=6.0, allow_subcritical=True)
+            energy, gradient, _ = _functional(g, prob, eps)
+            assert energy(u) == dirichlet_energy(g, u, p)
+            assert np.array_equal(gradient(u), dirichlet_gradient(g, u, p, eps))
+        for p in (3.0, 4.0, 6.0):
+            energy, gradient, _ = _functional(g, ProblemSpec(kind="nls", a=1.0, p=p), eps)
+            assert energy(u) == nls_energy(g, u, p)
+            assert np.array_equal(gradient(u), nls_gradient(g, u, p))
