@@ -20,6 +20,7 @@ from .calculus import Field, dirichlet_energy, lp_norm, nls_energy, p_laplacian,
 from .errors import InconclusiveProbe, InvalidRange, InvalidSpec, NotConverged
 from .lattice import Graph, GraphSpec, build_graph, sphere_deletion_spec, star_addition_spec
 from .solver import (
+    DEFAULT_BOUNDARY,
     NLS,
     SOBOLEV,
     ProblemSpec,
@@ -28,10 +29,6 @@ from .solver import (
     minimize,
     minimize_sobolev,
 )
-
-
-def _solve(graph, problem, cfg):
-    return minimize(graph, problem, cfg or SolverConfig())
 
 
 def _graph_label(graph: Graph) -> str:
@@ -98,7 +95,7 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
     probes: list[ProbeRecord] = []
 
     def probe(a):
-        res = _solve(graph, ProblemSpec(kind=NLS, a=a, p=p), solver_cfg)
+        res = minimize(graph, ProblemSpec(kind=NLS, a=a, p=p), solver_cfg)
         rec = ProbeRecord(a=a, energy=res.energy, converged=res.converged,
                           negative=res.energy < -tol_neg)
         probes.append(rec)
@@ -194,8 +191,8 @@ def compare_energies(graph_perturbed: Graph, graph_base: Graph, problem_template
     perturbed, base_vals, margins, verdicts, conv = [], [], [], [], []
     for a in a_grid:
         problem = replace(problem_template, a=float(a))
-        rp = _solve(graph_perturbed, problem, cfg)
-        rb = _solve(graph_base, problem, cfg)
+        rp = minimize(graph_perturbed, problem, cfg)
+        rb = minimize(graph_base, problem, cfg)
         if raise_on_nonconverged and not (rp.converged and rb.converged):
             raise NotConverged(f"comparison probe at a={a} did not converge",
                                result=rp if not rp.converged else rb)
@@ -241,7 +238,7 @@ def verify_E_properties(graph: Graph, p, a_grid, solver_cfg=None,
     a_grid = sorted(float(a) for a in a_grid)
     energies = {}
     for a in a_grid:
-        energies[a] = _solve(graph, ProblemSpec(kind=NLS, a=a, p=p), solver_cfg).energy
+        energies[a] = minimize(graph, ProblemSpec(kind=NLS, a=a, p=p), solver_cfg).energy
     checks = []
     for a in a_grid:
         checks.append(CheckRecord(f"E(a={a:g}) <= 0", energies[a], 0.0,
@@ -485,8 +482,7 @@ def star_nonattainment_probe(d, R, p, q, L_list, a, solver_cfg=None,
     the absolute gap; the signed one is ``energy_perturbed - energy_base``.
     """
     kind = NLS if q is None else SOBOLEV
-    if boundary is None:
-        boundary = "drop" if kind == NLS else "dirichlet"
+    boundary = DEFAULT_BOUNDARY[kind] if boundary is None else boundary
     cfg = solver_cfg or SolverConfig()
     records = []
     origin = (0,) * d
@@ -494,8 +490,8 @@ def star_nonattainment_probe(d, R, p, q, L_list, a, solver_cfg=None,
         star = build_graph(star_addition_spec(d, R, L), boundary=boundary)
         base = build_graph(GraphSpec(d=d, L=L), boundary=boundary)
         problem = ProblemSpec(kind=kind, a=a, p=p, q=q)
-        rp = _solve(star, problem, cfg)
-        rb = _solve(base, problem, cfg)
+        rp = minimize(star, problem, cfg)
+        rb = minimize(base, problem, cfg)
         if raise_on_nonconverged and not (rp.converged and rb.converged):
             raise NotConverged(f"star probe at L={L} did not converge",
                                result=rp if not rp.converged else rb)

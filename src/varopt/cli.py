@@ -4,12 +4,11 @@ Usage:
     varopt <experiment> --config <file.json> [--out <dir>] [--seed <int>] [--emit-field]
     varopt plot-data --results <results.csv> --kind <kind> [--out <file.csv>]
 
-Experiments: solve-nls, solve-sobolev, threshold, compare, sobolev-gap,
-star-probe, verify-lemmas. Every run writes results.json (summary) and
-results.csv (one row per probe / grid point) into the output directory;
-identical (config, seed) pairs produce bit-identical CSV files. Exit codes:
-0 success, 2 config or validation error, 3 a required probe failed to
-converge.
+Experiments are the choices of <experiment> in the usage line. Every run
+writes results.json (summary) and results.csv (one row per probe / grid
+point) into the output directory; identical (config, seed) pairs produce
+bit-identical CSV files. Exit codes: 0 success, 2 config or validation
+error, 3 a required probe failed to converge.
 """
 
 from __future__ import annotations
@@ -20,18 +19,14 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import analysis
 from .errors import InconclusiveProbe, InvalidSpec, MissingColumns, NotConverged, VaroptError
 from .lattice import Graph, GraphSpec, build_graph, path_graph, sphere_deletion_spec, star_addition_spec
-from .solver import NLS, SOBOLEV, ProblemSpec, SolverConfig, minimize
+from .solver import DEFAULT_BOUNDARY, NLS, SOBOLEV, ProblemSpec, SolverConfig, minimize
 
-EXPERIMENTS = ("solve-nls", "solve-sobolev", "threshold", "compare",
-               "sobolev-gap", "star-probe", "verify-lemmas")
-
-_SOLVER_KEYS = {"max_iters", "step", "tol_grad", "restarts", "seeds", "step_rule",
-                "smoothing_eps", "record_trace"}
+_SOLVER_KEYS = {f.name for f in fields(SolverConfig)} - {"rng_seed"}
 
 
 def _fmt(x) -> str:
@@ -70,9 +65,7 @@ class ExperimentConfig:
         experiment = data.get("experiment")
         if experiment not in EXPERIMENTS:
             raise InvalidSpec(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-        known = {"experiment", "graph", "problem", "solver", "params", "output_dir",
-                 "seed", "emit_field"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidSpec(f"unknown config keys: {sorted(unknown)}")
         return cls(
@@ -137,8 +130,7 @@ def _graph_summary(graph: Graph) -> dict:
 # experiment handlers: each returns (summary, header, rows, converged_ok)
 
 def _run_solve(cfg: ExperimentConfig, kind: str):
-    default_boundary = "drop" if kind == NLS else "dirichlet"
-    graph = build_graph_from_config(cfg.graph, default_boundary)
+    graph = build_graph_from_config(cfg.graph, DEFAULT_BOUNDARY[kind])
     problem = _problem(cfg, kind)
     result = minimize(graph, problem, _solver_config(cfg))
     loc = result.localization
@@ -185,7 +177,7 @@ def _run_threshold(cfg: ExperimentConfig):
     def family(L):
         local = dict(gcfg)
         local["L"] = L
-        return build_graph_from_config(local, "drop")
+        return build_graph_from_config(local, DEFAULT_BOUNDARY[NLS])
 
     result = analysis.estimate_threshold(
         family, p, a_range, levels=levels,
@@ -213,7 +205,9 @@ def _run_threshold(cfg: ExperimentConfig):
 def _run_compare(cfg: ExperimentConfig):
     params = cfg.params
     kind = cfg.problem.get("kind", NLS)
-    default_boundary = "drop" if kind == NLS else "dirichlet"
+    if kind not in DEFAULT_BOUNDARY:
+        raise InvalidSpec(f"unknown problem kind {kind!r}")
+    default_boundary = DEFAULT_BOUNDARY[kind]
     perturbed = build_graph_from_config(cfg.graph, default_boundary)
     base_cfg = params.get("base_graph")
     if base_cfg is None:
@@ -250,7 +244,7 @@ def _run_sobolev_gap(cfg: ExperimentConfig):
         int(params["d"]), float(params["p"]),
         [int(R) for R in params["R_list"]], int(params["L"]),
         solver_cfg=_solver_config(cfg),
-        boundary=params.get("boundary", "dirichlet"))
+        boundary=params.get("boundary", DEFAULT_BOUNDARY[SOBOLEV]))
     header = ["R", "bound_formula", "bound_evaluated", "j_unperturbed", "witness"]
     rows = [[r.R, r.bound_formula, r.bound_evaluated, report.j_unperturbed, r.witness]
             for r in report.records]
@@ -294,8 +288,7 @@ def _run_star_probe(cfg: ExperimentConfig):
 
 def _run_verify_lemmas(cfg: ExperimentConfig):
     params = cfg.params
-    graph = build_graph_from_config(cfg.graph or {"construction": "lattice", "d": 1, "L": 16},
-                                    "drop")
+    graph = build_graph_from_config(cfg.graph or {"construction": "lattice", "d": 1, "L": 16})
     report = analysis.verify_lemma_suite(
         graph,
         p=float(params.get("p", 4.0)),
@@ -313,23 +306,23 @@ def _run_verify_lemmas(cfg: ExperimentConfig):
     return summary, header, rows, True, {}
 
 
+_HANDLERS = {
+    "solve-nls": lambda cfg: _run_solve(cfg, NLS),
+    "solve-sobolev": lambda cfg: _run_solve(cfg, SOBOLEV),
+    "threshold": _run_threshold,
+    "compare": _run_compare,
+    "sobolev-gap": _run_sobolev_gap,
+    "star-probe": _run_star_probe,
+    "verify-lemmas": _run_verify_lemmas,
+}
+EXPERIMENTS = tuple(_HANDLERS)
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment and persist results.json / results.csv."""
-    if config.experiment in ("solve-nls", "solve-sobolev"):
-        kind = NLS if config.experiment == "solve-nls" else SOBOLEV
-        summary, header, rows, converged, extras = _run_solve(config, kind)
-    elif config.experiment == "threshold":
-        summary, header, rows, converged, extras = _run_threshold(config)
-    elif config.experiment == "compare":
-        summary, header, rows, converged, extras = _run_compare(config)
-    elif config.experiment == "sobolev-gap":
-        summary, header, rows, converged, extras = _run_sobolev_gap(config)
-    elif config.experiment == "star-probe":
-        summary, header, rows, converged, extras = _run_star_probe(config)
-    elif config.experiment == "verify-lemmas":
-        summary, header, rows, converged, extras = _run_verify_lemmas(config)
-    else:
+    if config.experiment not in _HANDLERS:
         raise InvalidSpec(f"unknown experiment {config.experiment!r}")
+    summary, header, rows, converged, extras = _HANDLERS[config.experiment](config)
 
     os.makedirs(config.output_dir, exist_ok=True)
     summary["seed"] = config.seed

@@ -12,6 +12,7 @@ wins by (energy, residual, lexicographic centre of mass).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,14 @@ from .lattice import Graph
 NLS = "nls"
 SOBOLEV = "sobolev"
 
+# default boundary mode per problem kind: constants are free in drop mode,
+# which makes the finite Sobolev problem degenerate at 0
+DEFAULT_BOUNDARY = {NLS: "drop", SOBOLEV: "dirichlet"}
+
+_STEP_INIT = 0.1        # trial step until Barzilai-Borwein has curvature information
 _STEP_MAX = 1.0e3
 _STEP_MIN = 1.0e-18
+_SMOOTHING_EPS = 1e-8   # p = 1 Sobolev gradient smoothing
 
 
 @dataclass(frozen=True)
@@ -74,23 +81,19 @@ class ProblemSpec:
 @dataclass
 class SolverConfig:
     max_iters: int = 50000
-    step: float = 0.1
     tol_grad: float = 1e-8
     restarts: int = 6
     seeds: list | None = None          # descriptors or arrays; overrides the default plan
-    step_rule: str = "backtracking"    # "backtracking" | "fixed"
     rng_seed: int = 0
-    smoothing_eps: float = 1e-8        # p = 1 Sobolev gradient smoothing
     record_trace: bool = False
 
     def validate(self) -> None:
-        if self.max_iters < 1 or self.tol_grad <= 0 or self.restarts < 1:
-            raise InvalidSpec("solver config needs max_iters >= 1, tol_grad > 0, restarts >= 1")
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise InvalidSpec(f"unknown step rule {self.step_rule!r}")
-        if not (0 < self.step < np.inf and 0 < self.smoothing_eps < np.inf):
-            raise InvalidSpec(f"solver config needs finite step > 0 and smoothing_eps > 0, "
-                              f"got step={self.step}, smoothing_eps={self.smoothing_eps}")
+        counts = (self.max_iters, self.restarts)
+        if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
+            raise InvalidSpec(f"solver config needs whole numbers max_iters >= 1 and restarts >= 1, "
+                              f"got max_iters={self.max_iters}, restarts={self.restarts}")
+        if not (0 < self.tol_grad < np.inf):
+            raise InvalidSpec(f"solver config needs a finite tol_grad > 0, got {self.tol_grad}")
 
 
 @dataclass
@@ -186,8 +189,8 @@ def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.nd
     """
     if isinstance(descriptor, (np.ndarray, list)):
         values = np.asarray(descriptor, dtype=np.float64)
-        if values.shape != (graph.n,):
-            raise InvalidSpec(f"explicit seed has shape {values.shape}, expected ({graph.n},)")
+        if values.shape != (graph.n,) or not np.all(np.isfinite(values)):
+            raise InvalidSpec(f"explicit seed needs {graph.n} finite values, got shape {values.shape}")
         return np.abs(values), "explicit"
     name = str(descriptor)
     head, _, width_part = name.partition(":")
@@ -195,6 +198,8 @@ def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.nd
     centre = None
     if at_part:
         centre = tuple(int(c) for c in at_part.split(","))
+        if len(centre) != graph.d:
+            raise InvalidSpec(f"seed {name!r} needs a centre of dimension d={graph.d}")
     ext = graph.extent
     if head == "corner+":
         head, centre = "gauss", (ext,) * graph.d
@@ -215,6 +220,8 @@ def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.nd
             width = max(2.0, graph.extent / 2.0)
         else:
             width = 1.5
+        if not (0 < width < np.inf):
+            raise InvalidSpec(f"seed {name!r} needs a finite width > 0")
         dist2 = np.sum((graph.coords - np.asarray(centre)) ** 2, axis=1)
         return np.exp(-0.5 * dist2 / width ** 2), name
     if head == "uniform":
@@ -241,7 +248,7 @@ def default_seed_plan(restarts: int) -> list:
 # ---------------------------------------------------------------------------
 # core descent
 
-def _functional(graph: Graph, problem: ProblemSpec, smoothing_eps: float):
+def _functional(graph: Graph, problem: ProblemSpec):
     """Return (energy, gradient, residual) closures over raw value arrays.
 
     residual(u) -> (multiplier, residual_vector) with the sign conventions
@@ -271,7 +278,7 @@ def _functional(graph: Graph, problem: ProblemSpec, smoothing_eps: float):
         return _dirichlet(graph, u, p)
 
     def gradient(u):
-        return p * _minus_p_laplacian(graph, u, p, smoothing_eps)
+        return p * _minus_p_laplacian(graph, u, p, _SMOOTHING_EPS)
 
     def residual(u, g):
         lam = energy(u) / problem.a
@@ -290,10 +297,10 @@ _STAGNATION_LIMIT = 200
 
 
 def _descend(graph, problem, cfg, seed_values, label):
-    energy, gradient, residual = _functional(graph, problem, cfg.smoothing_eps)
+    energy, gradient, residual = _functional(graph, problem)
     u = _project(problem, np.abs(seed_values))
     E = energy(u)
-    step = cfg.step
+    step = _STEP_INIT
     trace = [] if cfg.record_trace else None
     converged = False
     lam, res_norm = 0.0, np.inf
@@ -315,10 +322,6 @@ def _descend(graph, problem, cfg, seed_values, label):
         direction = g - (np.dot(g, normal) / nn) * normal if nn > 0 else g
         if not np.any(direction):
             break
-        if cfg.step_rule == "fixed":
-            u = _project(problem, np.abs(u - step * direction))
-            E = energy(u)
-            continue
         # spectral (Barzilai-Borwein) trial step, clamped, falling back to the
         # persistent step while no curvature information is available
         s = step
@@ -381,7 +384,9 @@ def _descend(graph, problem, cfg, seed_values, label):
     }
 
 
-def _minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig) -> SolveResult:
+def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None) -> SolveResult:
+    """Minimize the problem's functional on its constraint sphere, multistart."""
+    cfg = cfg or SolverConfig()
     problem.validate_for(graph)
     cfg.validate()
     plan = list(cfg.seeds) if cfg.seeds else default_seed_plan(cfg.restarts)
@@ -391,23 +396,17 @@ def _minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig) -> SolveRes
         seeds.append(make_seed(graph, descriptor, rng))
 
     outcomes = [_descend(graph, problem, cfg, values, label) for values, label in seeds]
-
-    def sort_key(out):
-        weight = _constraint_weight(problem, out["values"])
-        total = np.sum(weight)
-        com = tuple((graph.coords.T @ weight) / total) if total > 0 else (0.0,) * graph.d
-        return (out["energy"], out["el_residual"], com)
-
-    best = min(outcomes, key=sort_key)
-    weight = _constraint_weight(problem, best["values"])
-    loc = _localize(graph, weight, _default_probe_radius(graph))
+    radius = _default_probe_radius(graph)
+    for out in outcomes:
+        out["localization"] = _localize(graph, _constraint_weight(problem, out["values"]), radius)
+    best = min(outcomes, key=lambda o: (o["energy"], o["el_residual"], o["localization"].center_of_mass))
     return SolveResult(
         minimizer=Field(graph, best["values"]),
         energy=best["energy"],
         multiplier=best["multiplier"],
         el_residual=best["el_residual"],
         converged=best["converged"],
-        localization=loc,
+        localization=best["localization"],
         problem=problem,
         n_iters=best["n_iters"],
         seed_label=best["label"],
@@ -421,21 +420,14 @@ def minimize_nls(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = 
     """Ground state of the Schrodinger energy on the mass sphere ||u||_2^2 = a."""
     if problem.kind != NLS:
         raise InvalidSpec(f"minimize_nls got a problem of kind {problem.kind!r}")
-    return _minimize(graph, problem, cfg or SolverConfig())
+    return minimize(graph, problem, cfg)
 
 
 def minimize_sobolev(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None) -> SolveResult:
     """Best p-Dirichlet energy on the sphere ||u||_q^q = a (Sobolev extremal)."""
     if problem.kind != SOBOLEV:
         raise InvalidSpec(f"minimize_sobolev got a problem of kind {problem.kind!r}")
-    return _minimize(graph, problem, cfg or SolverConfig())
-
-
-def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None) -> SolveResult:
-    """Dispatch on the problem kind."""
-    if problem.kind == NLS:
-        return minimize_nls(graph, problem, cfg)
-    return minimize_sobolev(graph, problem, cfg)
+    return minimize(graph, problem, cfg)
 
 
 # ---------------------------------------------------------------------------

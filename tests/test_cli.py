@@ -2,11 +2,15 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from varopt import GraphSpec, MissingColumns
-from varopt.cli import ExperimentConfig, build_graph_from_config, emit_plot_data, main, run
+from varopt.cli import ExperimentConfig, _solver_config, build_graph_from_config, emit_plot_data, main, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, name, payload):
@@ -133,6 +137,25 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 def test_unknown_config_keys_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, "cfg.json", {"graph": {}, "bogus": 1})
     assert main(["threshold", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("solver", [{"step_rule": "fixed"}, {"step": 0.1}, {"smoothing_eps": 1e-8}])
+def test_removed_solver_keys_exit_2(tmp_path, capsys, solver):
+    path = write_config(tmp_path, "cfg.json", {
+        "graph": {"construction": "lattice", "d": 1, "L": 4},
+        "problem": {"a": 1.0, "p": 4.0},
+        "solver": solver,
+    })
+    assert main(["solve-nls", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown solver keys" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_configs_load():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        _solver_config(ExperimentConfig.from_dict(json.loads(block))).validate()
 
 
 def test_missing_config_exit_2(capsys):

@@ -30,6 +30,7 @@ from varopt import (
     star_addition_spec,
     translate,
 )
+from varopt import solver
 from varopt.solver import _functional, make_seed
 
 CFG = SolverConfig(restarts=4, tol_grad=1e-9, max_iters=30000)
@@ -239,14 +240,6 @@ def test_determinism_across_runs():
     assert np.array_equal(res_a.minimizer.values, res_b.minimizer.values)
 
 
-def test_fixed_step_rule_runs():
-    g = path_graph(3)
-    cfg = SolverConfig(restarts=1, seeds=["gauss:1.0"], step=0.01, step_rule="fixed",
-                       tol_grad=1e-7, max_iters=20000)
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=1.0, p=4), cfg)
-    assert res.energy == pytest.approx(-0.08333333, abs=1e-5)
-
-
 def test_minimize_dispatch():
     g = path_graph(2)
     assert minimize(g, ProblemSpec(kind="nls", a=1.0, p=4), CFG).energy == pytest.approx(-0.125, abs=1e-8)
@@ -257,13 +250,15 @@ def test_minimize_dispatch():
 def test_solver_config_validation():
     with pytest.raises(InvalidSpec):
         SolverConfig(max_iters=0).validate()
-    with pytest.raises(InvalidSpec):
-        SolverConfig(step_rule="newton").validate()
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidSpec):
-            SolverConfig(step=bad).validate()
+            SolverConfig(tol_grad=bad).validate()
+    for bad in (0, 2.5, 3.0, math.inf, math.nan):
         with pytest.raises(InvalidSpec):
-            SolverConfig(smoothing_eps=bad).validate()
+            SolverConfig(max_iters=bad).validate()
+        with pytest.raises(InvalidSpec):
+            SolverConfig(restarts=bad).validate()
+    SolverConfig(max_iters=np.int64(5), restarts=np.int64(2)).validate()
 
 
 def test_explicit_seed_must_match_the_graph():
@@ -274,8 +269,24 @@ def test_explicit_seed_must_match_the_graph():
     for bad in ([1.0, 1.0], np.ones(4), np.ones((3, 1))):
         with pytest.raises(InvalidSpec):
             make_seed(g, bad, rng)
+    for bad in ([1.0, np.nan, 0.0], [1.0, np.inf, 0.0], [-np.inf, 1.0, 0.0]):
+        with pytest.raises(InvalidSpec):
+            make_seed(g, bad, rng)
     with pytest.raises(InvalidSpec):
         minimize_nls(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=[np.ones(2)]))
+
+
+def test_seed_descriptor_must_fit_the_graph():
+    g2 = build_graph(GraphSpec(d=2, L=3))
+    rng = np.random.default_rng(0)
+    values, _ = make_seed(g2, "gauss@1,-1:0.5", rng)
+    assert np.argmax(values) == g2.vertex_id((1, -1))
+    for bad in ("gauss@1", "delta@1", "widegauss@1,2,3", "uniform@0", "ball@1,1,1",
+                "gauss:0", "gauss:-1", "gauss:inf", "gauss:nan", "widegauss:0", "corner+:0"):
+        with pytest.raises(InvalidSpec):
+            make_seed(g2, bad, rng)
+    with pytest.raises(InvalidSpec):
+        minimize_nls(g2, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=["gauss:0", "delta"]))
 
 
 @pytest.mark.parametrize("boundary", ["drop", "dirichlet"])
@@ -283,15 +294,16 @@ def test_solver_functional_is_the_calculus_functions(boundary):
     # one implementation: the solver's closures equal the public functions bit for bit
     g = build_graph(GraphSpec(d=2, L=6), boundary=boundary)
     rng = np.random.default_rng(5)
-    eps = 1e-8
+    eps = solver._SMOOTHING_EPS
+    assert eps == 1e-8
     for _ in range(3):
         u = rng.standard_normal(g.n)
         for p in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0):
             prob = ProblemSpec(kind="sobolev", a=1.0, p=p, q=6.0, allow_subcritical=True)
-            energy, gradient, _ = _functional(g, prob, eps)
+            energy, gradient, _ = _functional(g, prob)
             assert energy(u) == dirichlet_energy(g, u, p)
             assert np.array_equal(gradient(u), dirichlet_gradient(g, u, p, eps))
         for p in (3.0, 4.0, 6.0):
-            energy, gradient, _ = _functional(g, ProblemSpec(kind="nls", a=1.0, p=p), eps)
+            energy, gradient, _ = _functional(g, ProblemSpec(kind="nls", a=1.0, p=p))
             assert energy(u) == nls_energy(g, u, p)
             assert np.array_equal(gradient(u), nls_gradient(g, u, p))
