@@ -3,6 +3,7 @@
 from .calculus import (
     EnergyReport,
     Field,
+    box_inverse,
     dirichlet_energy,
     dirichlet_gradient,
     energy_report,
@@ -52,6 +53,7 @@ from .solver import (
     minimize,
     minimize_nls,
     minimize_sobolev,
+    spectral_oracle,
 )
 
 __version__ = "0.1.0"

@@ -70,7 +70,7 @@ def lp_norm(field, p) -> float:
     u = as_values(field)
     if p == np.inf or p == float("inf"):
         return float(np.max(np.abs(u))) if u.size else 0.0
-    if p < 1:
+    if not p >= 1:
         raise InvalidExponent(f"l^p norm needs p >= 1, got {p}")
     return float(np.sum(np.abs(u) ** p) ** (1.0 / p))
 
@@ -143,10 +143,43 @@ def _minus_p_laplacian(graph: Graph, u: np.ndarray, p, eps):
     return out
 
 
+def box_inverse(graph: Graph):
+    """Return v -> A^{-1} v for A minus the dirichlet-mode Laplacian of the plain
+    box that a build_graph truncation lives on, perturbations left out.
+
+    A is the tensor sum over the d axes of tridiag(-1, 2, -1) of side
+    m = 2L - 1; the orthonormal sine matrix S[j, k] = sqrt(2/(m+1))
+    sin(pi j k/(m+1)) diagonalizes each factor with eigenvalues
+    2 - 2 cos(pi k/(m+1)). So the solve applies S along every axis, divides
+    by the summed eigenvalues and applies S again: O(n m d) work, O(n)
+    temporaries.
+    """
+    if graph.spec is None or graph.boundary != "dirichlet":
+        raise InvalidSpec("the box inverse needs a build_graph truncation in dirichlet mode")
+    d, m = graph.d, 2 * graph.spec.L - 1
+    k = np.arange(1, m + 1)
+    S = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    eig = 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
+    inv_eig = 1.0 / sum(eig.reshape((m,) + (1,) * (d - 1 - axis)) for axis in range(d))
+
+    def solve(v):
+        # contracting the leading axis appends the result axis, so d passes
+        # restore the axis order
+        x = v.reshape((m,) * d)
+        for _ in range(d):
+            x = np.tensordot(x, S, axes=(0, 0))
+        x = x * inv_eig
+        for _ in range(d):
+            x = np.tensordot(x, S, axes=(0, 0))
+        return x.ravel()
+
+    return solve
+
+
 def dirichlet_energy(graph: Graph, field, p) -> float:
     """Sum of |u(x) - u(y)|^p over undirected edges (plus phantom terms in
     dirichlet mode); equals the integral of the gradient p-norm to the p."""
-    if p < 1:
+    if not p >= 1:
         raise InvalidExponent(f"Dirichlet energy needs p >= 1, got {p}")
     return float(_dirichlet(graph, as_values(field), p))
 
@@ -162,7 +195,7 @@ def p_laplacian(graph: Graph, field, p) -> Field:
     Restricted to p > 1, where the edge weight |t|^(p-2) t extends
     continuously by 0 at t = 0; coincides with the Laplacian at p = 2.
     """
-    if p <= 1:
+    if not p > 1:
         raise InvalidExponent(f"p-Laplacian needs p > 1, got {p}")
     return Field(graph, -_minus_p_laplacian(graph, as_values(field), p, 0.0))
 
@@ -170,7 +203,7 @@ def p_laplacian(graph: Graph, field, p) -> Field:
 def nls_energy(graph: Graph, field, p) -> float:
     """Focusing Schrodinger energy: half the 2-Dirichlet sum minus the
     l^p mass over p. Defined for p > 2."""
-    if p <= 2:
+    if not p > 2:
         raise InvalidExponent(f"Schrodinger energy needs p > 2, got {p}")
     u = as_values(field)
     return float(0.5 * _kinetic(graph, u) - np.sum(_abs_pow(u, p)) / p)
@@ -178,7 +211,7 @@ def nls_energy(graph: Graph, field, p) -> float:
 
 def nls_gradient(graph: Graph, field, p) -> np.ndarray:
     """Euclidean gradient of nls_energy: -Lu - |u|^(p-2) u."""
-    if p <= 2:
+    if not p > 2:
         raise InvalidExponent(f"Schrodinger energy needs p > 2, got {p}")
     u = as_values(field)
     return _minus_p_laplacian(graph, u, 2.0, 0.0) - _signed_pow(u, p - 1.0)
@@ -190,7 +223,7 @@ def dirichlet_gradient(graph: Graph, field, p, eps: float = 0.0) -> np.ndarray:
     For p = 1 the energy is not differentiable; pass eps > 0 to use the
     smoothed weight t / sqrt(t^2 + eps^2) in place of sign(t).
     """
-    if p < 1 or (p == 1 and eps <= 0):
+    if not (p > 1 or (p == 1 and eps > 0)):
         raise InvalidExponent(f"gradient needs p > 1, or p = 1 with eps > 0; got p={p}, eps={eps}")
     return p * _minus_p_laplacian(graph, as_values(field), p, eps)
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import Field, _abs_pow, _dirichlet, _kinetic, _minus_p_laplacian, _signed_pow
+from .calculus import (Field, _abs_pow, _dirichlet, _kinetic, _minus_p_laplacian, _signed_pow,
+                       box_inverse)
 from .errors import InvalidExponent, InvalidSpec, TooLarge
 from .lattice import Graph
 
@@ -293,10 +294,28 @@ def _constraint_normal(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
     return problem.q * np.sign(u) * np.abs(u) ** (problem.q - 1.0)
 
 
+def _preconditioner(graph: Graph, problem: ProblemSpec):
+    """The metric of the descent direction: the box inverse where the energy is
+    the 2-Dirichlet form on a dirichlet-mode truncation, whose quadratic form
+    it inverts up to the perturbation; None (the identity) everywhere else."""
+    if problem.kind == SOBOLEV and problem.p == 2.0 and graph.boundary == "dirichlet" \
+            and graph.spec is not None:
+        return box_inverse(graph)
+    return None
+
+
+def _tangent_direction(g, normal, precondition):
+    """Pg - (<n, Pg>/<n, Pn>) Pn: the gradient in the metric of P^{-1}, tangent
+    to the constraint sphere; with P the identity, the Euclidean projection."""
+    pg, pn = (g, normal) if precondition is None else (precondition(g), precondition(normal))
+    npn = np.dot(normal, pn)
+    return pg - (np.dot(pg, normal) / npn) * pn if npn > 0 else pg
+
+
 _STAGNATION_LIMIT = 200
 
 
-def _descend(graph, problem, cfg, seed_values, label):
+def _descend(graph, problem, cfg, seed_values, label, precondition):
     energy, gradient, residual = _functional(graph, problem)
     u = _project(problem, np.abs(seed_values))
     E = energy(u)
@@ -317,9 +336,7 @@ def _descend(graph, problem, cfg, seed_values, label):
         if res_norm <= cfg.tol_grad:
             converged = True
             break
-        normal = _constraint_normal(problem, u)
-        nn = np.dot(normal, normal)
-        direction = g - (np.dot(g, normal) / nn) * normal if nn > 0 else g
+        direction = _tangent_direction(g, _constraint_normal(problem, u), precondition)
         if not np.any(direction):
             break
         # spectral (Barzilai-Borwein) trial step, clamped, falling back to the
@@ -395,7 +412,8 @@ def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None
         rng = np.random.default_rng([cfg.rng_seed, k])
         seeds.append(make_seed(graph, descriptor, rng))
 
-    outcomes = [_descend(graph, problem, cfg, values, label) for values, label in seeds]
+    precondition = _preconditioner(graph, problem)
+    outcomes = [_descend(graph, problem, cfg, values, label, precondition) for values, label in seeds]
     radius = _default_probe_radius(graph)
     for out in outcomes:
         out["localization"] = _localize(graph, _constraint_weight(problem, out["values"]), radius)
@@ -502,3 +520,30 @@ def brute_force_oracle(graph: Graph, problem: ProblemSpec, grid: dict | None = N
         if m < best:
             best = m
     return best
+
+
+_SPECTRAL_DENSE_LIMIT = 3000
+
+
+def spectral_oracle(graph: Graph) -> float:
+    """Smallest eigenvalue of minus the dirichlet-mode graph Laplacian.
+
+    Exact value of the p = q = 2 Sobolev problem per unit mass: its minimum
+    over ||u||_2^2 = a is a times this. For the plain box of a build_graph
+    truncation it is the closed form d (2 - 2 cos(pi / 2L)); otherwise the
+    dense Laplacian is assembled from the edge list, without the solver or
+    the calculus module, and handed to numpy.linalg.eigvalsh, up to 3,000
+    vertices.
+    """
+    if graph.boundary != "dirichlet":
+        raise InvalidSpec("the spectral oracle needs a graph in dirichlet mode")
+    spec = graph.spec
+    if spec is not None and not (spec.deletions or spec.additions):
+        return graph.d * (2.0 - 2.0 * np.cos(np.pi / (2 * spec.L)))
+    n = graph.n
+    if n > _SPECTRAL_DENSE_LIMIT:
+        raise TooLarge(f"dense eigensolve; {n} vertices exceed the limit of {_SPECTRAL_DENSE_LIMIT}")
+    lap = np.diag(graph.phantom + np.diff(graph.indptr))  # phantom edges plus the degree
+    np.add.at(lap, (graph.tails, graph.heads), -1.0)
+    np.add.at(lap, (graph.heads, graph.tails), -1.0)
+    return float(np.linalg.eigvalsh(lap)[0])

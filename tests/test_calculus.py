@@ -11,6 +11,7 @@ from varopt import (
     GraphSpec,
     InvalidExponent,
     InvalidSpec,
+    box_inverse,
     build_graph,
     dirichlet_energy,
     dirichlet_gradient,
@@ -60,6 +61,8 @@ def test_lp_norm_invalid_exponent():
     g = path_graph(3)
     with pytest.raises(InvalidExponent):
         lp_norm(np.ones(g.n), 0.5)
+    with pytest.raises(InvalidExponent):
+        lp_norm(np.ones(g.n), math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +98,16 @@ def test_dirichlet_invalid_exponent():
     g = path_graph(3)
     with pytest.raises(InvalidExponent):
         dirichlet_energy(g, np.ones(g.n), 0.9)
+    with pytest.raises(InvalidExponent):
+        dirichlet_energy(g, np.ones(g.n), math.nan)
+
+
+def test_dirichlet_gradient_invalid_exponent():
+    g = path_graph(3)
+    u = np.ones(g.n)
+    for p, eps in [(0.9, 1e-8), (1.0, 0.0), (math.nan, 0.0), (math.nan, 1e-8), (1.0, math.nan)]:
+        with pytest.raises(InvalidExponent):
+            dirichlet_gradient(g, u, p, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +161,31 @@ def test_p_laplacian_invalid_exponent():
     g = path_graph(3)
     with pytest.raises(InvalidExponent):
         p_laplacian(g, np.ones(g.n), 1.0)
+    with pytest.raises(InvalidExponent):
+        p_laplacian(g, np.ones(g.n), math.nan)  # would otherwise run the p = 1 branch
+
+
+@pytest.mark.parametrize("d,L", [(1, 2), (1, 5), (1, 12), (2, 3), (2, 10), (3, 2), (3, 4), (3, 8)])
+def test_box_inverse_inverts_the_dirichlet_laplacian(d, L):
+    g = build_graph(GraphSpec(d=d, L=L), boundary="dirichlet")
+    solve = box_inverse(g)
+    for _ in range(3):
+        v = RNG.standard_normal(g.n)
+        assert np.max(np.abs(-laplacian(g, solve(v)).values - v)) <= 1e-13
+
+
+def test_box_inverse_matches_a_dense_solve():
+    g = build_graph(GraphSpec(d=3, L=4), boundary="dirichlet")
+    dense = np.column_stack([-laplacian(g, e).values for e in np.eye(g.n)])
+    v = RNG.standard_normal(g.n)
+    assert np.max(np.abs(box_inverse(g)(v) - np.linalg.solve(dense, v))) <= 1e-13
+
+
+def test_box_inverse_needs_a_dirichlet_box():
+    with pytest.raises(InvalidSpec):
+        box_inverse(build_graph(GraphSpec(d=2, L=3)))
+    with pytest.raises(InvalidSpec):
+        box_inverse(path_graph(5, boundary="dirichlet"))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +215,9 @@ def test_nls_energy_invalid_exponent():
     g = path_graph(2)
     with pytest.raises(InvalidExponent):
         nls_energy(g, np.ones(2), 2.0)
+    for fn in (nls_energy, nls_gradient):
+        with pytest.raises(InvalidExponent):
+            fn(g, np.ones(2), math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from varopt import (
     Field,
+    Graph,
     GraphSpec,
     InvalidExponent,
     InvalidSpec,
@@ -26,12 +27,13 @@ from varopt import (
     nls_energy,
     nls_gradient,
     path_graph,
+    spectral_oracle,
     sphere_deletion_spec,
     star_addition_spec,
     translate,
 )
 from varopt import solver
-from varopt.solver import _functional, make_seed
+from varopt.solver import _constraint_normal, _functional, _preconditioner, _tangent_direction, make_seed
 
 CFG = SolverConfig(restarts=4, tol_grad=1e-9, max_iters=30000)
 
@@ -307,3 +309,81 @@ def test_solver_functional_is_the_calculus_functions(boundary):
             energy, gradient, _ = _functional(g, ProblemSpec(kind="nls", a=1.0, p=p))
             assert energy(u) == nls_energy(g, u, p)
             assert np.array_equal(gradient(u), nls_gradient(g, u, p))
+
+
+# ---------------------------------------------------------------------------
+# spectral oracle: p = q = 2 has the exact value a * lambda_min
+
+SUBCRITICAL_P2 = ProblemSpec(kind="sobolev", a=1.5, p=2.0, q=2.0, allow_subcritical=True)
+
+
+@pytest.mark.parametrize("d,L", [(2, 10), (3, 6)])
+def test_spectral_oracle_plain_box(d, L):
+    g = build_graph(GraphSpec(d=d, L=L), boundary="dirichlet")
+    exact = SUBCRITICAL_P2.a * spectral_oracle(g)
+    assert spectral_oracle(g) == d * (2.0 - 2.0 * math.cos(math.pi / (2 * L)))
+    res = minimize_sobolev(g, SUBCRITICAL_P2)
+    assert res.converged
+    assert abs(res.energy - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("spec", [sphere_deletion_spec(3, 2, 6), star_addition_spec(2, 2, 8)],
+                         ids=["sphere-deletion-3-2-6", "star-addition-2-2-8"])
+def test_spectral_oracle_perturbed(spec):
+    g = build_graph(spec, boundary="dirichlet")
+    res = minimize_sobolev(g, SUBCRITICAL_P2)
+    assert res.converged
+    assert abs(res.energy - SUBCRITICAL_P2.a * spectral_oracle(g)) <= 1e-12 * SUBCRITICAL_P2.a
+
+
+def test_spectral_oracle_dense_matches_closed_form_and_limits():
+    # the same plain box without its spec takes the dense eigvalsh path
+    g = build_graph(GraphSpec(d=2, L=4), boundary="dirichlet")
+    closed = spectral_oracle(g)
+    plain = Graph.from_box(g.lo, g.shape, g.edges, boundary="dirichlet", phantom=g.phantom)
+    assert abs(spectral_oracle(plain) - closed) <= 1e-13
+    with pytest.raises(InvalidSpec):
+        spectral_oracle(build_graph(GraphSpec(d=2, L=4)))
+    with pytest.raises(TooLarge):
+        spectral_oracle(build_graph(sphere_deletion_spec(3, 2, 9), boundary="dirichlet"))
+
+
+# ---------------------------------------------------------------------------
+# preconditioned descent direction
+
+def test_preconditioner_applies_only_to_the_dirichlet_2_form():
+    box = build_graph(GraphSpec(d=2, L=4), boundary="dirichlet")
+    sob = ProblemSpec(kind="sobolev", a=1.0, p=2.0, q=6.0, allow_subcritical=True)
+    assert _preconditioner(box, sob) is not None
+    assert _preconditioner(build_graph(sphere_deletion_spec(2, 2, 4), boundary="dirichlet"),
+                           sob) is not None
+    assert _preconditioner(build_graph(GraphSpec(d=2, L=4)), sob) is None
+    assert _preconditioner(path_graph(5, boundary="dirichlet"), sob) is None
+    assert _preconditioner(box, ProblemSpec(kind="sobolev", a=1.0, p=1.5, q=6.0,
+                                            allow_subcritical=True)) is None
+    assert _preconditioner(box, ProblemSpec(kind="nls", a=1.0, p=4.0)) is None
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(d=1, L=9), GraphSpec(d=2, L=5), GraphSpec(d=3, L=4),
+                                  sphere_deletion_spec(3, 2, 5)])
+def test_preconditioned_direction_is_tangent_and_descending(spec):
+    g = build_graph(spec, boundary="dirichlet")
+    prob = ProblemSpec(kind="sobolev", a=1.0, p=2.0, q=6.0, allow_subcritical=True)
+    _, gradient, _ = _functional(g, prob)
+    precondition = _preconditioner(g, prob)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        u = np.abs(rng.standard_normal(g.n)) + 0.1
+        grad, normal = gradient(u), _constraint_normal(prob, u)
+        direction = _tangent_direction(grad, normal, precondition)
+        assert abs(np.dot(normal, direction)) <= 1e-12 * np.linalg.norm(normal) * np.linalg.norm(direction)
+        assert np.dot(grad, direction) > 0
+
+
+def test_preconditioned_sobolev_regression_guard():
+    # default config on the d=3 L=6 dirichlet box: 127 iterations without the box inverse
+    g = build_graph(GraphSpec(d=3, L=6), boundary="dirichlet")
+    res = minimize_sobolev(g, ProblemSpec(kind="sobolev", a=1.0, p=2.0, q=6.0))
+    assert res.converged
+    assert abs(res.energy - 4.139937920183505) <= 1e-12
+    assert res.n_iters <= 20
