@@ -110,31 +110,37 @@ def _signed_pow(x, p):
 
 
 # Raw-array kernels shared by the public functions below and the solver.
-# Each differs edge values as u[head] - u[tail] and adds the phantom terms
-# only in dirichlet mode; their summation order is part of the solver's output.
+# Each differs edge values as d = u[head] - u[tail], or takes that array from
+# a caller that has gathered it already, and adds the phantom terms only in
+# dirichlet mode; their summation order is part of the solver's output.
 
-def _dirichlet(graph: Graph, u: np.ndarray, p):
+def _edge_diff(graph: Graph, u: np.ndarray) -> np.ndarray:
+    """The edge differences d = u[head] - u[tail], in edge order."""
+    return u[graph.heads] - u[graph.tails]
+
+
+def _dirichlet(graph: Graph, u: np.ndarray, p, d=None):
     """Sum of |u(head) - u(tail)|^p over edges, plus phantom * |u|^p."""
-    e = np.sum(_abs_pow(u[graph.heads] - u[graph.tails], p))
+    e = np.sum(_abs_pow(_edge_diff(graph, u) if d is None else d, p))
     if graph.boundary == "dirichlet":
         e += np.dot(graph.phantom, _abs_pow(u, p))
     return e
 
 
-def _kinetic(graph: Graph, u: np.ndarray):
+def _kinetic(graph: Graph, u: np.ndarray, d=None):
     """Twice the Schrodinger kinetic energy: the 2-Dirichlet sum taken by dot
     products, which can differ from _dirichlet(graph, u, 2) in the last bits."""
-    d = u[graph.heads] - u[graph.tails]
+    d = _edge_diff(graph, u) if d is None else d
     e = np.dot(d, d)
     if graph.boundary == "dirichlet":
         e += np.dot(graph.phantom, u * u)
     return e
 
 
-def _minus_p_laplacian(graph: Graph, u: np.ndarray, p, eps):
+def _minus_p_laplacian(graph: Graph, u: np.ndarray, p, eps, d=None):
     """Minus the p-Laplacian; at p = 1 the weight sign(t) is smoothed to
     t / sqrt(t^2 + eps^2)."""
-    d = u[graph.heads] - u[graph.tails]
+    d = _edge_diff(graph, u) if d is None else d
     w = _signed_pow(d, p - 1.0) if p > 1 else d / np.sqrt(d * d + eps ** 2)
     out = (np.bincount(graph.heads, weights=w, minlength=graph.n)
            - np.bincount(graph.tails, weights=w, minlength=graph.n))

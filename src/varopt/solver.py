@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (Field, _abs_pow, _dirichlet, _kinetic, _minus_p_laplacian, _signed_pow,
-                       box_inverse)
+from .calculus import (Field, _abs_pow, _dirichlet, _edge_diff, _kinetic, _minus_p_laplacian,
+                       _signed_pow, box_inverse)
 from .errors import InvalidExponent, InvalidSpec, TooLarge
 from .lattice import Graph
 
@@ -90,6 +90,9 @@ class SolverConfig:
 
     def validate(self) -> None:
         counts = (self.max_iters, self.restarts)
+        if any(isinstance(x, (bool, np.bool_)) for x in counts + (self.tol_grad,)):
+            raise InvalidSpec(f"solver config takes numbers, not booleans: max_iters="
+                              f"{self.max_iters}, restarts={self.restarts}, tol_grad={self.tol_grad}")
         if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
             raise InvalidSpec(f"solver config needs whole numbers max_iters >= 1 and restarts >= 1, "
                               f"got max_iters={self.max_iters}, restarts={self.restarts}")
@@ -196,11 +199,13 @@ def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.nd
     name = str(descriptor)
     head, _, width_part = name.partition(":")
     head, _, at_part = head.partition("@")
-    centre = None
-    if at_part:
-        centre = tuple(int(c) for c in at_part.split(","))
-        if len(centre) != graph.d:
-            raise InvalidSpec(f"seed {name!r} needs a centre of dimension d={graph.d}")
+    try:
+        centre = tuple(int(c) for c in at_part.split(",")) if at_part else None
+        width = (int if head == "ball" else float)(width_part) if width_part else None
+    except ValueError:
+        raise InvalidSpec(f"seed {name!r} has a malformed centre or width") from None
+    if centre is not None and len(centre) != graph.d:
+        raise InvalidSpec(f"seed {name!r} needs a centre of dimension d={graph.d}")
     ext = graph.extent
     if head == "corner+":
         head, centre = "gauss", (ext,) * graph.d
@@ -215,12 +220,8 @@ def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.nd
         u[graph.vertex_id(centre)] = 1.0
         return u, name
     if head in ("gauss", "widegauss"):
-        if width_part:
-            width = float(width_part)
-        elif head == "widegauss":
-            width = max(2.0, graph.extent / 2.0)
-        else:
-            width = 1.5
+        if width is None:
+            width = max(2.0, graph.extent / 2.0) if head == "widegauss" else 1.5
         if not (0 < width < np.inf):
             raise InvalidSpec(f"seed {name!r} needs a finite width > 0")
         dist2 = np.sum((graph.coords - np.asarray(centre)) ** 2, axis=1)
@@ -228,7 +229,9 @@ def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.nd
     if head == "uniform":
         return np.ones(graph.n), name
     if head == "ball":
-        radius = int(width_part) if width_part else _default_probe_radius(graph)
+        if width is not None and width < 1:
+            raise InvalidSpec(f"seed {name!r} needs a ball radius >= 1")
+        radius = _default_probe_radius(graph) if width is None else width
         radii = np.max(np.abs(graph.coords), axis=1)
         u = (radii < radius).astype(np.float64)
         if not u.any():
@@ -252,7 +255,10 @@ def default_seed_plan(restarts: int) -> list:
 def _functional(graph: Graph, problem: ProblemSpec):
     """Return (energy, gradient, residual) closures over raw value arrays.
 
-    residual(u) -> (multiplier, residual_vector) with the sign conventions
+    energy(u) -> (E, parts, d): the energy, the sums the multiplier needs
+    ((kinetic, potential) for nls, E itself for sobolev) and the edge
+    differences d, which gradient(u, d) reuses. residual(u, g, parts) ->
+    (multiplier, residual_vector) with the sign conventions
     -Lu + lambda u - |u|^(p-2) u  (nls)  and  -L_p u - lambda |u|^(q-2) u
     (sobolev), both l2-orthogonal to the field by the choice of multiplier.
     Built from the calculus kernels, so they agree bit for bit with
@@ -262,13 +268,16 @@ def _functional(graph: Graph, problem: ProblemSpec):
         p = problem.p
 
         def energy(u):
-            return 0.5 * _kinetic(graph, u) - np.sum(_abs_pow(u, p)) / p
+            d = _edge_diff(graph, u)
+            kin, pot = _kinetic(graph, u, d), np.sum(_abs_pow(u, p))
+            return 0.5 * kin - pot / p, (kin, pot), d
 
-        def gradient(u):
-            return _minus_p_laplacian(graph, u, 2.0, 0.0) - _signed_pow(u, p - 1.0)
+        def gradient(u, d=None):
+            return _minus_p_laplacian(graph, u, 2.0, 0.0, d) - _signed_pow(u, p - 1.0)
 
-        def residual(u, g):
-            lam = (np.sum(_abs_pow(u, p)) - _kinetic(graph, u)) / problem.a
+        def residual(u, g, parts):
+            kin, pot = parts
+            lam = (pot - kin) / problem.a
             return lam, g + lam * u
 
         return energy, gradient, residual
@@ -276,13 +285,15 @@ def _functional(graph: Graph, problem: ProblemSpec):
     p, q = problem.p, problem.q
 
     def energy(u):
-        return _dirichlet(graph, u, p)
+        d = _edge_diff(graph, u)
+        E = _dirichlet(graph, u, p, d)
+        return E, E, d
 
-    def gradient(u):
-        return p * _minus_p_laplacian(graph, u, p, _SMOOTHING_EPS)
+    def gradient(u, d=None):
+        return p * _minus_p_laplacian(graph, u, p, _SMOOTHING_EPS, d)
 
-    def residual(u, g):
-        lam = energy(u) / problem.a
+    def residual(u, g, parts):
+        lam = parts / problem.a
         return lam, g / p - lam * _signed_pow(u, q - 1.0)
 
     return energy, gradient, residual
@@ -313,31 +324,41 @@ def _tangent_direction(g, normal, precondition):
 
 
 _STAGNATION_LIMIT = 200
+_TIE_ULPS = 4.0 * np.finfo(np.float64).eps  # near-tie width relative to max(1, |E|)
 
 
 def _descend(graph, problem, cfg, seed_values, label, precondition):
     energy, gradient, residual = _functional(graph, problem)
+
+    def stationarity(u, parts, d):
+        g = gradient(u, d)
+        lam, res = residual(u, g, parts)
+        return g, lam, res, float(np.sqrt(np.dot(res, res)))
+
+    # each point is evaluated once: energy at the trial, state at acceptance or tie test
     u = _project(problem, np.abs(seed_values))
-    E = energy(u)
+    E_u, parts, d = energy(u)
+    E = E_u  # the monotone envelope, which the backtracking compares against
+    state = None
     step = _STEP_INIT
     trace = [] if cfg.record_trace else None
     converged = False
-    lam, res_norm = 0.0, np.inf
     stagnation = 0
     prev_u = None
     prev_dir = None
     it = 0
     for it in range(cfg.max_iters):
-        g = gradient(u)
-        lam, res = residual(u, g)
-        res_norm = float(np.sqrt(np.dot(res, res)))
+        if state is None:
+            state = stationarity(u, parts, d)
+        d = None
+        g, _, _, res_norm = state
         if trace is not None:
             trace.append((it, E, res_norm, step))
         if res_norm <= cfg.tol_grad:
             converged = True
             break
         direction = _tangent_direction(g, _constraint_normal(problem, u), precondition)
-        if not np.any(direction):
+        if not direction.any():
             break
         # spectral (Barzilai-Borwein) trial step, clamped, falling back to the
         # persistent step while no curvature information is available
@@ -352,27 +373,24 @@ def _descend(graph, problem, cfg, seed_values, label, precondition):
         prev_dir = direction
         # backtrack on the energy; once energy differences fall below float
         # resolution, accept near-ties (a few ulps) that reduce the residual
-        accepted = False
-        improved = False
-        tie_tol = 4.0 * np.finfo(np.float64).eps * max(1.0, abs(E))
+        tie_tol = _TIE_ULPS * max(1.0, abs(E))
         while s > _STEP_MIN:
+            d_v = None  # with d = None above: no old differences outlive a new trial's gather
             v = _project(problem, np.abs(u - s * direction))
-            Ev = energy(v)
+            Ev, parts_v, d_v = energy(v)
             if Ev < E:
-                accepted = improved = True
+                improved, state = True, None
                 break
             if Ev - E <= tie_tol and not np.array_equal(v, u):
-                lam_v, res_v = residual(v, gradient(v))
-                rvn = float(np.sqrt(np.dot(res_v, res_v)))
-                if rvn < res_norm:
-                    accepted = True
-                    improved = rvn <= 0.9 * res_norm
-                    Ev = min(Ev, E)  # report the monotone envelope
+                tie = stationarity(v, parts_v, d_v)
+                if tie[3] < res_norm:
+                    improved, state = tie[3] <= 0.9 * res_norm, tie
                     break
             s *= 0.5
-        if not accepted:
+        else:
             break  # no admissible step at machine precision
-        u, E = v, Ev
+        u, E_u, parts, d = v, Ev, parts_v, d_v
+        E = min(Ev, E)  # report the monotone envelope
         step = min(s * 1.3, _STEP_MAX)
         if improved:
             stagnation = 0
@@ -382,16 +400,15 @@ def _descend(graph, problem, cfg, seed_values, label, precondition):
                 break
     else:
         it = cfg.max_iters
-    E = energy(u)
-    g = gradient(u)
-    lam, res = residual(u, g)
-    res_norm = float(np.sqrt(np.dot(res, res)))
+    if state is None:
+        state = stationarity(u, parts, d)
+    _, lam, _, res_norm = state
     converged = converged or res_norm <= cfg.tol_grad
     if trace is not None:
-        trace.append((it, E, res_norm, step))
+        trace.append((it, E_u, res_norm, step))
     return {
         "values": u,
-        "energy": float(E),
+        "energy": float(E_u),
         "multiplier": float(lam),
         "el_residual": res_norm,
         "converged": converged,

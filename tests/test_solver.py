@@ -1,6 +1,7 @@
 """Constrained solver: closed forms, oracle cross-checks, invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from varopt import (
     star_addition_spec,
     translate,
 )
-from varopt import solver
+from varopt import calculus, solver
+from varopt.calculus import _abs_pow, _kinetic, _signed_pow
 from varopt.solver import _constraint_normal, _functional, _preconditioner, _tangent_direction, make_seed
 
 CFG = SolverConfig(restarts=4, tol_grad=1e-9, max_iters=30000)
@@ -255,11 +257,14 @@ def test_solver_config_validation():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidSpec):
             SolverConfig(tol_grad=bad).validate()
-    for bad in (0, 2.5, 3.0, math.inf, math.nan):
+    for bad in (0, 2.5, 3.0, math.inf, math.nan, True, False, np.True_):
         with pytest.raises(InvalidSpec):
             SolverConfig(max_iters=bad).validate()
         with pytest.raises(InvalidSpec):
             SolverConfig(restarts=bad).validate()
+    for bad in (True, np.True_):  # a JSON "tol_grad": true is no tolerance
+        with pytest.raises(InvalidSpec):
+            SolverConfig(tol_grad=bad).validate()
     SolverConfig(max_iters=np.int64(5), restarts=np.int64(2)).validate()
 
 
@@ -291,6 +296,14 @@ def test_seed_descriptor_must_fit_the_graph():
         minimize_nls(g2, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=["gauss:0", "delta"]))
 
 
+@pytest.mark.parametrize("descriptor", ["gauss:abc", "delta@1,x", "gauss@,1", "delta@0.5,0", "ball:1.5",
+                                        "ball:inf", "ball:0", "ball:-2", "corner-:wide"])
+def test_malformed_seed_descriptor_is_invalid_spec(descriptor):
+    g2 = build_graph(GraphSpec(d=2, L=3))
+    with pytest.raises(InvalidSpec, match=re.escape(repr(descriptor))):
+        make_seed(g2, descriptor, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("boundary", ["drop", "dirichlet"])
 def test_solver_functional_is_the_calculus_functions(boundary):
     # one implementation: the solver's closures equal the public functions bit for bit
@@ -303,12 +316,132 @@ def test_solver_functional_is_the_calculus_functions(boundary):
         for p in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0):
             prob = ProblemSpec(kind="sobolev", a=1.0, p=p, q=6.0, allow_subcritical=True)
             energy, gradient, _ = _functional(g, prob)
-            assert energy(u) == dirichlet_energy(g, u, p)
-            assert np.array_equal(gradient(u), dirichlet_gradient(g, u, p, eps))
+            E, parts, d = energy(u)
+            assert E == dirichlet_energy(g, u, p) and parts == E
+            assert np.array_equal(d, u[g.heads] - u[g.tails])
+            assert np.array_equal(gradient(u, d), dirichlet_gradient(g, u, p, eps))
         for p in (3.0, 4.0, 6.0):
             energy, gradient, _ = _functional(g, ProblemSpec(kind="nls", a=1.0, p=p))
-            assert energy(u) == nls_energy(g, u, p)
-            assert np.array_equal(gradient(u), nls_gradient(g, u, p))
+            E, (kin, pot), d = energy(u)
+            assert E == nls_energy(g, u, p) and kin == _kinetic(g, u) and pot == np.sum(_abs_pow(u, p))
+            assert np.array_equal(d, u[g.heads] - u[g.tails])
+            assert np.array_equal(gradient(u, d), nls_gradient(g, u, p))
+
+
+# pinned solves that end each way the descent can end: (spec, boundary, problem, config, exit);
+# "stalled" is the stagnation exit for the corner+ case and "no admissible step" for the d=2 one
+P15 = ProblemSpec(kind="sobolev", a=1.0, p=1.5, q=3.0, allow_subcritical=True)
+EXITS = {
+    "nls-drop-converged": (GraphSpec(d=1, L=8), "drop", ProblemSpec(kind="nls", a=2.0, p=4),
+                           SolverConfig(restarts=1, seeds=["delta"], tol_grad=1e-9), "converged"),
+    "nls-dirichlet-converged": (GraphSpec(d=1, L=8), "dirichlet", ProblemSpec(kind="nls", a=2.0, p=4), CFG,
+                                "converged"),
+    "nls-dirichlet-capped": (GraphSpec(d=2, L=4), "dirichlet", ProblemSpec(kind="nls", a=2.0, p=3),
+                             SolverConfig(restarts=1, seeds=["random"], max_iters=4), "capped"),
+    "sobolev-p2-dirichlet-converged": (GraphSpec(d=3, L=4), "dirichlet",
+                                       ProblemSpec(kind="sobolev", a=1.0, p=2.0, q=6.0),
+                                       SolverConfig(restarts=1, seeds=["delta"]), "converged"),
+    "sobolev-drop-converged": (GraphSpec(d=3, L=3), "drop", P15,
+                               SolverConfig(restarts=1, seeds=["gauss:2.0"]), "converged"),
+    "sobolev-dirichlet-converged": (GraphSpec(d=3, L=3), "dirichlet", P15,
+                                    SolverConfig(restarts=1, seeds=["gauss:2.0"]), "converged"),
+    "sobolev-dirichlet-stagnation": (GraphSpec(d=3, L=3), "dirichlet", P15,
+                                     SolverConfig(restarts=1, seeds=["corner+"]), "stalled"),
+    "sobolev-drop-no-step": (GraphSpec(d=2, L=3), "drop", P15, SolverConfig(restarts=1, seeds=["delta"]),
+                             "stalled"),
+    "sobolev-dirichlet-capped": (GraphSpec(d=3, L=3), "dirichlet", P15,
+                                 SolverConfig(restarts=1, seeds=["gauss:2.0"], max_iters=5), "capped"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXITS))
+def test_returned_values_are_a_fresh_evaluation_at_the_minimizer(case):
+    # the energy, multiplier and residual a solve reports are those of the field it
+    # returns, bit for bit, however the descent ended
+    spec, boundary, prob, cfg, exit_ = EXITS[case]
+    g = build_graph(spec, boundary=boundary)
+    res = minimize(g, prob, cfg)
+    u = res.minimizer.values
+    if prob.kind == "nls":
+        energy = nls_energy(g, u, prob.p)
+        lam = (np.sum(_abs_pow(u, prob.p)) - _kinetic(g, u)) / prob.a
+        r = nls_gradient(g, u, prob.p) + lam * u
+    else:
+        energy = dirichlet_energy(g, u, prob.p)
+        lam = energy / prob.a
+        r = dirichlet_gradient(g, u, prob.p, solver._SMOOTHING_EPS) / prob.p - lam * _signed_pow(u, prob.q - 1)
+    assert res.energy == energy
+    assert res.multiplier == lam
+    assert res.el_residual == float(np.sqrt(np.dot(r, r)))
+    assert res.converged == (exit_ == "converged")
+    assert (res.n_iters == cfg.max_iters) == (exit_ == "capped")
+
+
+@pytest.mark.parametrize("case", ["nls-drop-converged", "sobolev-dirichlet-stagnation"])
+def test_each_descent_point_is_evaluated_once(monkeypatch, case):
+    spec, boundary, prob, cfg, _ = EXITS[case]
+    g = build_graph(spec, boundary=boundary)
+    points, index, energies, gradients = [], {}, [], []
+    counts = {"project": 0, "gather": 0}
+    in_residual = [False]
+
+    def count(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    def kernel(fn):
+        def wrapped(*args):
+            assert not in_residual[0]
+            return fn(*args)
+        return wrapped
+
+    real_functional = solver._functional
+
+    def functional(graph, problem):
+        energy, gradient, residual = real_functional(graph, problem)
+
+        def counted_energy(u):
+            out = energy(u)
+            index[id(u)] = len(points)
+            points.append(u)  # kept alive, so ids are not reused
+            energies.append(out[0])
+            return out
+
+        def counted_gradient(u, d=None):
+            gradients.append(index[id(u)])
+            return gradient(u, d)
+
+        def counted_residual(u, g, parts):
+            in_residual[0] = True
+            try:
+                return residual(u, g, parts)
+            finally:
+                in_residual[0] = False
+
+        return counted_energy, counted_gradient, counted_residual
+
+    monkeypatch.setattr(solver, "_functional", functional)
+    monkeypatch.setattr(solver, "_project", count("project", solver._project))
+    gather = count("gather", calculus._edge_diff)  # in the solver and inside the kernels
+    monkeypatch.setattr(solver, "_edge_diff", gather)
+    monkeypatch.setattr(calculus, "_edge_diff", gather)
+    for name in ("_dirichlet", "_kinetic", "_minus_p_laplacian"):
+        monkeypatch.setattr(solver, name, kernel(getattr(solver, name)))
+    minimize(g, prob, cfg)
+
+    # one projection, one gather and one energy per trial point
+    assert counts["project"] == counts["gather"] == len(points) > 1
+    # backtracking accepts every trial below the envelope, the running minimum of all
+    # trial energies; the other points with a gradient are the tie tests
+    envelope = np.minimum.accumulate(energies)
+    strict = [True] + [e < m for e, m in zip(energies[1:], envelope[:-1])]
+    assert len(set(gradients)) == len(gradients)
+    assert all(k in gradients for k in range(len(points)) if strict[k])
+    ties = [k for k in gradients if not strict[k]]
+    assert len(gradients) == sum(strict) + len(ties)
+    assert ties
 
 
 # ---------------------------------------------------------------------------
