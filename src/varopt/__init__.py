@@ -1,12 +1,10 @@
 """Constrained variational problems on perturbed lattice truncations."""
 
 from .calculus import (
-    EnergyReport,
     Field,
     box_inverse,
     dirichlet_energy,
     dirichlet_gradient,
-    energy_report,
     laplacian,
     lp_norm,
     nls_energy,
@@ -35,7 +33,6 @@ from .lattice import (
     canonical_edge,
     is_base_edge,
     is_connected,
-    neighbors,
     path_graph,
     sphere_deletion_spec,
     star_addition_spec,
@@ -48,7 +45,6 @@ from .solver import (
     SolveResult,
     SolverConfig,
     brute_force_oracle,
-    localization_report,
     make_seed,
     minimize,
     minimize_nls,

@@ -14,7 +14,7 @@ Conventions fixed here once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,32 +37,12 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    def copy(self) -> "Field":
-        return Field(self.graph, self.values.copy())
-
 
 def as_values(field) -> np.ndarray:
     """Accept a Field or a plain array and return the value array."""
     if isinstance(field, Field):
         return field.values
     return np.asarray(field, dtype=np.float64)
-
-
-@dataclass
-class EnergyReport:
-    """Energies of one field: p-Dirichlet sum, selected l^q norms, and the
-    focusing Schrodinger energy when the exponent admits it."""
-
-    dirichlet_p: float
-    lq_norms: dict = field(default_factory=dict)
-    phi: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dirichlet_p": self.dirichlet_p,
-            "lq_norms": {str(q): v for q, v in self.lq_norms.items()},
-            "phi": self.phi,
-        }
 
 
 def lp_norm(field, p) -> float:
@@ -247,14 +227,3 @@ def translate(field: Field, shift) -> Field:
     out[dst] = field.values.reshape(graph.shape)[src]
     return Field(graph, out.ravel())
 
-
-def energy_report(graph: Graph, field, p, q_exponents=()) -> EnergyReport:
-    """Bundle the p-Dirichlet energy, requested l^q norms, and (for p > 2)
-    the Schrodinger energy of one field."""
-    u = as_values(field)
-    phi = nls_energy(graph, u, p) if p > 2 else None
-    return EnergyReport(
-        dirichlet_p=dirichlet_energy(graph, u, p),
-        lq_norms={q: lp_norm(u, q) for q in q_exponents},
-        phi=phi,
-    )

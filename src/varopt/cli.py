@@ -68,6 +68,8 @@ class ExperimentConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidSpec(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(data.get("emit_field", False), bool):
+            raise InvalidSpec(f"emit_field must be true or false, got {data['emit_field']!r}")
         return cls(
             experiment=experiment,
             graph=data.get("graph", {}),
@@ -76,7 +78,7 @@ class ExperimentConfig:
             params=data.get("params", {}),
             output_dir=data.get("output_dir", "."),
             seed=int(data.get("seed", 0)),
-            emit_field=bool(data.get("emit_field", False)),
+            emit_field=data.get("emit_field", False),
         )
 
 
@@ -114,7 +116,7 @@ def _problem(cfg: ExperimentConfig, kind: str) -> ProblemSpec:
     p = cfg.problem
     return ProblemSpec(kind=kind, a=float(p.get("a", 1.0)), p=float(p["p"]),
                        q=None if p.get("q") is None else float(p["q"]),
-                       allow_subcritical=bool(p.get("allow_subcritical", False)))
+                       allow_subcritical=p.get("allow_subcritical", False))
 
 
 def _graph_summary(graph: Graph) -> dict:

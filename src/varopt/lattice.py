@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import DisconnectedGraph, InvalidSpec, OutOfBox
 
-Edge = tuple  # canonical pair (lo, hi) of vertices, lo < hi lexicographically
-
 BOUNDARY_MODES = ("drop", "dirichlet")
 
 
@@ -27,7 +25,11 @@ def sup_norm(x) -> int:
     return max(abs(c) for c in x)
 
 
-def canonical_edge(x, y) -> Edge:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def canonical_edge(x, y) -> tuple:
     """Return the undirected edge (x, y) in its canonical ordered form."""
     x, y = tuple(int(c) for c in x), tuple(int(c) for c in y)
     if x == y:
@@ -72,10 +74,12 @@ class GraphSpec:
         return max(sup_norm(v) for e in self.deletions | self.additions for v in e) + 1
 
     def validate(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
+        if not _is_int(self.d) or self.d < 1:
             raise InvalidSpec(f"dimension must be an integer >= 1, got {self.d!r}")
-        if not isinstance(self.L, int) or self.L < 2:
+        if not _is_int(self.L) or self.L < 2:
             raise InvalidSpec(f"box radius L must be an integer >= 2, got {self.L!r}")
+        if self.R is not None and not (_is_int(self.R) and 1 <= self.R <= self.L):
+            raise InvalidSpec(f"perturbation radius R must be an integer in [1, L], got {self.R!r}")
         if self.deletions and self.additions:
             raise InvalidSpec("deletions and additions cannot both be nonempty")
         R_eff = self.perturbation_radius()
@@ -137,53 +141,43 @@ class Graph:
     concurrent reads; never mutated after construction.
     """
 
-    def __init__(self, vertices, edges, d, spec=None, boundary="drop", phantom=None):
-        """From vertex tuples listing a full box in lexicographic order and vertex-pair edges."""
-        coords = np.array(list(vertices), dtype=np.int64)
-        if coords.ndim != 2 or coords.shape[1] != d or not len(coords):
-            raise InvalidSpec(f"vertices must be a nonempty list of {d}-tuples")
-        lo, shape = coords.min(axis=0), np.ptp(coords, axis=0) + 1
-        if not np.array_equal(_flat_ids(coords, lo, shape), np.arange(np.prod(shape))):
-            raise InvalidSpec("vertices must list a full box in lexicographic order")
-        pairs = np.array(list(edges), dtype=np.int64)
-        if pairs.size and pairs.shape[1:] != (2, d):
-            raise InvalidSpec(f"edges must be pairs of {d}-tuples")
-        edges = _flat_ids(pairs.reshape(-1, 2, d), lo, shape)
-        self._setup(lo, shape, edges, spec, boundary, phantom)
-
-    @classmethod
-    def from_box(cls, lo, shape, edges, spec=None, boundary="drop", phantom=None) -> "Graph":
-        """From the box's lower corner and shape and an (m, 2) array of id-pair edges."""
-        graph = cls.__new__(cls)
-        graph._setup(lo, shape, edges, spec, boundary, phantom)
-        return graph
-
-    def _setup(self, lo, shape, edges, spec, boundary, phantom):
+    def __init__(self, lo, shape, edges, spec=None, boundary="drop", phantom=None):
+        """From the box's lower corner and shape and an (m, 2) integer array of
+        id pairs i < j, none repeated; raises InvalidSpec otherwise."""
         if boundary not in BOUNDARY_MODES:
             raise InvalidSpec(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
         self.spec, self.boundary = spec, boundary
         self.lo, self.shape = tuple(int(a) for a in lo), tuple(int(m) for m in shape)
+        if len(self.lo) != len(self.shape) or min(self.shape, default=0) < 1:
+            raise InvalidSpec(f"box needs lo and shape of one length and sides >= 1, got {lo}, {shape}")
         self.d = len(self.shape)
         self.n = n = int(np.prod(self.shape))
+        edges = np.asarray(edges)
+        if edges.ndim != 2 or edges.shape[1] != 2 or not np.issubdtype(edges.dtype, np.integer):
+            raise InvalidSpec(f"edges must be an (m, 2) integer array, got {edges.dtype} {edges.shape}")
+        edges = edges.astype(np.int64, copy=False)
+        if np.any((edges[:, 0] < 0) | (edges[:, 0] >= edges[:, 1]) | (edges[:, 1] >= n)):
+            raise InvalidSpec(f"every edge must be an id pair 0 <= i < j < {n}")
+        self.phantom = np.zeros(n) if phantom is None else np.asarray(phantom, dtype=np.float64)
+        if self.phantom.shape != (n,):
+            raise InvalidSpec(f"phantom needs shape ({n},), got {self.phantom.shape}")
         self.strides = tuple(int(np.prod(self.shape[k + 1:])) for k in range(self.d))
         self.coords = np.stack(np.unravel_index(np.arange(n), self.shape), axis=1) + self.lo
         key = edges[:, 0] * n + edges[:, 1]  # (i, j) -> i * n + j sorts like the pair
-        self.edges = np.stack(np.divmod(np.sort(key), n), axis=1)
+        ordered = np.sort(key)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise InvalidSpec("an edge is listed twice")
+        self.edges = np.stack(np.divmod(ordered, n), axis=1)
+        del ordered  # freed before the CSR sort below, which sets the build's peak memory
         self.n_edges = len(self.edges)
         self.tails, self.heads = self.edges.T  # column views for the edge kernels
         # CSR adjacency: both directions of every edge, sorted by (source, target)
         arcs = np.sort(np.concatenate([key, edges[:, 1] * n + edges[:, 0]]))
         sources, self.indices = np.divmod(arcs, n)
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(sources, minlength=n))])
-        self.phantom = np.zeros(n) if phantom is None else np.asarray(phantom, dtype=np.float64)
         # sup-norm extent of the vertex set; box semantics for localization
         self.extent = max(max(-a, a + m - 1) for a, m in zip(self.lo, self.shape))
         self.L = spec.L if spec is not None else self.extent + 1
-
-    @property
-    def vertices(self) -> list:
-        """Vertex tuples in id order, built afresh on each access."""
-        return [tuple(x) for x in self.coords.tolist()]
 
     def __contains__(self, x) -> bool:
         return len(x) == self.d and all(0 <= c - a < m for c, a, m in zip(x, self.lo, self.shape))
@@ -193,10 +187,6 @@ class Graph:
         if x not in self:
             raise OutOfBox(f"vertex {x} is not in the truncation")
         return sum((c - a) * s for c, a, s in zip(x, self.lo, self.strides))
-
-    def degree(self, x) -> int:
-        i = self.vertex_id(x)
-        return int(self.indptr[i + 1] - self.indptr[i])
 
     def __repr__(self):
         return f"Graph(d={self.d}, n={self.n}, edges={self.n_edges}, boundary={self.boundary!r})"
@@ -222,7 +212,7 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     # count of base-lattice neighbours outside the box: one per box face the vertex lies on
     face = (np.abs(np.arange(1 - spec.L, spec.L)) == spec.L - 1).astype(np.float64)
     phantom = sum(face.reshape((-1,) + (1,) * k) for k in range(spec.d)).ravel()
-    graph = Graph.from_box(lo, shape, edges, spec=spec, boundary=boundary, phantom=phantom)
+    graph = Graph(lo, shape, edges, spec=spec, boundary=boundary, phantom=phantom)
     if spec.deletions and not is_connected(graph):
         raise DisconnectedGraph(
             f"deleting {len(spec.deletions)} edge(s) disconnected the box B_{spec.L}")
@@ -238,15 +228,8 @@ def path_graph(n_vertices: int, boundary: str = "drop") -> Graph:
     if n_vertices < 1:
         raise InvalidSpec("path graph needs at least one vertex")
     ids = np.arange(n_vertices)
-    return Graph.from_box((-((n_vertices - 1) // 2),), (n_vertices,),
-                          np.stack([ids[:-1], ids[1:]], axis=1), boundary=boundary)
-
-
-def neighbors(graph: Graph, x) -> list:
-    """Neighbours of x in the graph, in canonical (lexicographic) order."""
-    i = graph.vertex_id(x)
-    ids = graph.indices[graph.indptr[i]:graph.indptr[i + 1]]
-    return [tuple(y) for y in graph.coords[ids].tolist()]
+    return Graph((-((n_vertices - 1) // 2),), (n_vertices,),
+                 np.stack([ids[:-1], ids[1:]], axis=1), boundary=boundary)
 
 
 def is_connected(graph: Graph) -> bool:

@@ -58,6 +58,8 @@ class ProblemSpec:
             raise InvalidSpec(f"a, p and q must be finite, got a={self.a}, p={self.p}, q={self.q}")
         if not (self.a > 0):
             raise InvalidSpec(f"mass a must be positive, got {self.a}")
+        if not isinstance(self.allow_subcritical, (bool, np.bool_)):
+            raise InvalidSpec(f"allow_subcritical must be true or false, got {self.allow_subcritical!r}")
         if self.kind == NLS:
             if self.p <= 2:
                 raise InvalidExponent(f"nls problem needs p > 2, got {self.p}")
@@ -98,6 +100,8 @@ class SolverConfig:
                               f"got max_iters={self.max_iters}, restarts={self.restarts}")
         if not (0 < self.tol_grad < np.inf):
             raise InvalidSpec(f"solver config needs a finite tol_grad > 0, got {self.tol_grad}")
+        if not isinstance(self.record_trace, (bool, np.bool_)):
+            raise InvalidSpec(f"record_trace must be true or false, got {self.record_trace!r}")
 
 
 @dataclass
@@ -132,10 +136,6 @@ class SolveResult:
     restart_summary: list = field(default_factory=list)
     trace: np.ndarray | None = None    # columns: iter, energy, residual, step
 
-    @property
-    def graph(self) -> Graph:
-        return self.minimizer.graph
-
 
 def _constraint_weight(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
     """Per-vertex mass density of the active constraint."""
@@ -167,12 +167,6 @@ def _localize(graph: Graph, weight: np.ndarray, probe_radius: int) -> Localizati
     in_ball = float(np.sum(weight[radii < probe_radius]))
     ring = float(np.sum(weight[radii >= graph.extent - 1])) if graph.extent >= 1 else total
     return Localization(com, probe_radius, in_ball, ring / total)
-
-
-def localization_report(result: SolveResult, probe_radius: int) -> Localization:
-    """Recompute the localization of a solve at a chosen probe radius."""
-    weight = _constraint_weight(result.problem, result.minimizer.values)
-    return _localize(result.graph, weight, probe_radius)
 
 
 def _default_probe_radius(graph: Graph) -> int:

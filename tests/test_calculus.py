@@ -15,7 +15,6 @@ from varopt import (
     build_graph,
     dirichlet_energy,
     dirichlet_gradient,
-    energy_report,
     laplacian,
     lp_norm,
     nls_energy,
@@ -233,7 +232,7 @@ def test_translate_delta():
 
 def translate_reference(graph, u, shift):
     """Tuple-loop translate: v(x) = u(x + shift) where x + shift is a vertex, else 0."""
-    verts = graph.vertices
+    verts = [tuple(x) for x in graph.coords.tolist()]
     index = {v: i for i, v in enumerate(verts)}
     out = np.zeros(graph.n)
     for i, x in enumerate(verts):
@@ -366,19 +365,6 @@ def test_sobolev_quotient_running_max_is_stable():
         best = max(best, quotient)
         assert quotient <= best  # the estimator is never violated retroactively
     assert all(quotient <= best for quotient in quotients)
-
-
-def test_energy_report():
-    g = build_graph(GraphSpec(d=1, L=3))
-    u = delta_at(g, (0,))
-    rep = energy_report(g, u, 4.0, q_exponents=(2.0, 4.0))
-    assert rep.dirichlet_p == pytest.approx(2.0)
-    assert rep.lq_norms[2.0] == 1.0
-    assert rep.phi == pytest.approx(nls_energy(g, u, 4.0))
-    blob = rep.to_json_dict()
-    assert blob["phi"] == rep.phi
-    rep15 = energy_report(g, u, 1.5)
-    assert rep15.phi is None
 
 
 def test_field_validation():

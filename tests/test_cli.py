@@ -151,6 +151,24 @@ def test_removed_solver_keys_exit_2(tmp_path, capsys, solver):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"emit_field": "false"}, "emit_field"),
+    ({"solver": {"record_trace": "false"}}, "record_trace"),
+    ({"problem": {"a": 1.0, "p": 4.0, "allow_subcritical": "false"}}, "allow_subcritical"),
+    ({"graph": {"construction": "lattice", "d": 1, "L": 6, "R": 0}}, "radius R"),
+], ids=["emit_field", "record_trace", "allow_subcritical", "R0"])
+def test_non_boolean_flags_and_bad_radius_exit_2(tmp_path, capsys, change, message):
+    path = write_config(tmp_path, "cfg.json", {
+        "graph": {"construction": "lattice", "d": 1, "L": 6},
+        "problem": {"a": 1.0, "p": 4.0},
+        **change,
+    })
+    assert main(["solve-nls", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidSpec" and message in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_readme_configs_load():
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
     assert blocks

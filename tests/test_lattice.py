@@ -3,6 +3,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,6 @@ from varopt import (
     canonical_edge,
     is_base_edge,
     is_connected,
-    neighbors,
     path_graph,
     sphere_deletion_spec,
     star_addition_spec,
@@ -44,6 +44,20 @@ def bfs_oracle(vertices, edge_set):
     return len(seen) == len(vertices)
 
 
+def vertex_tuples(g):
+    return [tuple(x) for x in g.coords.tolist()]
+
+
+def degree(g, x):
+    return int(np.diff(g.indptr)[g.vertex_id(x)])
+
+
+def neighbours(g, x):
+    """Neighbours of x as tuples, ascending, read off the CSR arrays."""
+    i = g.vertex_id(x)
+    return [tuple(y) for y in g.coords[g.indices[g.indptr[i]:g.indptr[i + 1]]].tolist()]
+
+
 def all_base_edges(d, L):
     verts = set(box_vertices(d, L))
     out = set()
@@ -59,14 +73,14 @@ def test_unperturbed_d1_L2():
     g = build_graph(GraphSpec(d=1, L=2))
     assert g.n == 3
     assert g.n_edges == 2
-    assert sorted(g.vertices) == [(-1,), (0,), (1,)]
+    assert g.coords.tolist() == [[-1], [0], [1]]
 
 
 def test_deletion_reduces_degree():
     g = build_graph(GraphSpec(d=2, L=3, deletions={((0, 0), (1, 0))}))
-    assert g.degree((0, 0)) == 3
+    assert degree(g, (0, 0)) == 3
     assert is_connected(g)
-    assert (1, 0) not in neighbors(g, (0, 0))
+    assert (1, 0) not in neighbours(g, (0, 0))
 
 
 def test_double_deletion_disconnects_path():
@@ -99,8 +113,9 @@ def test_sphere_deletion_d3_count_and_connectivity():
     assert len(spec.deletions) == 53
     g = build_graph(spec)
     assert is_connected(g)
-    edges = {(g.vertices[i], g.vertices[j]) for i, j in g.edges}
-    assert bfs_oracle(g.vertices, edges)
+    verts = vertex_tuples(g)
+    edges = {(verts[i], verts[j]) for i, j in g.edges}
+    assert bfs_oracle(verts, edges)
 
 
 def test_sphere_deletion_invalid_radius():
@@ -157,7 +172,7 @@ def test_star_addition_full_adjacency_of_ball():
     for y in box_vertices(2, 3):
         for c in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]:
             if y != c:
-                assert y in neighbors(g, c)
+                assert y in neighbours(g, c)
 
 
 def test_star_addition_invalid():
@@ -169,74 +184,89 @@ def test_star_addition_invalid():
 
 def test_neighbors_unperturbed_d2():
     g = build_graph(GraphSpec(d=2, L=3))
-    assert neighbors(g, (0, 0)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    assert neighbours(g, (0, 0)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
 def test_neighbors_star_added():
     g = build_graph(star_addition_spec(1, 2, 4))
-    assert {(0,), (-2,), (1,)} <= set(neighbors(g, (-1,)))
+    assert {(0,), (-2,), (1,)} <= set(neighbours(g, (-1,)))
 
 
 def test_neighbors_out_of_box():
     g = build_graph(GraphSpec(d=1, L=2))
     with pytest.raises(OutOfBox):
-        neighbors(g, (5,))
+        neighbours(g, (5,))
 
 
 def test_out_of_box_points_never_alias_an_id():
     # (0, 3) flattens to id 15 of the 25 in the d=2 L=3 box but lies outside it
     g = build_graph(GraphSpec(d=2, L=3))
     for x in [(0, 3), (3, 0), (-3, 2), (2, -3), (0,), (0, 0, 0)]:
-        for query in (g.vertex_id, g.degree, lambda y: neighbors(g, y)):
+        assert x not in g
+        for query in (g.vertex_id, lambda y: degree(g, y), lambda y: neighbours(g, y)):
             with pytest.raises(OutOfBox):
                 query(x)
 
 
-def test_graph_requires_a_full_box_in_lexicographic_order():
-    verts = box_vertices(2, 2)
-    edges = all_base_edges(2, 2)
-    for bad in (verts[::-1], verts[:-1], verts + [(0, 0)], verts[:4] + [(0, 1)] + verts[5:], []):
-        with pytest.raises(InvalidSpec):
-            Graph(bad, set(), 2)
-    # flattened, these 2-tuples would read as the 1-d box 0..3
+@pytest.mark.parametrize("lo,shape,edges,phantom", [
+    ((0,), (3,), [[0, 5]], None),                # id 5 would alias the edge (1, 2)
+    ((0,), (3,), [[-1, 1]], None),
+    ((0,), (3,), [[1, 1]], None),                # self-loop
+    ((0,), (3,), [[2, 1]], None),                # reversed pair
+    ((0,), (3,), [[0, 1], [1, 2], [0, 1]], None),  # repeated pair
+    ((0,), (3,), [[0.0, 1.0]], None),
+    ((0,), (3,), [[True, True]], None),
+    ((0,), (3,), [0, 1], None),
+    ((0,), (3,), [[0, 1, 2]], None),
+    ((0, 0), (3,), [[0, 1]], None),
+    ((0,), (0,), np.zeros((0, 2), dtype=np.int64), None),
+    ((), (), np.zeros((0, 2), dtype=np.int64), None),
+    ((0,), (3,), [[0, 1]], [0.0, 1.0]),
+    ((0,), (3,), [[0, 1]], np.zeros((3, 1))),
+], ids=["aliasing-id", "negative-id", "self-loop", "reversed", "repeated", "float-ids",
+        "bool-ids", "flat", "triples", "lo-shape-mismatch", "empty-side", "no-axes",
+        "short-phantom", "phantom-2d"])
+def test_graph_rejects_malformed_box_or_edges(lo, shape, edges, phantom):
     with pytest.raises(InvalidSpec):
-        Graph([(0, 1), (2, 3)], set(), 1)
-    with pytest.raises(InvalidSpec):
-        Graph([(0,), (1,), (2,), (3,)], {((0, 1), (2, 3))}, 1)
-    assert Graph(verts, edges, 2).n_edges == 12
-    shifted = Graph([(5,), (6,), (7,)], {((5,), (6,))}, 1)
+        Graph(lo, shape, np.asarray(edges), phantom=phantom)
+
+
+def test_graph_on_a_shifted_box():
+    g = Graph((-1, -1), (3, 3), build_graph(GraphSpec(d=2, L=2)).edges)
+    assert g.n_edges == 12
+    shifted = Graph((5,), (3,), np.array([[0, 1]]))
+    assert vertex_tuples(shifted) == [(5,), (6,), (7,)]
     assert shifted.vertex_id((6,)) == 1
-    assert neighbors(shifted, (6,)) == [(5,)]
+    assert neighbours(shifted, (6,)) == [(5,)]
+    assert degree(shifted, (7,)) == 0
     assert not is_connected(shifted)
 
 
 def test_is_connected_examples():
     for d, L in [(1, 4), (2, 3), (3, 2)]:
         assert is_connected(build_graph(GraphSpec(d=d, L=L)))
-    # direct construction with both edges at 0 removed
-    verts = box_vertices(1, 3)
-    edges = all_base_edges(1, 3) - {((-1,), (0,)), ((0,), (1,))}
-    assert not is_connected(Graph(verts, edges, 1))
+    # direct construction of the path -2..2 with both edges at 0 removed
+    assert not is_connected(Graph((-2,), (5,), np.array([[0, 1], [3, 4]])))
 
 
 @pytest.mark.parametrize("d,L", [(1, 4), (2, 3), (3, 2)])
 def test_degree_formula(d, L):
     g = build_graph(GraphSpec(d=d, L=L))
     box = set(box_vertices(d, L))
-    for x in g.vertices:
+    for x in vertex_tuples(g):
         expected = 0
         for k in range(d):
             for s in (1, -1):
                 y = x[:k] + (x[k] + s,) + x[k + 1:]
                 expected += y in box
-        assert g.degree(x) == expected
+        assert degree(g, x) == expected
 
 
 def test_adjacency_symmetry():
     g = build_graph(star_addition_spec(2, 2, 4))
-    for x in g.vertices:
-        for y in neighbors(g, x):
-            assert x in neighbors(g, y)
+    for x in vertex_tuples(g):
+        for y in neighbours(g, x):
+            assert x in neighbours(g, y)
 
 
 def test_perturbation_locality():
@@ -251,10 +281,10 @@ def test_interior_degree_constant_outside_perturbation():
     spec = star_addition_spec(2, 2, 5)
     g = build_graph(spec)
     R_eff = spec.perturbation_radius()
-    for x in g.vertices:
+    for x in vertex_tuples(g):
         r = max(abs(c) for c in x)
         if r < g.L - 1 and r >= R_eff:
-            assert g.degree(x) == 2 * g.d
+            assert degree(g, x) == 2 * g.d
 
 
 def test_spec_invariant_violations():
@@ -269,6 +299,11 @@ def test_spec_invariant_violations():
         GraphSpec(d=1, L=3, R=1, deletions={((1,), (2,))}).validate()  # outside B_R
     with pytest.raises(InvalidSpec):
         GraphSpec(d=1, L=1).validate()
+    for bad in ({"d": True}, {"d": 0}, {"L": True}, {"R": 0}, {"R": -3}, {"R": 2.5},
+                {"R": True}, {"R": 6}):
+        with pytest.raises(InvalidSpec):
+            GraphSpec(**{"d": 2, "L": 5, **bad}).validate()
+    GraphSpec(d=2, L=5, R=5).validate()
     with pytest.raises(InvalidSpec):
         build_graph(GraphSpec(d=2, L=8, deletions={((0, 0), (0, 1)), ((0, 0), (0, 1))},
                               additions=frozenset(), R=9))
@@ -284,17 +319,17 @@ def test_spec_json_round_trip():
 
 def test_path_graph():
     g2 = path_graph(2)
-    assert g2.vertices == [(0,), (1,)]
+    assert vertex_tuples(g2) == [(0,), (1,)]
     assert g2.n_edges == 1
     g3 = path_graph(3)
-    assert g3.vertices == [(-1,), (0,), (1,)]
+    assert vertex_tuples(g3) == [(-1,), (0,), (1,)]
     with pytest.raises(InvalidSpec):
         path_graph(0)
 
 
 def test_phantom_counts():
     g = build_graph(GraphSpec(d=1, L=3))
-    by_vertex = {v: g.phantom[i] for i, v in enumerate(g.vertices)}
+    by_vertex = {v: g.phantom[i] for i, v in enumerate(vertex_tuples(g))}
     assert by_vertex == {(-2,): 1, (-1,): 0, (0,): 0, (1,): 0, (2,): 1}
     g2 = build_graph(GraphSpec(d=2, L=2))
     assert g2.phantom[g2.vertex_id((1, 1))] == 2
@@ -333,7 +368,7 @@ def test_build_graph_matches_tuple_reference(data):
             build_graph(spec)
         return
     g = build_graph(spec, boundary=data.draw(st.sampled_from(["drop", "dirichlet"])))
-    assert g.vertices == verts
+    assert vertex_tuples(g) == verts
     assert [(verts[i], verts[j]) for i, j in g.edges.tolist()] == sorted(edges)
     assert g.phantom.tolist() == [sum(abs(c) == L - 1 for c in v) for v in verts]
     adj = {v: set() for v in verts}
@@ -341,6 +376,6 @@ def test_build_graph_matches_tuple_reference(data):
         adj[x].add(y)
         adj[y].add(x)
     for v in verts:
-        assert g.degree(v) == len(adj[v])
-        assert neighbors(g, v) == sorted(adj[v])
+        assert degree(g, v) == len(adj[v])
+        assert neighbours(g, v) == sorted(adj[v])
     assert is_connected(g) == connected

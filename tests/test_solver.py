@@ -13,14 +13,12 @@ from varopt import (
     InvalidExponent,
     InvalidSpec,
     ProblemSpec,
-    SolveResult,
     SolverConfig,
     TooLarge,
     brute_force_oracle,
     build_graph,
     dirichlet_energy,
     dirichlet_gradient,
-    localization_report,
     lp_norm,
     minimize,
     minimize_nls,
@@ -177,11 +175,8 @@ def test_localization_center_and_boundary():
     assert abs(res.localization.center_of_mass[0]) <= 1e-6
     assert res.localization.boundary_mass_fraction <= 1e-6
     # a delta parked two sites from the wall counts as pure boundary mass
-    moved = translate(Field(g, res.minimizer.values * 0 + delta_like(g)), (-(g.L - 2),))
-    fake = SolveResult(minimizer=moved, energy=0.0, multiplier=0.0, el_residual=0.0,
-                       converged=True, localization=res.localization,
-                       problem=res.problem, n_iters=0, seed_label="manual")
-    loc = localization_report(fake, 3)
+    moved = translate(Field(g, delta_like(g)), (-(g.L - 2),)).values
+    loc = solver._localize(g, solver._constraint_weight(res.problem, moved), 3)
     assert loc.boundary_mass_fraction == pytest.approx(1.0)
     assert loc.center_of_mass[0] == pytest.approx(g.L - 2)
 
@@ -194,12 +189,8 @@ def delta_like(g):
 
 def test_localization_probe_mass():
     g = build_graph(GraphSpec(d=2, L=5))
-    u = Field(g, delta_like(g))
-    fake = SolveResult(minimizer=u, energy=0.0, multiplier=0.0, el_residual=0.0,
-                       converged=True, localization=None,
-                       problem=ProblemSpec(kind="nls", a=1.0, p=4), n_iters=0,
-                       seed_label="manual")
-    loc = localization_report(fake, 2)
+    problem = ProblemSpec(kind="nls", a=1.0, p=4)
+    loc = solver._localize(g, solver._constraint_weight(problem, delta_like(g)), 2)
     assert loc.mass_in_ball == pytest.approx(1.0)
     assert loc.probe_radius == 2
 
@@ -473,7 +464,7 @@ def test_spectral_oracle_dense_matches_closed_form_and_limits():
     # the same plain box without its spec takes the dense eigvalsh path
     g = build_graph(GraphSpec(d=2, L=4), boundary="dirichlet")
     closed = spectral_oracle(g)
-    plain = Graph.from_box(g.lo, g.shape, g.edges, boundary="dirichlet", phantom=g.phantom)
+    plain = Graph(g.lo, g.shape, g.edges, boundary="dirichlet", phantom=g.phantom)
     assert abs(spectral_oracle(plain) - closed) <= 1e-13
     with pytest.raises(InvalidSpec):
         spectral_oracle(build_graph(GraphSpec(d=2, L=4)))
