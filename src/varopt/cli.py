@@ -7,8 +7,9 @@ Usage:
 Experiments are the choices of <experiment> in the usage line. Every run
 writes results.json (summary) and results.csv (one row per probe / grid
 point) into the output directory; identical (config, seed) pairs produce
-bit-identical CSV files. Exit codes: 0 success, 2 config or validation
-error, 3 a required probe failed to converge.
+bit-identical CSV files. Config sections go by name to the library calls
+that own them, which hold every default and check. Exit codes: 0 success,
+2 config or validation error, 3 a required probe failed to converge.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field, fields
 
 from . import analysis
 from .errors import InconclusiveProbe, InvalidSpec, MissingColumns, NotConverged, VaroptError
-from .lattice import Graph, GraphSpec, build_graph, path_graph, sphere_deletion_spec, star_addition_spec
+from .lattice import (Graph, GraphSpec, _is_int, build_graph, path_graph, sphere_deletion_spec,
+                      star_addition_spec)
 from .solver import DEFAULT_BOUNDARY, NLS, SOBOLEV, ProblemSpec, SolverConfig, minimize
 
 _SOLVER_KEYS = {f.name for f in fields(SolverConfig)} - {"rng_seed"}
@@ -68,41 +70,32 @@ class ExperimentConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidSpec(f"unknown config keys: {sorted(unknown)}")
+        for name in ("graph", "problem", "solver", "params"):
+            if not isinstance(data.get(name, {}), dict):
+                raise InvalidSpec(f"{name} must be a JSON object, got {data[name]!r}")
         if not isinstance(data.get("emit_field", False), bool):
             raise InvalidSpec(f"emit_field must be true or false, got {data['emit_field']!r}")
-        return cls(
-            experiment=experiment,
-            graph=data.get("graph", {}),
-            problem=data.get("problem", {}),
-            solver=data.get("solver", {}),
-            params=data.get("params", {}),
-            output_dir=data.get("output_dir", "."),
-            seed=int(data.get("seed", 0)),
-            emit_field=data.get("emit_field", False),
-        )
-
-
-def _graph_spec_from_config(gcfg: dict) -> GraphSpec:
-    construction = gcfg.get("construction", "lattice" if "deletions" not in gcfg
-                            and "additions" not in gcfg and "d" in gcfg else None)
-    if construction is None:
-        return GraphSpec.from_json_dict(gcfg)
-    d = int(gcfg["d"])
-    L = int(gcfg["L"])
-    if construction == "lattice":
-        return GraphSpec(d=d, L=L, R=gcfg.get("R"))
-    if construction == "sphere_deletion":
-        return sphere_deletion_spec(d, int(gcfg["R"]), L)
-    if construction == "star_addition":
-        return star_addition_spec(d, int(gcfg["R"]), L)
-    raise InvalidSpec(f"unknown construction {construction!r}")
+        if not _is_int(data.get("seed", 0)):
+            raise InvalidSpec(f"seed must be an integer, got {data['seed']!r}")
+        return cls(**data)
 
 
 def build_graph_from_config(gcfg: dict, default_boundary: str = "drop") -> Graph:
-    boundary = gcfg.get("boundary", default_boundary)
-    if gcfg.get("construction") == "path":
-        return path_graph(int(gcfg["n"]), boundary=boundary)
-    return build_graph(_graph_spec_from_config(gcfg), boundary=boundary)
+    """The graph of a graph section: ``construction`` (default "lattice")
+    picks the builder and ``boundary`` the boundary mode; every other key
+    goes to the builder by name, so a missing or unknown key is an error
+    naming it. A lattice takes the ``GraphSpec`` fields."""
+    rest = dict(gcfg)
+    construction = rest.pop("construction", "lattice")
+    boundary = rest.pop("boundary", default_boundary)
+    if construction == "path":
+        return path_graph(boundary=boundary, **rest)
+    specs = {"lattice": GraphSpec,
+             "sphere_deletion": lambda d, R, L: sphere_deletion_spec(d, R, L),  # no kept_edge
+             "star_addition": lambda d, R, L: star_addition_spec(d, R, L)}
+    if construction not in specs:
+        raise InvalidSpec(f"unknown construction {construction!r}")
+    return build_graph(specs[construction](**rest), boundary=boundary)
 
 
 def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
@@ -113,10 +106,10 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
 
 
 def _problem(cfg: ExperimentConfig, kind: str) -> ProblemSpec:
-    p = cfg.problem
-    return ProblemSpec(kind=kind, a=float(p.get("a", 1.0)), p=float(p["p"]),
-                       q=None if p.get("q") is None else float(p["q"]),
-                       allow_subcritical=p.get("allow_subcritical", False))
+    problem = ProblemSpec(**{"kind": kind, "a": 1.0, **cfg.problem})
+    if problem.kind != kind:
+        raise InvalidSpec(f"{cfg.experiment} solves problem kind {kind!r}, not {problem.kind!r}")
+    return problem
 
 
 def _graph_summary(graph: Graph) -> dict:
@@ -132,8 +125,10 @@ def _graph_summary(graph: Graph) -> dict:
 # experiment handlers: each returns (summary, header, rows, converged_ok)
 
 def _run_solve(cfg: ExperimentConfig, kind: str):
-    graph = build_graph_from_config(cfg.graph, DEFAULT_BOUNDARY[kind])
+    if cfg.params:
+        raise InvalidSpec(f"{cfg.experiment} takes no params, got {sorted(cfg.params)}")
     problem = _problem(cfg, kind)
+    graph = build_graph_from_config(cfg.graph, DEFAULT_BOUNDARY[kind])
     result = minimize(graph, problem, _solver_config(cfg))
     loc = result.localization
     com_inf = max(abs(c) for c in loc.center_of_mass)
@@ -170,23 +165,9 @@ def _run_solve(cfg: ExperimentConfig, kind: str):
 
 
 def _run_threshold(cfg: ExperimentConfig):
-    params = cfg.params
-    p = float(params["p"])
-    a_range = tuple(float(x) for x in params["a_range"])
-    levels = [int(x) for x in params.get("levels", [cfg.graph.get("L", 12)])]
-    gcfg = dict(cfg.graph)
-
-    def family(L):
-        local = dict(gcfg)
-        local["L"] = L
-        return build_graph_from_config(local, DEFAULT_BOUNDARY[NLS])
-
     result = analysis.estimate_threshold(
-        family, p, a_range, levels=levels,
-        bracket_tol=float(params.get("bracket_tol", 0.25)),
-        tol_neg=float(params.get("tol_neg", 1e-6)),
-        solver_cfg=_solver_config(cfg),
-        max_probes=int(params.get("max_probes", 60)))
+        lambda L: build_graph_from_config(dict(cfg.graph, L=L), DEFAULT_BOUNDARY[NLS]),
+        solver_cfg=_solver_config(cfg), **{"levels": [cfg.graph.get("L", 12)], **cfg.params})
     header = ["probe", "a", "energy", "converged", "negative"]
     rows = [[i, pr.a, pr.energy, pr.converged, pr.negative]
             for i, pr in enumerate(result.probes)]
@@ -205,24 +186,19 @@ def _run_threshold(cfg: ExperimentConfig):
 
 
 def _run_compare(cfg: ExperimentConfig):
-    params = cfg.params
+    params = dict(cfg.params)
     kind = cfg.problem.get("kind", NLS)
     if kind not in DEFAULT_BOUNDARY:
         raise InvalidSpec(f"unknown problem kind {kind!r}")
     default_boundary = DEFAULT_BOUNDARY[kind]
     perturbed = build_graph_from_config(cfg.graph, default_boundary)
-    base_cfg = params.get("base_graph")
+    base_cfg = params.pop("base_graph", None)
     if base_cfg is None:
-        base_cfg = {"construction": "lattice", "d": perturbed.d, "L": perturbed.L,
-                    "boundary": perturbed.boundary}
+        base_cfg = {"d": perturbed.d, "L": perturbed.L, "boundary": perturbed.boundary}
     base = build_graph_from_config(base_cfg, default_boundary)
-    template = _problem(cfg, kind)
     report = analysis.compare_energies(
-        perturbed, base, template, [float(a) for a in params["a_grid"]],
-        solver_cfg=_solver_config(cfg),
-        tol=float(params.get("tol", 1e-8)),
-        strict_margin=params.get("strict_margin"),
-        raise_on_nonconverged=False)
+        perturbed, base, _problem(cfg, kind), solver_cfg=_solver_config(cfg),
+        raise_on_nonconverged=False, **params)
     header = ["a", "E_perturbed", "E_base", "margin", "verdict", "converged"]
     rows = [[a, ep, eb, m, vd, cv] for a, ep, eb, m, vd, cv in
             zip(report.a_grid, report.perturbed, report.base, report.margins,
@@ -241,12 +217,7 @@ def _run_compare(cfg: ExperimentConfig):
 
 
 def _run_sobolev_gap(cfg: ExperimentConfig):
-    params = cfg.params
-    report = analysis.sobolev_critical_gap(
-        int(params["d"]), float(params["p"]),
-        [int(R) for R in params["R_list"]], int(params["L"]),
-        solver_cfg=_solver_config(cfg),
-        boundary=params.get("boundary", DEFAULT_BOUNDARY[SOBOLEV]))
+    report = analysis.sobolev_critical_gap(solver_cfg=_solver_config(cfg), **cfg.params)
     header = ["R", "bound_formula", "bound_evaluated", "j_unperturbed", "witness"]
     rows = [[r.R, r.bound_formula, r.bound_evaluated, report.j_unperturbed, r.witness]
             for r in report.records]
@@ -261,16 +232,9 @@ def _run_sobolev_gap(cfg: ExperimentConfig):
 
 
 def _run_star_probe(cfg: ExperimentConfig):
-    params = cfg.params
-    q = params.get("q")
+    # an omitted q means the Schrodinger problem
     report = analysis.star_nonattainment_probe(
-        int(params["d"]), int(params["R"]), float(params["p"]),
-        None if q is None else float(q),
-        [int(L) for L in params["L_list"]], float(params["a"]),
-        solver_cfg=_solver_config(cfg),
-        equality_tol=float(params.get("equality_tol", 2e-6)),
-        boundary=params.get("boundary"),
-        raise_on_nonconverged=False)
+        solver_cfg=_solver_config(cfg), raise_on_nonconverged=False, **{"q": None, **cfg.params})
     header = ["L", "E_perturbed", "E_base", "energy_gap", "center_of_mass_norm",
               "median_radius", "multiplier", "origin_power", "multiplier_gap", "converged"]
     rows = [[r.L, r.energy_perturbed, r.energy_base, r.energy_gap, r.com_inf,
@@ -289,20 +253,14 @@ def _run_star_probe(cfg: ExperimentConfig):
 
 
 def _run_verify_lemmas(cfg: ExperimentConfig):
-    params = cfg.params
-    graph = build_graph_from_config(cfg.graph or {"construction": "lattice", "d": 1, "L": 16})
-    report = analysis.verify_lemma_suite(
-        graph,
-        p=float(params.get("p", 4.0)),
-        q=float(params.get("q", 6.0)),
-        n_fields=int(params.get("n_fields", 100)),
-        rng_seed=cfg.seed)
+    graph = build_graph_from_config(cfg.graph or {"d": 1, "L": 16})
+    report = analysis.verify_lemma_suite(graph, rng_seed=cfg.seed, **cfg.params)
     header = ["check", "lhs", "rhs", "margin", "passed"]
     rows = [[c.name, c.lhs, c.rhs, c.margin, c.passed] for c in report.checks]
     summary = {
         "experiment": "verify-lemmas",
         "graph": _graph_summary(graph),
-        "n_fields": int(params.get("n_fields", 100)),
+        "n_fields": report.n_fields,
         "all_passed": report.all_passed,
     }
     return summary, header, rows, True, {}

@@ -12,6 +12,7 @@ zero-valued phantom endpoint (``boundary="dirichlet"``).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,10 @@ def _is_int(x) -> bool:
 
 def canonical_edge(x, y) -> tuple:
     """Return the undirected edge (x, y) in its canonical ordered form."""
-    x, y = tuple(int(c) for c in x), tuple(int(c) for c in y)
+    try:
+        x, y = tuple(map(operator.index, x)), tuple(map(operator.index, y))
+    except TypeError as exc:
+        raise InvalidSpec(f"edge ({x}, {y}) needs integer coordinates: {exc}") from exc
     if x == y:
         raise InvalidSpec(f"degenerate edge at {x}")
     return (x, y) if x < y else (y, x)
@@ -110,14 +114,8 @@ class GraphSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GraphSpec":
         try:
-            return cls(
-                d=int(data["d"]),
-                L=int(data["L"]),
-                deletions=frozenset(canonical_edge(x, y) for x, y in data.get("deletions", [])),
-                additions=frozenset(canonical_edge(x, y) for x, y in data.get("additions", [])),
-                R=None if data.get("R") is None else int(data["R"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**data)
+        except TypeError as exc:
             raise InvalidSpec(f"malformed graph spec: {exc}") from exc
 
 
@@ -219,16 +217,16 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     return graph
 
 
-def path_graph(n_vertices: int, boundary: str = "drop") -> Graph:
-    """A 1-d path on n_vertices consecutive integers, roughly centred at 0.
+def path_graph(n: int, boundary: str = "drop") -> Graph:
+    """A 1-d path on n consecutive integers, roughly centred at 0.
 
     Used for exhaustive-oracle cross checks on tiny graphs; it is not a box
     truncation, so there are no phantom boundary edges in either mode.
     """
-    if n_vertices < 1:
-        raise InvalidSpec("path graph needs at least one vertex")
-    ids = np.arange(n_vertices)
-    return Graph((-((n_vertices - 1) // 2),), (n_vertices,),
+    if not (_is_int(n) and n >= 1):
+        raise InvalidSpec(f"path graph needs an integer number of vertices n >= 1, got {n!r}")
+    ids = np.arange(n)
+    return Graph((-((n - 1) // 2),), (n,),
                  np.stack([ids[:-1], ids[1:]], axis=1), boundary=boundary)
 
 
@@ -263,8 +261,8 @@ def sphere_deletion_spec(d: int, R: int, L: int, kept_edge=None) -> GraphSpec:
     override. All deleted edges lie inside B_{R+1}, which is recorded as the
     spec's perturbation radius.
     """
-    if not (isinstance(R, int) and isinstance(L, int) and 1 <= R < L):
-        raise InvalidSpec(f"need integers 1 <= R < L, got R={R!r}, L={L!r}")
+    if not (_is_int(d) and _is_int(R) and _is_int(L) and d >= 1 and 1 <= R < L):
+        raise InvalidSpec(f"need integers d >= 1 and 1 <= R < L, got d={d!r}, R={R!r}, L={L!r}")
     boundary = ball_boundary_edges(d, R)
     if kept_edge is None:
         kept_edge = ((R - 1,) + (0,) * (d - 1), (R,) + (0,) * (d - 1))
@@ -282,8 +280,8 @@ def star_addition_spec(d: int, R: int, L: int) -> GraphSpec:
     neither c itself nor already a lattice neighbour of c, deduplicated in
     canonical form.
     """
-    if not (isinstance(R, int) and isinstance(L, int) and 2 <= R < L):
-        raise InvalidSpec(f"need integers 2 <= R < L, got R={R!r}, L={L!r}")
+    if not (_is_int(d) and _is_int(R) and _is_int(L) and d >= 1 and 2 <= R < L):
+        raise InvalidSpec(f"need integers d >= 1 and 2 <= R < L, got d={d!r}, R={R!r}, L={L!r}")
     origin, ball = (0,) * d, box_vertices(d, R)
     centres = [origin] + [origin[:k] + (s,) + origin[k + 1:] for k in range(d) for s in (1, -1)]
     additions = {canonical_edge(c, y) for c in centres for y in ball

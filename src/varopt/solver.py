@@ -54,8 +54,10 @@ class ProblemSpec:
     def validate_for(self, graph: Graph) -> None:
         if self.kind not in (NLS, SOBOLEV):
             raise InvalidSpec(f"unknown problem kind {self.kind!r}")
-        if not all(np.isfinite(x) for x in (self.a, self.p, self.q) if x is not None):
-            raise InvalidSpec(f"a, p and q must be finite, got a={self.a}, p={self.p}, q={self.q}")
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and np.isfinite(x)
+                   for x in (self.a, self.p, self.q) if x is not None):
+            raise InvalidSpec(f"a, p and q must be finite numbers, not booleans, got a={self.a!r}, "
+                              f"p={self.p!r}, q={self.q!r}")
         if not (self.a > 0):
             raise InvalidSpec(f"mass a must be positive, got {self.a}")
         if not isinstance(self.allow_subcritical, (bool, np.bool_)):

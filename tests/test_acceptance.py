@@ -109,14 +109,15 @@ def test_criterion_03_flat_profile_identity():
 def test_criterion_04_lemma_suite():
     t0 = time.time()
     g = build_graph(GraphSpec(d=1, L=16))
-    report = verify_lemma_suite(g, p=4.0, q=6.0, n_fields=100, rng_seed=2024,
-                                nesting_tol=1e-12, lower_tol=1e-12,
-                                brezis_lieb_tol=1e-10, parts_tol=1e-10)
+    report = verify_lemma_suite(g, p=4.0, q=6.0, n_fields=100, rng_seed=2024)
     elapsed = time.time() - t0
     detail = ", ".join(f"{c.name.split()[0]}:{c.margin:.1e}" for c in report.checks)
     ok = report.all_passed and elapsed < 30
     announce(4, ok, f"100 fields/check, worst margins {detail}", elapsed, 30)
     assert report.all_passed, [(c.name, c.margin) for c in report.failures()]
+    # nesting, lower bound, far-bump splitting, summation by parts
+    for check, tol in zip(report.checks, (1e-12, 1e-12, 1e-10, 1e-10), strict=True):
+        assert check.margin <= tol, (check.name, check.margin)
     assert elapsed < 30
 
 

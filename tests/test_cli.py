@@ -1,5 +1,6 @@
 """CLI front end: config parsing, artifacts, exit codes, determinism."""
 
+import inspect
 import json
 import os
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from varopt import GraphSpec, MissingColumns
+from varopt import GraphSpec, MissingColumns, analysis
 from varopt.cli import ExperimentConfig, _solver_config, build_graph_from_config, emit_plot_data, main, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -169,11 +170,58 @@ def test_non_boolean_flags_and_bad_radius_exit_2(tmp_path, capsys, change, messa
     assert not (tmp_path / "o").exists()
 
 
+# configs whose values a cast or a skipped key once turned into a different
+# run, a misleading error or a crash; each must exit 2 naming the key or value
+GAP = {"d": 3, "p": 2.0, "R_list": [2], "L": 6}
+STAR = {"d": 1, "R": 4, "p": 4.0, "L_list": [7, 9], "a": 3.0}
+LINE = {"construction": "lattice", "d": 1, "L": 6}
+NLS_PROBLEM = {"a": 1.0, "p": 4.0}
+
+
+@pytest.mark.parametrize("experiment,payload,named", [
+    ("sobolev-gap", {"params": dict(GAP, d=3.9)}, "3.9"),
+    ("sobolev-gap", {"params": dict(GAP, R_list=[2.7])}, "2.7"),
+    ("sobolev-gap", {"params": dict(GAP, bracket_tl=9)}, "bracket_tl"),
+    ("threshold", {"graph": {"construction": "lattice", "d": 1, "L": 10},
+                   "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": [6.9]}}, "6.9"),
+    ("star-probe", {"params": dict(STAR, L_list=[7.9])}, "7.9"),
+    ("star-probe", {"params": dict(STAR, equality_tl=1)}, "equality_tl"),
+    ("solve-nls", {"graph": dict(LINE, boundry="dirichlet"), "problem": NLS_PROBLEM}, "boundry"),
+    ("solve-sobolev", {"graph": LINE, "problem": {"a": 1.0, "p": 2.0, "q": 6.0,
+                                                  "allow_subcritcal": True}}, "allow_subcritcal"),
+    ("solve-nls", {"graph": LINE, "problem": NLS_PROBLEM, "seed": 2.7}, "2.7"),
+    ("solve-nls", {"graph": {"d": 1, "L": 6, "additions": [[[-1.7], [1]]]},
+                   "problem": NLS_PROBLEM}, "-1.7"),
+    ("solve-sobolev", {"graph": LINE, "problem": {"p": True, "q": 2.0, "allow_subcritical": True}}, "p=True"),
+    ("solve-nls", {"graph": LINE, "problem": dict(NLS_PROBLEM, kind="sobolev")}, "'sobolev'"),
+    ("solve-nls", {"graph": LINE, "problem": NLS_PROBLEM, "params": {"a_grid": [1.0]}}, "a_grid"),
+    ("solve-nls", {"graph": [], "problem": NLS_PROBLEM}, "graph"),
+    ("verify-lemmas", {"graph": LINE, "params": [1]}, "params"),
+], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
+        "graph-unknown", "problem-unknown", "seed", "edge-coordinate", "p-bool", "kind-mismatch",
+        "solve-params", "graph-list", "params-list"])
+def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload, named):
+    path = write_config(tmp_path, "cfg.json", dict(payload, solver={"restarts": 1}))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert named in err["message"], err
+    assert not (tmp_path / "o").exists()
+
+
+# the analysis routine each README example's params go to, and the required
+# arguments the CLI fills in
+README_ROUTINES = {"threshold": (analysis.estimate_threshold, {"graph_family": None})}
+
+
 def test_readme_configs_load():
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
     assert blocks
     for block in blocks:
-        _solver_config(ExperimentConfig.from_dict(json.loads(block))).validate()
+        cfg = ExperimentConfig.from_dict(json.loads(block))
+        _solver_config(cfg).validate()
+        build_graph_from_config(cfg.graph)
+        routine, filled = README_ROUTINES[cfg.experiment]
+        inspect.signature(routine).bind(**filled, **cfg.params)
 
 
 def test_missing_config_exit_2(capsys):

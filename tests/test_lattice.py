@@ -119,8 +119,9 @@ def test_sphere_deletion_d3_count_and_connectivity():
 
 
 def test_sphere_deletion_invalid_radius():
-    with pytest.raises(InvalidSpec):
-        sphere_deletion_spec(2, 2, 2)
+    for args in ((2, 2, 2), (1, True, 6), (1, 2.0, 6), (1.0, 2, 6), (1, 2, 6.0)):
+        with pytest.raises(InvalidSpec):
+            sphere_deletion_spec(*args)
 
 
 @pytest.mark.parametrize("d,R", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -178,8 +179,9 @@ def test_star_addition_full_adjacency_of_ball():
 def test_star_addition_invalid():
     with pytest.raises(InvalidSpec):
         star_addition_spec(2, 5, 5)
-    with pytest.raises(InvalidSpec):
-        star_addition_spec(2, 1, 5)
+    for args in ((2, 1, 5), (1, True, 6), (2, 2, 6.0), (2.5, 2, 6)):
+        with pytest.raises(InvalidSpec):
+            star_addition_spec(*args)
 
 
 def test_neighbors_unperturbed_d2():
@@ -304,6 +306,10 @@ def test_spec_invariant_violations():
         with pytest.raises(InvalidSpec):
             GraphSpec(**{"d": 2, "L": 5, **bad}).validate()
     GraphSpec(d=2, L=5, R=5).validate()
+    for edge in ([[-1.7], [1]], [["1"], [2]], [[-1], 1]):  # coordinates must be integers
+        with pytest.raises(InvalidSpec):
+            GraphSpec(d=1, L=6, additions=[edge])
+    assert GraphSpec(d=1, L=6, additions=[[[np.int64(-1)], [1]]]).additions == {((-1,), (1,))}
     with pytest.raises(InvalidSpec):
         build_graph(GraphSpec(d=2, L=8, deletions={((0, 0), (0, 1)), ((0, 0), (0, 1))},
                               additions=frozenset(), R=9))
@@ -323,8 +329,9 @@ def test_path_graph():
     assert g2.n_edges == 1
     g3 = path_graph(3)
     assert vertex_tuples(g3) == [(-1,), (0,), (1,)]
-    with pytest.raises(InvalidSpec):
-        path_graph(0)
+    for bad in (0, True, 2.5):
+        with pytest.raises(InvalidSpec):
+            path_graph(bad)
 
 
 def test_phantom_counts():

@@ -217,10 +217,12 @@ def test_problem_validation():
         minimize_nls(g, ProblemSpec(kind="nls", a=-1.0, p=4), CFG)
     with pytest.raises(InvalidSpec):
         ProblemSpec(kind="sobolev", a=1.0, p=2, q=4).validate_for(build_graph(GraphSpec(d=3, L=2)))
-    for a, p in [(1.0, math.nan), (1.0, math.inf), (math.inf, 4.0), (math.nan, 4.0)]:
+    for a, p in [(1.0, math.nan), (1.0, math.inf), (math.inf, 4.0), (math.nan, 4.0),
+                 (True, 4.0), (1.0, True)]:
         with pytest.raises(InvalidSpec):
             minimize_nls(g, ProblemSpec(kind="nls", a=a, p=p), CFG)
-    for p, q in [(2.0, math.nan), (2.0, math.inf), (math.nan, 6.0), (math.inf, 6.0)]:
+    for p, q in [(2.0, math.nan), (2.0, math.inf), (math.nan, 6.0), (math.inf, 6.0),
+                 (True, 2.0), (2.0, True), ("2", 2.0)]:
         with pytest.raises(InvalidSpec):
             minimize_sobolev(g, ProblemSpec(kind="sobolev", a=1.0, p=p, q=q, allow_subcritical=True), CFG)
 
