@@ -12,6 +12,7 @@ be recomputed from the record alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +30,13 @@ from .solver import (
     minimize,
     minimize_sobolev,
 )
+
+
+def _check_tolerances(**tolerances) -> None:
+    """Reject a tolerance that is a boolean, not a number, negative or not finite."""
+    for name, x in tolerances.items():
+        if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real) or not 0 <= x < math.inf:
+            raise InvalidSpec(f"{name} must be a finite number >= 0, not a boolean, got {x!r}")
 
 
 def _graph_label(graph: Graph) -> str:
@@ -88,6 +96,10 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
     InconclusiveProbe, and a mid-bisection failure returns the partial
     bracket with status "inconclusive".
     """
+    _check_tolerances(bracket_tol=bracket_tol, tol_neg=tol_neg)
+    if isinstance(max_probes, (bool, np.bool_)) or not isinstance(max_probes, numbers.Integral) \
+            or max_probes < 0:
+        raise InvalidSpec(f"max_probes must be a whole number >= 0, got {max_probes!r}")
     a_min, a_max = float(a_range[0]), float(a_range[1])
     if not (0 < a_min < a_max):
         raise InvalidRange(f"need 0 < a_min < a_max, got {a_range}")
@@ -183,6 +195,7 @@ def compare_energies(graph_perturbed: Graph, graph_base: Graph, problem_template
     of solver noise and "strict" requires clearing strict_margin (default
     ten times the solver residual tolerance).
     """
+    _check_tolerances(tol=tol)
     if graph_perturbed.d != graph_base.d or graph_perturbed.L != graph_base.L:
         raise InvalidSpec("comparison graphs must share dimension and truncation radius")
     cfg = solver_cfg or SolverConfig()
@@ -483,6 +496,7 @@ def star_nonattainment_probe(d, R, p, q, L_list, a, solver_cfg=None,
     cosh(kappa) = 1 + lambda/2 with lambda the multiplier. ``energy_gap`` is
     the absolute gap; the signed one is ``energy_perturbed - energy_base``.
     """
+    _check_tolerances(equality_tol=equality_tol)
     kind = NLS if q is None else SOBOLEV
     boundary = DEFAULT_BOUNDARY[kind] if boundary is None else boundary
     cfg = solver_cfg or SolverConfig()

@@ -129,6 +129,21 @@ def _minus_p_laplacian(graph: Graph, u: np.ndarray, p, eps, d=None):
     return out
 
 
+def _p_laplacian_diagonal(graph: Graph, u: np.ndarray, p, eps, d=None):
+    """Sum over the edges at each vertex of (d^2 + eps^2)^((p-2)/2), plus
+    phantom * (u^2 + eps^2)^((p-2)/2): the diagonal of the linearized
+    p-Laplacian up to the factor p - 1, with the weights regularized so that
+    they stay finite for p < 2 where an edge difference vanishes."""
+    d = _edge_diff(graph, u) if d is None else d
+    h = 0.5 * p - 1.0
+    w = (d * d + eps ** 2) ** h
+    out = (np.bincount(graph.heads, weights=w, minlength=graph.n)
+           + np.bincount(graph.tails, weights=w, minlength=graph.n))
+    if graph.boundary == "dirichlet":
+        out += graph.phantom * (u * u + eps ** 2) ** h
+    return out
+
+
 def box_inverse(graph: Graph):
     """Return v -> A^{-1} v for A minus the dirichlet-mode Laplacian of the plain
     box that a build_graph truncation lives on, perturbations left out.

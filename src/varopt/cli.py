@@ -125,8 +125,6 @@ def _graph_summary(graph: Graph) -> dict:
 # experiment handlers: each returns (summary, header, rows, converged_ok)
 
 def _run_solve(cfg: ExperimentConfig, kind: str):
-    if cfg.params:
-        raise InvalidSpec(f"{cfg.experiment} takes no params, got {sorted(cfg.params)}")
     problem = _problem(cfg, kind)
     graph = build_graph_from_config(cfg.graph, DEFAULT_BOUNDARY[kind])
     result = minimize(graph, problem, _solver_config(cfg))
@@ -266,14 +264,15 @@ def _run_verify_lemmas(cfg: ExperimentConfig):
     return summary, header, rows, True, {}
 
 
+# each handler and the config sections it reads; any other nonempty section is an error
 _HANDLERS = {
-    "solve-nls": lambda cfg: _run_solve(cfg, NLS),
-    "solve-sobolev": lambda cfg: _run_solve(cfg, SOBOLEV),
-    "threshold": _run_threshold,
-    "compare": _run_compare,
-    "sobolev-gap": _run_sobolev_gap,
-    "star-probe": _run_star_probe,
-    "verify-lemmas": _run_verify_lemmas,
+    "solve-nls": (lambda cfg: _run_solve(cfg, NLS), ("graph", "problem", "solver")),
+    "solve-sobolev": (lambda cfg: _run_solve(cfg, SOBOLEV), ("graph", "problem", "solver")),
+    "threshold": (_run_threshold, ("graph", "solver", "params")),
+    "compare": (_run_compare, ("graph", "problem", "solver", "params")),
+    "sobolev-gap": (_run_sobolev_gap, ("solver", "params")),
+    "star-probe": (_run_star_probe, ("solver", "params")),
+    "verify-lemmas": (_run_verify_lemmas, ("graph", "params")),
 }
 EXPERIMENTS = tuple(_HANDLERS)
 
@@ -282,7 +281,12 @@ def run(config: ExperimentConfig) -> int:
     """Execute one experiment and persist results.json / results.csv."""
     if config.experiment not in _HANDLERS:
         raise InvalidSpec(f"unknown experiment {config.experiment!r}")
-    summary, header, rows, converged, extras = _HANDLERS[config.experiment](config)
+    handler, reads = _HANDLERS[config.experiment]
+    for name in ("graph", "problem", "solver", "params"):
+        section = getattr(config, name)
+        if section and name not in reads:
+            raise InvalidSpec(f"{config.experiment} does not read a {name} section, got {sorted(section)}")
+    summary, header, rows, converged, extras = handler(config)
 
     os.makedirs(config.output_dir, exist_ok=True)
     summary["seed"] = config.seed

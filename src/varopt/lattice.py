@@ -30,10 +30,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _coordinate(c) -> int:
+    if isinstance(c, bool):  # operator.index would read True as 1
+        raise TypeError(f"boolean coordinate {c}")
+    return operator.index(c)
+
+
 def canonical_edge(x, y) -> tuple:
     """Return the undirected edge (x, y) in its canonical ordered form."""
     try:
-        x, y = tuple(map(operator.index, x)), tuple(map(operator.index, y))
+        x, y = tuple(map(_coordinate, x)), tuple(map(_coordinate, y))
     except TypeError as exc:
         raise InvalidSpec(f"edge ({x}, {y}) needs integer coordinates: {exc}") from exc
     if x == y:

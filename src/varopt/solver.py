@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (Field, _abs_pow, _dirichlet, _edge_diff, _kinetic, _minus_p_laplacian,
-                       _signed_pow, box_inverse)
+                       _p_laplacian_diagonal, _signed_pow, box_inverse)
 from .errors import InvalidExponent, InvalidSpec, TooLarge
 from .lattice import Graph
 
@@ -32,7 +32,7 @@ DEFAULT_BOUNDARY = {NLS: "drop", SOBOLEV: "dirichlet"}
 _STEP_INIT = 0.1        # trial step until Barzilai-Borwein has curvature information
 _STEP_MAX = 1.0e3
 _STEP_MIN = 1.0e-18
-_SMOOTHING_EPS = 1e-8   # p = 1 Sobolev gradient smoothing
+_SMOOTHING_EPS = 1e-8   # p = 1 Sobolev gradient smoothing; p < 2 metric regularization
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _constraint_weight(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
     """Per-vertex mass density of the active constraint."""
     if problem.kind == NLS:
         return u * u
-    return np.abs(u) ** problem.q
+    return _abs_pow(u, problem.q)
 
 
 def _project(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
@@ -152,7 +152,7 @@ def _project(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
         norm = np.sqrt(np.dot(u, u))
         exponent = 0.5
     else:
-        norm = np.sum(np.abs(u) ** problem.q) ** (1.0 / problem.q)
+        norm = np.sum(_abs_pow(u, problem.q)) ** (1.0 / problem.q)
         exponent = 1.0 / problem.q
     if norm == 0.0:
         raise InvalidSpec("cannot project the zero field onto a constraint sphere")
@@ -298,16 +298,31 @@ def _functional(graph: Graph, problem: ProblemSpec):
 def _constraint_normal(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
     if problem.kind == NLS:
         return 2.0 * u
-    return problem.q * np.sign(u) * np.abs(u) ** (problem.q - 1.0)
+    return problem.q * _signed_pow(u, problem.q - 1.0)
 
 
 def _preconditioner(graph: Graph, problem: ProblemSpec):
-    """The metric of the descent direction: the box inverse where the energy is
-    the 2-Dirichlet form on a dirichlet-mode truncation, whose quadratic form
-    it inverts up to the perturbation; None (the identity) everywhere else."""
-    if problem.kind == SOBOLEV and problem.p == 2.0 and graph.boundary == "dirichlet" \
-            and graph.spec is not None:
-        return box_inverse(graph)
+    """The metric of the descent direction, as metric(u, d) -> P for the point u
+    with edge differences d; None (the identity everywhere) for the Schrodinger
+    problem and for p > 2.
+
+    For p = 2 on a dirichlet-mode truncation, P is the box inverse at every
+    point: it inverts the 2-Dirichlet form up to the perturbation. For p < 2,
+    P is the inverse of the regularized diagonal of the linearized p-Laplacian
+    at u, the Jacobi metric of the weighted Laplacian
+    (|grad u|^2 + eps^2)^((p-2)/2).
+    """
+    if problem.kind != SOBOLEV:
+        return None
+    p = problem.p
+    if p == 2.0 and graph.boundary == "dirichlet" and graph.spec is not None:
+        solve = box_inverse(graph)
+        return lambda u, d: solve
+    if p < 2.0:
+        def metric(u, d):
+            inverse = 1.0 / _p_laplacian_diagonal(graph, u, p, _SMOOTHING_EPS, d)
+            return lambda v: v * inverse
+        return metric
     return None
 
 
@@ -323,13 +338,13 @@ _STAGNATION_LIMIT = 200
 _TIE_ULPS = 4.0 * np.finfo(np.float64).eps  # near-tie width relative to max(1, |E|)
 
 
-def _descend(graph, problem, cfg, seed_values, label, precondition):
+def _descend(graph, problem, cfg, seed_values, label, metric):
     energy, gradient, residual = _functional(graph, problem)
 
     def stationarity(u, parts, d):
         g = gradient(u, d)
         lam, res = residual(u, g, parts)
-        return g, lam, res, float(np.sqrt(np.dot(res, res)))
+        return g, lam, res, float(np.sqrt(np.dot(res, res))), None if metric is None else metric(u, d)
 
     # each point is evaluated once: energy at the trial, state at acceptance or tie test
     u = _project(problem, np.abs(seed_values))
@@ -347,7 +362,7 @@ def _descend(graph, problem, cfg, seed_values, label, precondition):
         if state is None:
             state = stationarity(u, parts, d)
         d = None
-        g, _, _, res_norm = state
+        g, _, _, res_norm, precondition = state
         if trace is not None:
             trace.append((it, E, res_norm, step))
         if res_norm <= cfg.tol_grad:
@@ -398,7 +413,7 @@ def _descend(graph, problem, cfg, seed_values, label, precondition):
         it = cfg.max_iters
     if state is None:
         state = stationarity(u, parts, d)
-    _, lam, _, res_norm = state
+    _, lam, _, res_norm, _ = state
     converged = converged or res_norm <= cfg.tol_grad
     if trace is not None:
         trace.append((it, E_u, res_norm, step))
@@ -425,8 +440,8 @@ def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None
         rng = np.random.default_rng([cfg.rng_seed, k])
         seeds.append(make_seed(graph, descriptor, rng))
 
-    precondition = _preconditioner(graph, problem)
-    outcomes = [_descend(graph, problem, cfg, values, label, precondition) for values, label in seeds]
+    metric = _preconditioner(graph, problem)
+    outcomes = [_descend(graph, problem, cfg, values, label, metric) for values, label in seeds]
     radius = _default_probe_radius(graph)
     for out in outcomes:
         out["localization"] = _localize(graph, _constraint_weight(problem, out["values"]), radius)

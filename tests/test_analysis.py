@@ -1,5 +1,7 @@
 """Threshold bisection, comparisons, property suites, escape diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,23 @@ def test_lemma_suite_passes_everywhere():
     g2 = build_graph(GraphSpec(d=2, L=6))
     report2 = verify_lemma_suite(g2, n_fields=15, rng_seed=6)
     assert report2.all_passed, [(c.name, c.margin) for c in report2.failures()]
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, math.nan, math.inf, -1.0, "0.1"])
+def test_analysis_tolerances_must_be_numbers(bad):
+    # a boolean tolerance once ran as 1 or 0; every check fires before the first solve
+    line = build_graph(GraphSpec(d=1, L=6))
+    nls = ProblemSpec(kind="nls", a=1.0, p=4.0)
+    for name in ("bracket_tol", "tol_neg"):
+        with pytest.raises(InvalidSpec, match=name):
+            estimate_threshold(lattice_family(1), 4.0, (0.5, 6.0), **{name: bad})
+    with pytest.raises(InvalidSpec, match="tol"):
+        compare_energies(line, line, nls, [1.0], tol=bad)
+    with pytest.raises(InvalidSpec, match="equality_tol"):
+        star_nonattainment_probe(1, 3, 4.0, None, [6], 3.0, equality_tol=bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, -1, "4"])
+def test_threshold_max_probes_must_be_a_whole_number(bad):
+    with pytest.raises(InvalidSpec, match="max_probes"):
+        estimate_threshold(lattice_family(1), 4.0, (0.5, 6.0), max_probes=bad)

@@ -25,6 +25,7 @@ from varopt import (
     translate,
 )
 from varopt.analysis import ball_indicator_field
+from varopt.calculus import _p_laplacian_diagonal
 
 RNG = np.random.default_rng(421)
 
@@ -162,6 +163,26 @@ def test_p_laplacian_invalid_exponent():
         p_laplacian(g, np.ones(g.n), 1.0)
     with pytest.raises(InvalidExponent):
         p_laplacian(g, np.ones(g.n), math.nan)  # would otherwise run the p = 1 branch
+
+
+@pytest.mark.parametrize("boundary", ["drop", "dirichlet"])
+def test_p_laplacian_diagonal_is_the_hessian_diagonal(boundary):
+    g = build_graph(sphere_deletion_spec(2, 2, 5), boundary=boundary)
+    phantom = g.phantom if boundary == "dirichlet" else 0.0
+    u = np.random.default_rng(7).standard_normal(g.n)
+    # p = 2: every weight is 1, so the diagonal is the degree plus the phantom count
+    assert np.array_equal(_p_laplacian_diagonal(g, u, 2.0, 1e-8), np.diff(g.indptr) + phantom)
+    # p = 1.5, eps = 0: p (p - 1) times the diagonal is that of the energy's Hessian
+    diagonal = _p_laplacian_diagonal(g, u, 1.5, 0.0)
+    assert np.array_equal(_p_laplacian_diagonal(g, u, 1.5, 0.0, u[g.heads] - u[g.tails]), diagonal)
+    h = 1e-6
+    for v in range(0, g.n, 5):
+        step = np.zeros(g.n)
+        step[v] = h
+        fd = (dirichlet_gradient(g, u + step, 1.5)[v] - dirichlet_gradient(g, u - step, 1.5)[v]) / (2 * h)
+        assert fd == pytest.approx(0.75 * diagonal[v], rel=1e-6)
+    # eps keeps the weights finite where a difference vanishes
+    assert np.all(np.isfinite(_p_laplacian_diagonal(g, np.zeros(g.n), 1.0, 1e-8)))
 
 
 @pytest.mark.parametrize("d,L", [(1, 2), (1, 5), (1, 12), (2, 3), (2, 10), (3, 2), (3, 4), (3, 8)])

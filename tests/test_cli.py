@@ -197,14 +197,43 @@ NLS_PROBLEM = {"a": 1.0, "p": 4.0}
     ("solve-nls", {"graph": LINE, "problem": NLS_PROBLEM, "params": {"a_grid": [1.0]}}, "a_grid"),
     ("solve-nls", {"graph": [], "problem": NLS_PROBLEM}, "graph"),
     ("verify-lemmas", {"graph": LINE, "params": [1]}, "params"),
+    ("compare", {"graph": LINE, "problem": NLS_PROBLEM, "params": {"a_grid": [1.0], "tol": True}}, "tol"),
+    ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, 6.0], "max_probes": 2.5}},
+     "max_probes"),
+    ("solve-nls", {"graph": {"d": 1, "L": 6, "additions": [[[True], [-1]]]},
+                   "problem": NLS_PROBLEM}, "True"),
 ], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
         "graph-unknown", "problem-unknown", "seed", "edge-coordinate", "p-bool", "kind-mismatch",
-        "solve-params", "graph-list", "params-list"])
+        "solve-params", "graph-list", "params-list", "compare-tol-bool", "threshold-max_probes",
+        "edge-coordinate-bool"])
 def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload, named):
-    path = write_config(tmp_path, "cfg.json", dict(payload, solver={"restarts": 1}))
+    if experiment != "verify-lemmas":  # the one experiment that runs no solver
+        payload = dict(payload, solver={"restarts": 1})
+    path = write_config(tmp_path, "cfg.json", payload)
     assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert named in err["message"], err
+    assert not (tmp_path / "o").exists()
+
+
+# each experiment with a section it never reads, and a config it does read
+READS = {"star-probe": {"params": STAR}, "sobolev-gap": {"params": GAP},
+         "threshold": {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, 6.0]}},
+         "verify-lemmas": {"graph": LINE, "params": {"n_fields": 2}}}
+
+
+@pytest.mark.parametrize("experiment,section", [
+    ("star-probe", {"graph": {"d": 5, "L": 2}}), ("star-probe", {"problem": NLS_PROBLEM}),
+    ("sobolev-gap", {"graph": LINE}), ("sobolev-gap", {"problem": {"p": 2.0, "q": 6.0}}),
+    ("threshold", {"problem": NLS_PROBLEM}),
+    ("verify-lemmas", {"problem": {"p": 99}}), ("verify-lemmas", {"solver": {"restarts": 1}}),
+], ids=["star-graph", "star-problem", "gap-graph", "gap-problem", "threshold-problem",
+        "lemmas-problem", "lemmas-solver"])
+def test_unread_config_sections_exit_2(tmp_path, capsys, experiment, section):
+    path = write_config(tmp_path, "cfg.json", dict(READS[experiment], **section))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    name = next(iter(section))
+    assert f"does not read a {name} section" in json.loads(capsys.readouterr().err)["message"]
     assert not (tmp_path / "o").exists()
 
 

@@ -315,6 +315,15 @@ def test_spec_invariant_violations():
                               additions=frozenset(), R=9))
 
 
+@pytest.mark.parametrize("edge", [((True,), (-1,)), ((1,), (False,)), ((0, True), (0, 2)),
+                                  ((np.True_,), (-1,))])
+def test_boolean_edge_coordinates_are_invalid(edge):
+    # operator.index reads True as 1; a boolean is no more a coordinate than a d or an L
+    with pytest.raises(InvalidSpec, match="integer coordinates"):
+        canonical_edge(*edge)
+    with pytest.raises(InvalidSpec):
+        GraphSpec(d=len(edge[0]), L=6, additions=[edge])
+
 def test_spec_json_round_trip():
     spec = sphere_deletion_spec(2, 2, 5)
     data = json.loads(json.dumps(spec.to_json_dict()))

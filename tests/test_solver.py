@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from varopt import (
     SolverConfig,
     TooLarge,
     brute_force_oracle,
+    box_inverse,
     build_graph,
     dirichlet_energy,
     dirichlet_gradient,
@@ -321,8 +323,7 @@ def test_solver_functional_is_the_calculus_functions(boundary):
             assert np.array_equal(gradient(u, d), nls_gradient(g, u, p))
 
 
-# pinned solves that end each way the descent can end: (spec, boundary, problem, config, exit);
-# "stalled" is the stagnation exit for the corner+ case and "no admissible step" for the d=2 one
+# pinned solves that end each way the descent can end: (spec, boundary, problem, config, exit)
 P15 = ProblemSpec(kind="sobolev", a=1.0, p=1.5, q=3.0, allow_subcritical=True)
 EXITS = {
     "nls-drop-converged": (GraphSpec(d=1, L=8), "drop", ProblemSpec(kind="nls", a=2.0, p=4),
@@ -338,13 +339,32 @@ EXITS = {
                                SolverConfig(restarts=1, seeds=["gauss:2.0"]), "converged"),
     "sobolev-dirichlet-converged": (GraphSpec(d=3, L=3), "dirichlet", P15,
                                     SolverConfig(restarts=1, seeds=["gauss:2.0"]), "converged"),
-    "sobolev-dirichlet-stagnation": (GraphSpec(d=3, L=3), "dirichlet", P15,
-                                     SolverConfig(restarts=1, seeds=["corner+"]), "stalled"),
+    "sobolev-dirichlet-stagnation": (GraphSpec(d=3, L=5), "dirichlet", P15,
+                                     SolverConfig(restarts=1, seeds=["corner+"]), "stagnation"),
     "sobolev-drop-no-step": (GraphSpec(d=2, L=3), "drop", P15, SolverConfig(restarts=1, seeds=["delta"]),
-                             "stalled"),
+                             "no step"),
     "sobolev-dirichlet-capped": (GraphSpec(d=3, L=3), "dirichlet", P15,
                                  SolverConfig(restarts=1, seeds=["gauss:2.0"], max_iters=5), "capped"),
 }
+
+
+def descent_exit(res, cfg):
+    """How a one-restart solve ended, read off its trace: a row (iter, envelope,
+    residual, step) before each step, then one for the returned point."""
+    if res.converged:
+        return "converged"
+    if res.n_iters == cfg.max_iters:
+        return "capped"
+    rows = res.trace
+    if rows[-1, 2] == rows[-2, 2]:
+        return "no step"  # the last point did not move
+    # the last _STAGNATION_LIMIT accepted steps lowered neither the envelope nor
+    # the residual by a tenth
+    tail = rows[-(solver._STAGNATION_LIMIT + 1):]
+    if np.all(tail[:-1, 1] == tail[0, 1]) and tail[-1, 1] >= tail[-2, 1] \
+            and np.all(tail[1:, 2] > 0.9 * tail[:-1, 2]):
+        return "stagnation"
+    return "unknown"
 
 
 @pytest.mark.parametrize("case", list(EXITS))
@@ -353,7 +373,7 @@ def test_returned_values_are_a_fresh_evaluation_at_the_minimizer(case):
     # returns, bit for bit, however the descent ended
     spec, boundary, prob, cfg, exit_ = EXITS[case]
     g = build_graph(spec, boundary=boundary)
-    res = minimize(g, prob, cfg)
+    res = minimize(g, prob, replace(cfg, record_trace=True))
     u = res.minimizer.values
     if prob.kind == "nls":
         energy = nls_energy(g, u, prob.p)
@@ -368,6 +388,7 @@ def test_returned_values_are_a_fresh_evaluation_at_the_minimizer(case):
     assert res.el_residual == float(np.sqrt(np.dot(r, r)))
     assert res.converged == (exit_ == "converged")
     assert (res.n_iters == cfg.max_iters) == (exit_ == "capped")
+    assert descent_exit(res, cfg) == exit_
 
 
 @pytest.mark.parametrize("case", ["nls-drop-converged", "sobolev-dirichlet-stagnation"])
@@ -477,16 +498,30 @@ def test_spectral_oracle_dense_matches_closed_form_and_limits():
 # ---------------------------------------------------------------------------
 # preconditioned descent direction
 
-def test_preconditioner_applies_only_to_the_dirichlet_2_form():
+def sobolev(p):
+    return ProblemSpec(kind="sobolev", a=1.0, p=p, q=6.0, allow_subcritical=True)
+
+
+def test_preconditioner_picks_the_metric_per_problem():
     box = build_graph(GraphSpec(d=2, L=4), boundary="dirichlet")
-    sob = ProblemSpec(kind="sobolev", a=1.0, p=2.0, q=6.0, allow_subcritical=True)
-    assert _preconditioner(box, sob) is not None
+    rng = np.random.default_rng(3)
+    u, v = np.abs(rng.standard_normal(box.n)) + 0.1, rng.standard_normal(box.n)
+    d = u[box.heads] - u[box.tails]
+    # p = 2: the box inverse at every point, on dirichlet-mode build_graph truncations
+    assert np.array_equal(_preconditioner(box, sobolev(2.0))(u, d)(v), box_inverse(box)(v))
     assert _preconditioner(build_graph(sphere_deletion_spec(2, 2, 4), boundary="dirichlet"),
-                           sob) is not None
-    assert _preconditioner(build_graph(GraphSpec(d=2, L=4)), sob) is None
-    assert _preconditioner(path_graph(5, boundary="dirichlet"), sob) is None
-    assert _preconditioner(box, ProblemSpec(kind="sobolev", a=1.0, p=1.5, q=6.0,
-                                            allow_subcritical=True)) is None
+                           sobolev(2.0)) is not None
+    assert _preconditioner(build_graph(GraphSpec(d=2, L=4)), sobolev(2.0)) is None
+    assert _preconditioner(path_graph(5, boundary="dirichlet"), sobolev(2.0)) is None
+    # p < 2: the inverse regularized Jacobi diagonal at the point, on any graph in either mode
+    for g in (box, build_graph(GraphSpec(d=2, L=4)), path_graph(5, boundary="dirichlet")):
+        u, v = np.abs(rng.standard_normal(g.n)) + 0.1, rng.standard_normal(g.n)
+        d = u[g.heads] - u[g.tails]
+        for p in (1.0, 1.5):
+            diagonal = calculus._p_laplacian_diagonal(g, u, p, solver._SMOOTHING_EPS, d)
+            assert np.array_equal(_preconditioner(g, sobolev(p))(u, d)(v), v * (1.0 / diagonal))
+    # the identity for p > 2 and the Schrodinger problem
+    assert _preconditioner(box, sobolev(3.0)) is None
     assert _preconditioner(box, ProblemSpec(kind="nls", a=1.0, p=4.0)) is None
 
 
@@ -494,16 +529,18 @@ def test_preconditioner_applies_only_to_the_dirichlet_2_form():
                                   sphere_deletion_spec(3, 2, 5)])
 def test_preconditioned_direction_is_tangent_and_descending(spec):
     g = build_graph(spec, boundary="dirichlet")
-    prob = ProblemSpec(kind="sobolev", a=1.0, p=2.0, q=6.0, allow_subcritical=True)
-    _, gradient, _ = _functional(g, prob)
-    precondition = _preconditioner(g, prob)
     rng = np.random.default_rng(11)
-    for _ in range(3):
-        u = np.abs(rng.standard_normal(g.n)) + 0.1
-        grad, normal = gradient(u), _constraint_normal(prob, u)
-        direction = _tangent_direction(grad, normal, precondition)
-        assert abs(np.dot(normal, direction)) <= 1e-12 * np.linalg.norm(normal) * np.linalg.norm(direction)
-        assert np.dot(grad, direction) > 0
+    for p in (1.0, 1.5, 2.0):
+        prob = sobolev(p)
+        energy, gradient, _ = _functional(g, prob)
+        metric = _preconditioner(g, prob)
+        for _ in range(3):
+            u = np.abs(rng.standard_normal(g.n)) + 0.1
+            _, _, d = energy(u)
+            grad, normal = gradient(u, d), _constraint_normal(prob, u)
+            direction = _tangent_direction(grad, normal, metric(u, d))
+            assert abs(np.dot(normal, direction)) <= 1e-12 * np.linalg.norm(normal) * np.linalg.norm(direction)
+            assert np.dot(grad, direction) > 0
 
 
 def test_preconditioned_sobolev_regression_guard():
@@ -513,3 +550,22 @@ def test_preconditioned_sobolev_regression_guard():
     assert res.converged
     assert abs(res.energy - 4.139937920183505) <= 1e-12
     assert res.n_iters <= 20
+
+
+def test_jacobi_metric_regression_guard(monkeypatch):
+    # default config on the d=3 L=5 dirichlet box at p=1.5, q=3: with the identity
+    # metric the corner restarts stopped unconverged after 13,216 and 12,504 iterations
+    g = build_graph(GraphSpec(d=3, L=5), boundary="dirichlet")
+    iters = []
+    descend = solver._descend
+
+    def counted(*args):
+        out = descend(*args)
+        iters.append(out["n_iters"])
+        return out
+
+    monkeypatch.setattr(solver, "_descend", counted)
+    res = minimize_sobolev(g, ProblemSpec(kind="sobolev", a=1.0, p=1.5, q=3.0))
+    assert res.converged
+    assert abs(res.energy - 5.839032386416408) <= 1e-12
+    assert len(iters) == 6 and max(iters) <= 3000
