@@ -19,7 +19,7 @@ import numpy as np
 
 from .calculus import Field, dirichlet_energy, lp_norm, nls_energy, p_laplacian, translate
 from .errors import InconclusiveProbe, InvalidRange, InvalidSpec, NotConverged
-from .lattice import Graph, GraphSpec, build_graph, sphere_deletion_spec, star_addition_spec
+from .lattice import Graph, GraphSpec, _is_int, build_graph, sphere_deletion_spec, star_addition_spec
 from .solver import (
     DEFAULT_BOUNDARY,
     NLS,
@@ -97,8 +97,7 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
     bracket with status "inconclusive".
     """
     _check_tolerances(bracket_tol=bracket_tol, tol_neg=tol_neg)
-    if isinstance(max_probes, (bool, np.bool_)) or not isinstance(max_probes, numbers.Integral) \
-            or max_probes < 0:
+    if not (_is_int(max_probes) and max_probes >= 0):
         raise InvalidSpec(f"max_probes must be a whole number >= 0, got {max_probes!r}")
     a_min, a_max = float(a_range[0]), float(a_range[1])
     if not (0 < a_min < a_max):
@@ -195,7 +194,7 @@ def compare_energies(graph_perturbed: Graph, graph_base: Graph, problem_template
     of solver noise and "strict" requires clearing strict_margin (default
     ten times the solver residual tolerance).
     """
-    _check_tolerances(tol=tol)
+    _check_tolerances(tol=tol, **({} if strict_margin is None else {"strict_margin": strict_margin}))
     if graph_perturbed.d != graph_base.d or graph_perturbed.L != graph_base.L:
         raise InvalidSpec("comparison graphs must share dimension and truncation radius")
     cfg = solver_cfg or SolverConfig()
@@ -555,6 +554,8 @@ def verify_lemma_suite(graph: Graph, p=4.0, q=6.0, n_fields=100, rng_seed=0) -> 
     (both to 1e-12), the exact norm and Dirichlet splitting for far-apart
     bumps, and the summation-by-parts identity for the p-Laplacian (both to
     1e-10)."""
+    if not (_is_int(n_fields) and n_fields >= 1):
+        raise InvalidSpec(f"n_fields must be a whole number >= 1, got {n_fields!r}")
     rng = np.random.default_rng(rng_seed)
     worst = {"nesting": 0.0, "lower_bound": -np.inf, "brezis_lieb": 0.0, "parts": 0.0}
     exponent_pairs = [(1.0, 1.5), (1.0, 2.0), (2.0, 3.0), (2.0, q), (3.0, 17.0), (2.0, np.inf)]

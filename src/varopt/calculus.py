@@ -235,7 +235,7 @@ def translate(field: Field, shift) -> Field:
     shift = tuple(int(c) for c in shift)
     if len(shift) != graph.d:
         raise InvalidSpec(f"shift {shift} has wrong dimension (expected {graph.d})")
-    # per axis, v[a] = u[a + s] wherever both indices lie in [0, m)
+    # per axis, v[a] = u[a + s] wherever both a and a + s lie in [0, m)
     dst = tuple(slice(max(0, -s), max(0, min(m, m - s))) for s, m in zip(shift, graph.shape))
     src = tuple(slice(max(0, s), max(0, min(m, m + s))) for s, m in zip(shift, graph.shape))
     out = np.zeros(graph.shape)

@@ -12,6 +12,7 @@ zero-valued phantom endpoint (``boundary="dirichlet"``).
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -27,7 +28,7 @@ def sup_norm(x) -> int:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, numbers.Integral) and not isinstance(x, (bool, np.bool_))
 
 
 def _coordinate(c) -> int:
@@ -110,9 +111,9 @@ class GraphSpec:
 
     def to_json_dict(self) -> dict:
         return {
-            "d": self.d,
-            "L": self.L,
-            "R": self.R,
+            "d": int(self.d),
+            "L": int(self.L),
+            "R": None if self.R is None else int(self.R),
             "deletions": [[list(x), list(y)] for x, y in sorted(self.deletions)],
             "additions": [[list(x), list(y)] for x, y in sorted(self.additions)],
         }
@@ -134,13 +135,13 @@ def _flat_ids(points, lo, shape) -> np.ndarray:
 
 
 class Graph:
-    """Immutable adjacency view of a truncation whose vertices fill the box lo + [0, shape).
+    """Immutable truncation: the box lo + [0, shape), its edge list and its phantom counts.
 
     Vertex ids run in C order, which is lexicographic order on coordinates,
-    so ids and ``coords`` are computed, never looked up. ``edges`` holds the
-    (m, 2) int64 id pairs sorted by (i, j), and ``tails``, ``heads`` are its
-    columns; the neighbours of i, ascending, are
-    ``indices[indptr[i]:indptr[i + 1]]`` (CSR). ``phantom`` counts each
+    so ids and ``coords`` are computed, never looked up (``vertex_id`` and
+    ``build_graph`` share ``_flat_ids``). ``edges`` holds the (m, 2) int64 id
+    pairs sorted by (i, j), and ``tails``, ``heads`` are its columns; degrees
+    are ``np.bincount(edges.ravel(), minlength=n)``. ``phantom`` counts each
     vertex's base-lattice edges that leave the box (dirichlet mode). Safe for
     concurrent reads; never mutated after construction.
     """
@@ -165,20 +166,13 @@ class Graph:
         self.phantom = np.zeros(n) if phantom is None else np.asarray(phantom, dtype=np.float64)
         if self.phantom.shape != (n,):
             raise InvalidSpec(f"phantom needs shape ({n},), got {self.phantom.shape}")
-        self.strides = tuple(int(np.prod(self.shape[k + 1:])) for k in range(self.d))
         self.coords = np.stack(np.unravel_index(np.arange(n), self.shape), axis=1) + self.lo
-        key = edges[:, 0] * n + edges[:, 1]  # (i, j) -> i * n + j sorts like the pair
-        ordered = np.sort(key)
+        ordered = np.sort(edges[:, 0] * n + edges[:, 1])  # i * n + j sorts like the pair (i, j)
         if np.any(ordered[1:] == ordered[:-1]):
             raise InvalidSpec("an edge is listed twice")
         self.edges = np.stack(np.divmod(ordered, n), axis=1)
-        del ordered  # freed before the CSR sort below, which sets the build's peak memory
         self.n_edges = len(self.edges)
         self.tails, self.heads = self.edges.T  # column views for the edge kernels
-        # CSR adjacency: both directions of every edge, sorted by (source, target)
-        arcs = np.sort(np.concatenate([key, edges[:, 1] * n + edges[:, 0]]))
-        sources, self.indices = np.divmod(arcs, n)
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(sources, minlength=n))])
         # sup-norm extent of the vertex set; box semantics for localization
         self.extent = max(max(-a, a + m - 1) for a, m in zip(self.lo, self.shape))
         self.L = spec.L if spec is not None else self.extent + 1
@@ -187,10 +181,9 @@ class Graph:
         return len(x) == self.d and all(0 <= c - a < m for c, a, m in zip(x, self.lo, self.shape))
 
     def vertex_id(self, x) -> int:
-        x = tuple(int(c) for c in x)
-        if x not in self:
-            raise OutOfBox(f"vertex {x} is not in the truncation")
-        return sum((c - a) * s for c, a, s in zip(x, self.lo, self.strides))
+        if len(x) != self.d:
+            raise OutOfBox(f"vertex {tuple(x)} has {len(x)} coordinates, not {self.d}")
+        return int(_flat_ids(x, self.lo, self.shape))
 
     def __repr__(self):
         return f"Graph(d={self.d}, n={self.n}, edges={self.n_edges}, boundary={self.boundary!r})"
@@ -237,18 +230,21 @@ def path_graph(n: int, boundary: str = "drop") -> Graph:
 
 
 def is_connected(graph: Graph) -> bool:
-    """True iff a level-synchronous frontier BFS from the middle vertex reaches every vertex."""
-    seen = np.zeros(graph.n, dtype=bool)
-    frontier = np.array([graph.n // 2])
-    while frontier.size:
-        seen[frontier] = True
-        starts = graph.indptr[frontier]
-        counts = graph.indptr[frontier + 1] - starts
-        # CSR slots of all the frontier's neighbour lists, concatenated
-        reached = graph.indices[np.repeat(starts - np.cumsum(counts) + counts, counts)
-                                + np.arange(counts.sum())]
-        frontier = np.unique(reached[~seen[reached]])
-    return bool(seen.all())
+    """True iff the edges join all the vertices into one component.
+
+    Hook-and-compress (Shiloach & Vishkin, J. Algorithms 3, 1982): each round
+    hooks the larger root of every edge between two trees onto the smaller,
+    then jumps pointers to the roots, until no edge joins two trees. Pointers
+    only decrease, so it ends. A tree whose root is below all its neighbours'
+    is hooked onto, or hooks onto them next round: every tree merges within
+    two rounds, so O(log n) rounds suffice. A lattice-ordered box needs one.
+    """
+    parent = np.arange(graph.n)
+    while not np.array_equal(a := parent[graph.tails], b := parent[graph.heads]):
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
+    return bool(np.all(parent == parent[0]))
 
 
 def ball_boundary_edges(d: int, R: int) -> list:

@@ -100,7 +100,7 @@ class SolverConfig:
         if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
             raise InvalidSpec(f"solver config needs whole numbers max_iters >= 1 and restarts >= 1, "
                               f"got max_iters={self.max_iters}, restarts={self.restarts}")
-        if not (0 < self.tol_grad < np.inf):
+        if not (isinstance(self.tol_grad, numbers.Real) and 0 < self.tol_grad < np.inf):
             raise InvalidSpec(f"solver config needs a finite tol_grad > 0, got {self.tol_grad}")
         if not isinstance(self.record_trace, (bool, np.bool_)):
             raise InvalidSpec(f"record_trace must be true or false, got {self.record_trace!r}")
@@ -571,7 +571,7 @@ def spectral_oracle(graph: Graph) -> float:
     n = graph.n
     if n > _SPECTRAL_DENSE_LIMIT:
         raise TooLarge(f"dense eigensolve; {n} vertices exceed the limit of {_SPECTRAL_DENSE_LIMIT}")
-    lap = np.diag(graph.phantom + np.diff(graph.indptr))  # phantom edges plus the degree
+    lap = np.diag(graph.phantom + np.bincount(graph.edges.ravel(), minlength=n))  # phantom plus degree
     np.add.at(lap, (graph.tails, graph.heads), -1.0)
     np.add.at(lap, (graph.heads, graph.tails), -1.0)
     return float(np.linalg.eigvalsh(lap)[0])

@@ -263,6 +263,8 @@ def test_analysis_tolerances_must_be_numbers(bad):
             estimate_threshold(lattice_family(1), 4.0, (0.5, 6.0), **{name: bad})
     with pytest.raises(InvalidSpec, match="tol"):
         compare_energies(line, line, nls, [1.0], tol=bad)
+    with pytest.raises(InvalidSpec, match="strict_margin"):
+        compare_energies(line, line, nls, [1.0], strict_margin=bad)
     with pytest.raises(InvalidSpec, match="equality_tol"):
         star_nonattainment_probe(1, 3, 4.0, None, [6], 3.0, equality_tol=bad)
 
@@ -271,3 +273,10 @@ def test_analysis_tolerances_must_be_numbers(bad):
 def test_threshold_max_probes_must_be_a_whole_number(bad):
     with pytest.raises(InvalidSpec, match="max_probes"):
         estimate_threshold(lattice_family(1), 4.0, (0.5, 6.0), max_probes=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 3.0, True, np.True_, "4"])
+def test_lemma_suite_n_fields_must_be_a_whole_number(bad):
+    # zero fields once reported all_passed with -inf margins
+    with pytest.raises(InvalidSpec, match="n_fields"):
+        verify_lemma_suite(build_graph(GraphSpec(d=1, L=6)), n_fields=bad)

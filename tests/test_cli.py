@@ -198,13 +198,17 @@ NLS_PROBLEM = {"a": 1.0, "p": 4.0}
     ("solve-nls", {"graph": [], "problem": NLS_PROBLEM}, "graph"),
     ("verify-lemmas", {"graph": LINE, "params": [1]}, "params"),
     ("compare", {"graph": LINE, "problem": NLS_PROBLEM, "params": {"a_grid": [1.0], "tol": True}}, "tol"),
+    ("compare", {"graph": LINE, "problem": NLS_PROBLEM,
+                 "params": {"a_grid": [1.0], "strict_margin": -1}}, "strict_margin"),
+    ("verify-lemmas", {"graph": LINE, "params": {"n_fields": 0}}, "n_fields"),
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, 6.0], "max_probes": 2.5}},
      "max_probes"),
     ("solve-nls", {"graph": {"d": 1, "L": 6, "additions": [[[True], [-1]]]},
                    "problem": NLS_PROBLEM}, "True"),
 ], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
         "graph-unknown", "problem-unknown", "seed", "edge-coordinate", "p-bool", "kind-mismatch",
-        "solve-params", "graph-list", "params-list", "compare-tol-bool", "threshold-max_probes",
+        "solve-params", "graph-list", "params-list", "compare-tol-bool", "compare-strict_margin",
+        "lemmas-n_fields", "threshold-max_probes",
         "edge-coordinate-bool"])
 def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload, named):
     if experiment != "verify-lemmas":  # the one experiment that runs no solver

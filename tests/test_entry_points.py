@@ -42,3 +42,15 @@ def test_benchmark_reads_of_results_and_graphs():
     assert calculus.p_laplacian(g, np.ones(g.n), 3.0).values.shape == (g.n,)
     assert solver.default_seed_plan(2) == ["delta", "gauss:2.0"]
     assert callable(cli.ExperimentConfig.from_dict)
+
+
+def test_build_graph_checks_connectivity_through_the_module_global(monkeypatch):
+    # the harness times the check by wrapping lattice.is_connected, so build_graph
+    # must look it up there, and only for deletion specs
+    calls, check = [], lattice.is_connected
+    monkeypatch.setattr(lattice, "is_connected", lambda g: calls.append(g) or check(g))
+    lattice.build_graph(lattice.sphere_deletion_spec(2, 2, 4))
+    assert len(calls) == 1
+    lattice.build_graph(lattice.GraphSpec(d=2, L=4))
+    lattice.build_graph(lattice.star_addition_spec(2, 2, 4))
+    assert len(calls) == 1

@@ -49,13 +49,14 @@ def vertex_tuples(g):
 
 
 def degree(g, x):
-    return int(np.diff(g.indptr)[g.vertex_id(x)])
+    return int(np.count_nonzero(g.edges == g.vertex_id(x)))
 
 
 def neighbours(g, x):
-    """Neighbours of x as tuples, ascending, read off the CSR arrays."""
+    """Neighbours of x as tuples, ascending, read off the edge list."""
     i = g.vertex_id(x)
-    return [tuple(y) for y in g.coords[g.indices[g.indptr[i]:g.indptr[i + 1]]].tolist()]
+    others = np.sort(np.concatenate([g.heads[g.tails == i], g.tails[g.heads == i]]))
+    return [tuple(y) for y in g.coords[others].tolist()]
 
 
 def all_base_edges(d, L):
@@ -244,6 +245,25 @@ def test_graph_on_a_shifted_box():
     assert not is_connected(shifted)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_connected_matches_bfs_for_any_id_order(data):
+    """Random edge subsets, and paths through a random permutation of the ids:
+    orders a lattice never produces, where hooking takes several rounds."""
+    n = data.draw(st.integers(1, 40), label="n")
+    if data.draw(st.booleans(), label="path"):
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        path = list(zip(perm, perm[1:]))
+        cut = data.draw(st.none() | st.integers(0, max(len(path) - 1, 0)), label="cut")
+        pairs = path if cut is None else path[:cut] + path[cut + 1:]
+    else:
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=3 * n), label="pairs")
+    edges = {(min(i, j), max(i, j)) for i, j in pairs if i != j}
+    g = Graph((0,), (n,), np.array(sorted(edges), dtype=np.int64).reshape(-1, 2))
+    assert is_connected(g) == bfs_oracle(list(range(n)), edges)
+
+
 def test_is_connected_examples():
     for d, L in [(1, 4), (2, 3), (3, 2)]:
         assert is_connected(build_graph(GraphSpec(d=d, L=L)))
@@ -324,6 +344,21 @@ def test_boolean_edge_coordinates_are_invalid(edge):
     with pytest.raises(InvalidSpec):
         GraphSpec(d=len(edge[0]), L=6, additions=[edge])
 
+
+def test_numpy_integer_sizes_build_the_same_graph():
+    for spec, numpy_spec in [(GraphSpec(d=3, L=4), GraphSpec(d=np.int64(3), L=np.int64(4))),
+                             (sphere_deletion_spec(3, 2, 5), sphere_deletion_spec(3, np.int64(2), 5)),
+                             (star_addition_spec(2, 2, 4), star_addition_spec(np.int32(2), 2, 4))]:
+        assert np.array_equal(build_graph(numpy_spec).edges, build_graph(spec).edges)
+        assert json.loads(json.dumps(numpy_spec.to_json_dict())) == spec.to_json_dict()
+    assert vertex_tuples(path_graph(np.int64(3))) == vertex_tuples(path_graph(3))
+    for bad in ({"d": np.True_}, {"L": np.True_}, {"R": np.True_}):
+        with pytest.raises(InvalidSpec):
+            GraphSpec(**{"d": 2, "L": 5, **bad}).validate()
+    with pytest.raises(InvalidSpec):
+        path_graph(np.True_)
+
+
 def test_spec_json_round_trip():
     spec = sphere_deletion_spec(2, 2, 5)
     data = json.loads(json.dumps(spec.to_json_dict()))
@@ -382,9 +417,13 @@ def test_build_graph_matches_tuple_reference(data):
     if spec.deletions and not connected:
         with pytest.raises(DisconnectedGraph):
             build_graph(spec)
+        index = {v: i for i, v in enumerate(verts)}
+        ids = np.array(sorted((index[x], index[y]) for x, y in edges), dtype=np.int64)
+        assert not is_connected(Graph((1 - L,) * d, (2 * L - 1,) * d, ids.reshape(-1, 2)))
         return
     g = build_graph(spec, boundary=data.draw(st.sampled_from(["drop", "dirichlet"])))
     assert vertex_tuples(g) == verts
+    assert [g.vertex_id(v) for v in verts] == list(range(g.n))
     assert [(verts[i], verts[j]) for i, j in g.edges.tolist()] == sorted(edges)
     assert g.phantom.tolist() == [sum(abs(c) == L - 1 for c in v) for v in verts]
     adj = {v: set() for v in verts}

@@ -257,8 +257,8 @@ def test_solver_config_validation():
             SolverConfig(max_iters=bad).validate()
         with pytest.raises(InvalidSpec):
             SolverConfig(restarts=bad).validate()
-    for bad in (True, np.True_):  # a JSON "tol_grad": true is no tolerance
-        with pytest.raises(InvalidSpec):
+    for bad in (True, np.True_, "1e-8"):  # a JSON true or "1e-8" is no tolerance
+        with pytest.raises(InvalidSpec, match="tol_grad"):
             SolverConfig(tol_grad=bad).validate()
     SolverConfig(max_iters=np.int64(5), restarts=np.int64(2)).validate()
 
