@@ -99,6 +99,8 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
     _check_tolerances(bracket_tol=bracket_tol, tol_neg=tol_neg)
     if not (_is_int(max_probes) and max_probes >= 0):
         raise InvalidSpec(f"max_probes must be a whole number >= 0, got {max_probes!r}")
+    if len(levels) == 0:
+        raise InvalidSpec("levels must list at least one truncation radius L")
     a_min, a_max = float(a_range[0]), float(a_range[1])
     if not (0 < a_min < a_max):
         raise InvalidRange(f"need 0 < a_min < a_max, got {a_range}")

@@ -86,6 +86,8 @@ def _signed_pow(x, p):
         return x * x2 * x2
     if p == 2.0 or p == 4.0:
         return x * _abs_pow(x, p - 1.0)
+    if p == 0.5:  # numpy takes ** 0.5 as sqrt
+        return np.copysign(np.sqrt(np.abs(x)), x)
     return np.sign(x) * np.abs(x) ** p
 
 
@@ -101,7 +103,7 @@ def _edge_diff(graph: Graph, u: np.ndarray) -> np.ndarray:
 
 def _dirichlet(graph: Graph, u: np.ndarray, p, d=None):
     """Sum of |u(head) - u(tail)|^p over edges, plus phantom * |u|^p."""
-    e = np.sum(_abs_pow(_edge_diff(graph, u) if d is None else d, p))
+    e = np.add.reduce(_abs_pow(_edge_diff(graph, u) if d is None else d, p))
     if graph.boundary == "dirichlet":
         e += np.dot(graph.phantom, _abs_pow(u, p))
     return e

@@ -290,6 +290,7 @@ def run(config: ExperimentConfig) -> int:
 
     os.makedirs(config.output_dir, exist_ok=True)
     summary["seed"] = config.seed
+    summary["thread_env"] = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     with open(os.path.join(config.output_dir, "results.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

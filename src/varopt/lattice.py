@@ -139,11 +139,11 @@ class Graph:
 
     Vertex ids run in C order, which is lexicographic order on coordinates,
     so ids and ``coords`` are computed, never looked up (``vertex_id`` and
-    ``build_graph`` share ``_flat_ids``). ``edges`` holds the (m, 2) int64 id
-    pairs sorted by (i, j), and ``tails``, ``heads`` are its columns; degrees
-    are ``np.bincount(edges.ravel(), minlength=n)``. ``phantom`` counts each
-    vertex's base-lattice edges that leave the box (dirichlet mode). Safe for
-    concurrent reads; never mutated after construction.
+    ``build_graph`` share ``_flat_ids``). ``tails`` and ``heads`` are contiguous
+    int64 rows of the id pairs i < j sorted by (i, j); ``edges`` is their (m, 2)
+    transposed view. Degrees are ``np.bincount(edges.ravel(), minlength=n)``;
+    ``phantom`` counts each vertex's base-lattice edges that leave the box
+    (dirichlet mode). Safe for concurrent reads; never mutated after construction.
     """
 
     def __init__(self, lo, shape, edges, spec=None, boundary="drop", phantom=None):
@@ -170,19 +170,21 @@ class Graph:
         ordered = np.sort(edges[:, 0] * n + edges[:, 1])  # i * n + j sorts like the pair (i, j)
         if np.any(ordered[1:] == ordered[:-1]):
             raise InvalidSpec("an edge is listed twice")
-        self.edges = np.stack(np.divmod(ordered, n), axis=1)
+        pairs = np.stack(np.divmod(ordered, n))  # contiguous rows for the edge kernels
+        self.tails, self.heads = pairs
+        self.edges = pairs.T
         self.n_edges = len(self.edges)
-        self.tails, self.heads = self.edges.T  # column views for the edge kernels
         # sup-norm extent of the vertex set; box semantics for localization
         self.extent = max(max(-a, a + m - 1) for a, m in zip(self.lo, self.shape))
         self.L = spec.L if spec is not None else self.extent + 1
 
     def __contains__(self, x) -> bool:
-        return len(x) == self.d and all(0 <= c - a < m for c, a, m in zip(x, self.lo, self.shape))
+        return len(x) == self.d and all(_is_int(c) and 0 <= c - a < m
+                                        for c, a, m in zip(x, self.lo, self.shape))
 
     def vertex_id(self, x) -> int:
-        if len(x) != self.d:
-            raise OutOfBox(f"vertex {tuple(x)} has {len(x)} coordinates, not {self.d}")
+        if x not in self:
+            raise OutOfBox(f"{tuple(x)} is not an integer point of the box {self.lo} + [0, {self.shape})")
         return int(_flat_ids(x, self.lo, self.shape))
 
     def __repr__(self):

@@ -12,6 +12,7 @@ wins by (energy, residual, lexicographic centre of mass).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -149,10 +150,10 @@ def _constraint_weight(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
 def _project(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
     """Rescale onto the constraint sphere."""
     if problem.kind == NLS:
-        norm = np.sqrt(np.dot(u, u))
+        norm = math.sqrt(np.dot(u, u))
         exponent = 0.5
     else:
-        norm = np.sum(_abs_pow(u, problem.q)) ** (1.0 / problem.q)
+        norm = np.add.reduce(_abs_pow(u, problem.q)) ** (1.0 / problem.q)
         exponent = 1.0 / problem.q
     if norm == 0.0:
         raise InvalidSpec("cannot project the zero field onto a constraint sphere")
@@ -265,7 +266,7 @@ def _functional(graph: Graph, problem: ProblemSpec):
 
         def energy(u):
             d = _edge_diff(graph, u)
-            kin, pot = _kinetic(graph, u, d), np.sum(_abs_pow(u, p))
+            kin, pot = _kinetic(graph, u, d), np.add.reduce(_abs_pow(u, p))
             return 0.5 * kin - pot / p, (kin, pot), d
 
         def gradient(u, d=None):
@@ -344,7 +345,7 @@ def _descend(graph, problem, cfg, seed_values, label, metric):
     def stationarity(u, parts, d):
         g = gradient(u, d)
         lam, res = residual(u, g, parts)
-        return g, lam, res, float(np.sqrt(np.dot(res, res))), None if metric is None else metric(u, d)
+        return g, lam, res, float(np.sqrt(np.dot(res, res)))
 
     # each point is evaluated once: energy at the trial, state at acceptance or tie test
     u = _project(problem, np.abs(seed_values))
@@ -361,13 +362,14 @@ def _descend(graph, problem, cfg, seed_values, label, metric):
     for it in range(cfg.max_iters):
         if state is None:
             state = stationarity(u, parts, d)
-        d = None
-        g, _, _, res_norm, precondition = state
+        g, _, _, res_norm = state
         if trace is not None:
             trace.append((it, E, res_norm, step))
         if res_norm <= cfg.tol_grad:
             converged = True
             break
+        precondition = None if metric is None else metric(u, d)  # only where the descent moves from
+        d = None
         direction = _tangent_direction(g, _constraint_normal(problem, u), precondition)
         if not direction.any():
             break
@@ -392,7 +394,7 @@ def _descend(graph, problem, cfg, seed_values, label, metric):
             if Ev < E:
                 improved, state = True, None
                 break
-            if Ev - E <= tie_tol and not np.array_equal(v, u):
+            if Ev - E <= tie_tol and (v != u).any():
                 tie = stationarity(v, parts_v, d_v)
                 if tie[3] < res_norm:
                     improved, state = tie[3] <= 0.9 * res_norm, tie
@@ -413,7 +415,7 @@ def _descend(graph, problem, cfg, seed_values, label, metric):
         it = cfg.max_iters
     if state is None:
         state = stationarity(u, parts, d)
-    _, lam, _, res_norm, _ = state
+    _, lam, _, res_norm = state
     converged = converged or res_norm <= cfg.tol_grad
     if trace is not None:
         trace.append((it, E_u, res_norm, step))

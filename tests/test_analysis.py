@@ -75,6 +75,12 @@ def test_threshold_range_validation():
         estimate_threshold(lattice_family(1), 4.0, (2.0, 1.0), solver_cfg=CFG)
 
 
+def test_threshold_levels_must_not_be_empty():
+    # an empty tuple once surfaced as max()'s bare ValueError
+    with pytest.raises(InvalidSpec, match="levels"):
+        estimate_threshold(lattice_family(1), 4.0, (0.5, 6.0), levels=(), solver_cfg=CFG)
+
+
 def test_threshold_inconclusive_endpoints_raise():
     from varopt import InconclusiveProbe
     # one iteration cannot settle a nonnegative classification at tiny mass

@@ -1,5 +1,6 @@
 """CLI front end: config parsing, artifacts, exit codes, determinism."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -205,11 +206,12 @@ NLS_PROBLEM = {"a": 1.0, "p": 4.0}
      "max_probes"),
     ("solve-nls", {"graph": {"d": 1, "L": 6, "additions": [[[True], [-1]]]},
                    "problem": NLS_PROBLEM}, "True"),
+    ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": []}}, "levels"),
 ], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
         "graph-unknown", "problem-unknown", "seed", "edge-coordinate", "p-bool", "kind-mismatch",
         "solve-params", "graph-list", "params-list", "compare-tol-bool", "compare-strict_margin",
         "lemmas-n_fields", "threshold-max_probes",
-        "edge-coordinate-bool"])
+        "edge-coordinate-bool", "threshold-levels-empty"])
 def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload, named):
     if experiment != "verify-lemmas":  # the one experiment that runs no solver
         payload = dict(payload, solver={"restarts": 1})
@@ -315,3 +317,32 @@ def test_sobolev_gap_experiment(tmp_path):
     assert summary["witness_R"] == 2
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0] == "R,bound_formula,bound_evaluated,j_unperturbed,witness"
+
+
+# the criterion-10 configs, with the sha256 of the results.csv each writes at seed 13
+CRITERION_10 = [
+    ({"experiment": "threshold", "graph": {"construction": "lattice", "d": 1, "L": 10},
+      "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": [10]},
+      "solver": {"restarts": 8, "tol_grad": 1e-8, "max_iters": 30000}},
+     "efd58d68a69fbaa101450f81d12dbf9751ad63662c9fa3f090c4653be92a26d6"),
+    ({"experiment": "star-probe", "params": {"d": 1, "R": 4, "p": 4.0, "L_list": [7, 9], "a": 3.0},
+      "solver": {"restarts": 8, "tol_grad": 1e-8, "max_iters": 30000}},
+     "9ecae8ffba03b5bda323d308bd7cf001b2df5d55284870ed40f8a7e2e15ca089"),
+    ({"experiment": "solve-sobolev", "graph": {"construction": "sphere_deletion", "d": 3, "R": 2, "L": 6},
+      "problem": {"a": 1.0, "p": 2.0, "q": 6.0},
+      "solver": {"restarts": 8, "tol_grad": 1e-7, "max_iters": 30000}},
+     "54a6563b1887dba674e9b5f697f6bb885f11149cf87a2f1ad2bab6438283929d"),
+]
+
+
+def test_thread_settings_go_to_results_json_only(tmp_path, monkeypatch):
+    # the BLAS thread count can move results in the last bits, so a run records the
+    # settings it ran under; results.csv keeps its bytes
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    for i, (payload, digest) in enumerate(CRITERION_10):
+        out = tmp_path / str(i)
+        run(ExperimentConfig.from_dict(dict(payload, output_dir=str(out), seed=13)))
+        summary = json.loads((out / "results.json").read_text())
+        assert summary["thread_env"] == {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                                         "OMP_NUM_THREADS": None}
+        assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == digest

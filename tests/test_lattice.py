@@ -211,6 +211,20 @@ def test_out_of_box_points_never_alias_an_id():
                 query(x)
 
 
+def test_fractional_coordinates_are_not_vertices():
+    # (0.7,) once cast to 0 and answered with the id of (0,)
+    g = path_graph(5)
+    for x in [(0.7,), (-1.5,), (2.0,), (np.float64(1.0),), (True,), (np.True_,)]:
+        assert x not in g
+        with pytest.raises(OutOfBox):
+            g.vertex_id(x)
+    for x, i in [((np.int64(1),), 3), ((np.int32(-2),), 0), (np.array([2]), 4), ((0,), 2)]:
+        assert x in g
+        assert g.vertex_id(x) == i
+    box = build_graph(GraphSpec(d=2, L=3))
+    assert [box.vertex_id(x) for x in box.coords] == list(range(box.n))
+
+
 @pytest.mark.parametrize("lo,shape,edges,phantom", [
     ((0,), (3,), [[0, 5]], None),                # id 5 would alias the edge (1, 2)
     ((0,), (3,), [[-1, 1]], None),

@@ -458,6 +458,54 @@ def test_each_descent_point_is_evaluated_once(monkeypatch, case):
     assert ties
 
 
+@pytest.mark.parametrize("case", ["sobolev-dirichlet-stagnation", "sobolev-drop-converged"])
+def test_metric_is_built_once_per_step_taken(monkeypatch, case):
+    spec, boundary, prob, cfg, exit_ = EXITS[case]
+    g = build_graph(spec, boundary=boundary)
+    # the edge kernels gather and bincount over contiguous endpoint arrays
+    assert all(a.flags.c_contiguous and a.dtype == np.int64 for a in (g.tails, g.heads))
+    assert np.array_equal(g.edges, np.stack([g.tails, g.heads], axis=1))
+    calls, gradients = [], [0]
+    real_preconditioner, real_functional = solver._preconditioner, solver._functional
+
+    def preconditioner(graph, problem):
+        metric = real_preconditioner(graph, problem)
+
+        def recorded(u, d):
+            calls.append((u.copy(), d.copy()))
+            return metric(u, d)
+        return recorded
+
+    def functional(graph, problem):
+        energy, gradient, residual = real_functional(graph, problem)
+
+        def counted(u, d=None):
+            gradients[0] += 1
+            return gradient(u, d)
+        return energy, counted, residual
+
+    monkeypatch.setattr(solver, "_preconditioner", preconditioner)
+    monkeypatch.setattr(solver, "_functional", functional)
+    res = minimize(g, prob, replace(cfg, record_trace=True))
+
+    # one call per trace row but the last, and none at a converged point
+    assert len(calls) == len(res.trace) - 1 - res.converged > 0
+    # call k is made at the point of trace row k, with that point's edge differences,
+    # and the descent then moved to another point
+    energy, gradient, residual = real_functional(g, prob)
+    for (u, d), row in zip(calls, res.trace):
+        assert np.array_equal(d, u[g.heads] - u[g.tails])
+        _, parts, _ = energy(u)
+        _, r = residual(u, gradient(u, d), parts)
+        assert float(np.sqrt(np.dot(r, r))) == row[2]
+    moved_to = [u for u, _ in calls[1:]] + [res.minimizer.values]
+    assert all((v != u).any() for (u, _), v in zip(calls, moved_to))
+    if exit_ == "stagnation":
+        # each accepted point and the returned one take one gradient; the rest are
+        # tie tests, which build no metric
+        assert gradients[0] > len(calls) + 1
+
+
 # ---------------------------------------------------------------------------
 # spectral oracle: p = q = 2 has the exact value a * lambda_min
 
@@ -569,3 +617,39 @@ def test_jacobi_metric_regression_guard(monkeypatch):
     assert res.converged
     assert abs(res.energy - 5.839032386416408) <= 1e-12
     assert len(iters) == 6 and max(iters) <= 3000
+
+
+# ---------------------------------------------------------------------------
+# golden bits: a speed-up must not move a single result
+
+CUT = GraphSpec(d=2, L=6, deletions={((0, 0), (1, 0))})
+GOLDEN_CFG = SolverConfig(max_iters=3000)
+GOLDEN = {  # float.hex of energy, multiplier and el_residual; n_iters; seed_label
+    "nls-cut-drop": ((CUT, "drop", ProblemSpec(kind="nls", a=5.0, p=4.0)),
+                     ("-0x1.11986b8856ce7p+1", "0x1.82b921529145ap+1", "0x1.48a28637381d2p-27", 29, "corner+")),
+    "nls-cut-dirichlet": ((CUT, "dirichlet", ProblemSpec(kind="nls", a=5.0, p=4.0)),
+                          ("-0x1.1ec16bf4b6640p-3", "0x1.f7b791de4ba9bp+0", "0x1.09f6b9ff99befp-27", 23, "delta")),
+    "nls-star-drop": ((star_addition_spec(1, 3, 12), "drop", ProblemSpec(kind="nls", a=2.0, p=4.0)),
+                      ("-0x1.756ddcdb3d2b7p-2", "0x1.15138f857a2c3p+0", "0x1.c81f2cbee8533p-29", 30, "corner-")),
+    "nls-p7-box": ((GraphSpec(d=1, L=12), "dirichlet", ProblemSpec(kind="nls", a=3.0, p=7.0)),
+                   ("-0x1.efed93936d353p+1", "0x1.ac7fda62ad9d0p+3", "0x1.68365ccb1d4d8p-31", 10, "delta")),
+    "sobolev-p1.5-jacobi": ((GraphSpec(d=3, L=4), "dirichlet", ProblemSpec(kind="sobolev", a=1.0, p=1.5, q=3.0)),
+                            ("0x1.75bf7864e5dfdp+2", "0x1.75bf7864e5dfdp+2", "0x1.463452f2c6e34p-27", 180,
+                             "uniform")),
+    "sobolev-p2-box-inverse": ((sphere_deletion_spec(3, 2, 5), "dirichlet",
+                                ProblemSpec(kind="sobolev", a=1.0, p=2.0, q=6.0)),
+                               ("0x1.b80cbe2d6e2fep-3", "0x1.b80cbe2d6e2fep-3", "0x1.1c37f17493100p-28", 22,
+                                "delta")),
+    "sobolev-p1-capped": ((GraphSpec(d=3, L=3), "dirichlet",
+                           ProblemSpec(kind="sobolev", a=1.0, p=1.0, q=6.0, allow_subcritical=True)),
+                          ("0x1.8000000000006p+2", "0x1.8000000000006p+2", "0x1.3988de6690d92p+1", 15, "delta")),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_golden_bits(case):
+    # every graph has under 10^4 vertices, so the BLAS thread count cannot move these
+    (spec, boundary, prob), expected = GOLDEN[case]
+    res = minimize(build_graph(spec, boundary=boundary), prob, GOLDEN_CFG)
+    got = (res.energy.hex(), res.multiplier.hex(), res.el_residual.hex(), res.n_iters, res.seed_label)
+    assert got == expected
