@@ -101,6 +101,8 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
         raise InvalidSpec(f"max_probes must be a whole number >= 0, got {max_probes!r}")
     if len(levels) == 0:
         raise InvalidSpec("levels must list at least one truncation radius L")
+    if len(a_range) != 2:
+        raise InvalidRange(f"a_range must hold two masses [a_min, a_max], got {a_range!r}")
     a_min, a_max = float(a_range[0]), float(a_range[1])
     if not (0 < a_min < a_max):
         raise InvalidRange(f"need 0 < a_min < a_max, got {a_range}")
@@ -246,11 +248,20 @@ class PropertyReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _mass_grid(a_grid) -> list:
+    """The masses of a property suite, ascending; at least one."""
+    grid = sorted(float(a) for a in a_grid)
+    if not grid:
+        raise InvalidSpec("a_grid must list at least one mass")
+    return grid
+
+
 def verify_E_properties(graph: Graph, p, a_grid, solver_cfg=None,
                         zero_tol=1e-8, tol=1e-6) -> PropertyReport:
     """Check the ground-state energy curve over a mass grid: nonpositive,
     non-increasing, and subadditive on every pair that sums into the grid."""
-    a_grid = sorted(float(a) for a in a_grid)
+    _check_tolerances(zero_tol=zero_tol, tol=tol)
+    a_grid = _mass_grid(a_grid)
     energies = {}
     for a in a_grid:
         energies[a] = minimize(graph, ProblemSpec(kind=NLS, a=a, p=p), solver_cfg).energy
@@ -286,7 +297,8 @@ def verify_J_properties(graph: Graph, p, q, a_grid, solver_cfg=None,
     Each solve after the first is seeded with the mass-rescaled minimizer of
     the previous one (an exactly feasible point), plus fresh restarts.
     """
-    a_grid = sorted(float(a) for a in a_grid)
+    _check_tolerances(rel_tol=rel_tol)
+    a_grid = _mass_grid(a_grid)
     cfg = solver_cfg or SolverConfig()
     values_min: dict[float, float] = {}
     carry = None
@@ -512,16 +524,14 @@ def star_nonattainment_probe(d, R, p, q, L_list, a, solver_cfg=None,
             raise NotConverged(f"star probe at L={L} did not converge",
                                result=rp if not rp.converged else rb)
         u = rp.minimizer.values
-        weight = _constraint_weight(problem, u)
         origin_power = float(np.abs(u[star.vertex_id((0,) * d)]) ** (p - 2.0)) if kind == NLS else 0.0
-        com = (star.coords.T @ weight) / np.sum(weight)
         records.append(StarProbeRecord(
             L=L,
             energy_perturbed=rp.energy,
             energy_base=rb.energy,
             energy_gap=abs(rp.energy - rb.energy),
-            com_inf=float(np.max(np.abs(com))),
-            median_radius=_weighted_median_radius(star, weight),
+            com_inf=max(abs(c) for c in rp.localization.center_of_mass),
+            median_radius=_weighted_median_radius(star, _constraint_weight(problem, u)),
             multiplier=rp.multiplier,
             origin_power=origin_power,
             multiplier_gap=abs(rp.multiplier - origin_power),

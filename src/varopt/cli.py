@@ -20,7 +20,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 from . import analysis
 from .errors import InconclusiveProbe, InvalidSpec, MissingColumns, NotConverged, VaroptError
@@ -121,8 +121,15 @@ def _graph_summary(graph: Graph) -> dict:
     }
 
 
+def _summary(cfg: ExperimentConfig, report, drop=(), **extra) -> dict:
+    """The results.json of a run: the report's fields but those in drop, the
+    experiment's name, and extra, which may override a field."""
+    summary = {k: v for k, v in vars(report).items() if k not in drop}
+    return dict(summary, experiment=cfg.experiment, **extra)
+
+
 # ---------------------------------------------------------------------------
-# experiment handlers: each returns (summary, header, rows, converged_ok)
+# experiment handlers: each returns (summary, header, rows, converged_ok, extras)
 
 def _run_solve(cfg: ExperimentConfig, kind: str):
     problem = _problem(cfg, kind)
@@ -137,21 +144,12 @@ def _run_solve(cfg: ExperimentConfig, kind: str):
            "" if problem.q is None else problem.q, result.energy, result.multiplier,
            result.el_residual, result.converged, result.n_iters, com_inf,
            loc.mass_in_ball, loc.probe_radius, loc.boundary_mass_fraction]
-    summary = {
-        "experiment": cfg.experiment,
-        "graph": _graph_summary(graph),
-        "problem": {"kind": kind, "a": problem.a, "p": problem.p, "q": problem.q},
-        "energy": result.energy,
-        "multiplier": result.multiplier,
-        "el_residual": result.el_residual,
-        "converged": result.converged,
-        "n_iters": result.n_iters,
-        "seed_label": result.seed_label,
-        "localization": loc.to_json_dict(),
-        "restarts": [
-            {"seed": lab, "energy": e, "el_residual": r, "converged": c}
-            for lab, e, r, c in result.restart_summary],
-    }
+    summary = _summary(
+        cfg, result, ("minimizer", "restart_summary", "trace"), graph=_graph_summary(graph),
+        problem={"kind": kind, "a": problem.a, "p": problem.p, "q": problem.q},
+        restarts=[{"seed": lab, "energy": e, "el_residual": r, "converged": c}
+                  for lab, e, r, c in result.restart_summary],
+        localization=asdict(loc))
     extras = {}
     if cfg.emit_field:
         extras["minimizer.json"] = json.dumps(list(result.minimizer.values)) + "\n"
@@ -167,19 +165,8 @@ def _run_threshold(cfg: ExperimentConfig):
         lambda L: build_graph_from_config(dict(cfg.graph, L=L), DEFAULT_BOUNDARY[NLS]),
         solver_cfg=_solver_config(cfg), **{"levels": [cfg.graph.get("L", 12)], **cfg.params})
     header = ["probe", "a", "energy", "converged", "negative"]
-    rows = [[i, pr.a, pr.energy, pr.converged, pr.negative]
-            for i, pr in enumerate(result.probes)]
-    summary = {
-        "experiment": "threshold",
-        "graph_id": result.graph_id,
-        "p": result.p,
-        "status": result.status,
-        "alpha_lo": result.alpha_lo,
-        "alpha_hi": result.alpha_hi,
-        "tol_neg": result.tol_neg,
-        "bracket_tol": result.bracket_tol,
-        "n_probes": len(result.probes),
-    }
+    rows = [[i, *astuple(pr)] for i, pr in enumerate(result.probes)]
+    summary = _summary(cfg, result, ("probes",), n_probes=len(result.probes))
     return summary, header, rows, result.status != "inconclusive", {}
 
 
@@ -201,16 +188,8 @@ def _run_compare(cfg: ExperimentConfig):
     rows = [[a, ep, eb, m, vd, cv] for a, ep, eb, m, vd, cv in
             zip(report.a_grid, report.perturbed, report.base, report.margins,
                 report.verdicts, report.converged)]
-    summary = {
-        "experiment": "compare",
-        "kind": report.kind,
-        "p": report.p,
-        "q": report.q,
-        "tol": report.tol,
-        "strict_margin": report.strict_margin,
-        "verdicts": report.verdicts,
-        "all_hold": all(v != "violated" for v in report.verdicts),
-    }
+    summary = _summary(cfg, report, ("a_grid", "perturbed", "base", "margins", "converged"),
+                       all_hold=all(v != "violated" for v in report.verdicts))
     return summary, header, rows, all(report.converged), {}
 
 
@@ -219,14 +198,7 @@ def _run_sobolev_gap(cfg: ExperimentConfig):
     header = ["R", "bound_formula", "bound_evaluated", "j_unperturbed", "witness"]
     rows = [[r.R, r.bound_formula, r.bound_evaluated, report.j_unperturbed, r.witness]
             for r in report.records]
-    summary = {
-        "experiment": "sobolev-gap",
-        "d": report.d, "p": report.p, "q": report.q, "L": report.L,
-        "j_unperturbed": report.j_unperturbed,
-        "witness_R": report.witness_R,
-        "margin": report.margin,
-    }
-    return summary, header, rows, True, {}
+    return _summary(cfg, report, ("records",)), header, rows, True, {}
 
 
 def _run_star_probe(cfg: ExperimentConfig):
@@ -235,18 +207,9 @@ def _run_star_probe(cfg: ExperimentConfig):
         solver_cfg=_solver_config(cfg), raise_on_nonconverged=False, **{"q": None, **cfg.params})
     header = ["L", "E_perturbed", "E_base", "energy_gap", "center_of_mass_norm",
               "median_radius", "multiplier", "origin_power", "multiplier_gap", "converged"]
-    rows = [[r.L, r.energy_perturbed, r.energy_base, r.energy_gap, r.com_inf,
-             r.median_radius, r.multiplier, r.origin_power, r.multiplier_gap, r.converged]
-            for r in report.records]
-    summary = {
-        "experiment": "star-probe",
-        "d": report.d, "R": report.R, "p": report.p, "q": report.q, "a": report.a,
-        "equality_tol": report.equality_tol,
-        "multiplier_floor": report.multiplier_floor,
-        "equality_ok": report.equality_ok,
-        "escape_trend_ok": report.escape_trend_ok,
-        "multiplier_ok": report.multiplier_ok,
-    }
+    rows = [astuple(r) for r in report.records]
+    summary = _summary(cfg, report, ("records",), equality_ok=report.equality_ok,
+                       escape_trend_ok=report.escape_trend_ok, multiplier_ok=report.multiplier_ok)
     return summary, header, rows, all(r.converged for r in report.records), {}
 
 
@@ -254,13 +217,9 @@ def _run_verify_lemmas(cfg: ExperimentConfig):
     graph = build_graph_from_config(cfg.graph or {"d": 1, "L": 16})
     report = analysis.verify_lemma_suite(graph, rng_seed=cfg.seed, **cfg.params)
     header = ["check", "lhs", "rhs", "margin", "passed"]
-    rows = [[c.name, c.lhs, c.rhs, c.margin, c.passed] for c in report.checks]
-    summary = {
-        "experiment": "verify-lemmas",
-        "graph": _graph_summary(graph),
-        "n_fields": report.n_fields,
-        "all_passed": report.all_passed,
-    }
+    rows = [astuple(c) for c in report.checks]
+    summary = _summary(cfg, report, ("checks", "values"), graph=_graph_summary(graph),
+                       all_passed=report.all_passed)
     return summary, header, rows, True, {}
 
 

@@ -105,6 +105,8 @@ class SolverConfig:
             raise InvalidSpec(f"solver config needs a finite tol_grad > 0, got {self.tol_grad}")
         if not isinstance(self.record_trace, (bool, np.bool_)):
             raise InvalidSpec(f"record_trace must be true or false, got {self.record_trace!r}")
+        if self.seeds is not None and not isinstance(self.seeds, (list, tuple)):
+            raise InvalidSpec(f"seeds must be a list of seed descriptors or arrays, got {self.seeds!r}")
 
 
 @dataclass
@@ -115,14 +117,6 @@ class Localization:
     probe_radius: int
     mass_in_ball: float
     boundary_mass_fraction: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "center_of_mass": list(self.center_of_mass),
-            "probe_radius": self.probe_radius,
-            "mass_in_ball": self.mass_in_ball,
-            "boundary_mass_fraction": self.boundary_mass_fraction,
-        }
 
 
 @dataclass
@@ -136,6 +130,7 @@ class SolveResult:
     problem: ProblemSpec
     n_iters: int
     seed_label: str
+    # set on the winner: (seed_label, energy, el_residual, converged) per restart
     restart_summary: list = field(default_factory=list)
     trace: np.ndarray | None = None    # columns: iter, energy, residual, step
 
@@ -339,7 +334,7 @@ _STAGNATION_LIMIT = 200
 _TIE_ULPS = 4.0 * np.finfo(np.float64).eps  # near-tie width relative to max(1, |E|)
 
 
-def _descend(graph, problem, cfg, seed_values, label, metric):
+def _descend(graph, problem, cfg, seed_values, label, metric, radius) -> SolveResult:
     energy, gradient, residual = _functional(graph, problem)
 
     def stationarity(u, parts, d):
@@ -419,16 +414,9 @@ def _descend(graph, problem, cfg, seed_values, label, metric):
     converged = converged or res_norm <= cfg.tol_grad
     if trace is not None:
         trace.append((it, E_u, res_norm, step))
-    return {
-        "values": u,
-        "energy": float(E_u),
-        "multiplier": float(lam),
-        "el_residual": res_norm,
-        "converged": converged,
-        "n_iters": it,
-        "label": label,
-        "trace": np.array(trace) if trace is not None else None,
-    }
+    return SolveResult(Field(graph, u), float(E_u), float(lam), res_norm, converged,
+                       _localize(graph, _constraint_weight(problem, u), radius), problem, it, label,
+                       trace=np.array(trace) if trace is not None else None)
 
 
 def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None) -> SolveResult:
@@ -443,25 +431,11 @@ def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None
         seeds.append(make_seed(graph, descriptor, rng))
 
     metric = _preconditioner(graph, problem)
-    outcomes = [_descend(graph, problem, cfg, values, label, metric) for values, label in seeds]
     radius = _default_probe_radius(graph)
-    for out in outcomes:
-        out["localization"] = _localize(graph, _constraint_weight(problem, out["values"]), radius)
-    best = min(outcomes, key=lambda o: (o["energy"], o["el_residual"], o["localization"].center_of_mass))
-    return SolveResult(
-        minimizer=Field(graph, best["values"]),
-        energy=best["energy"],
-        multiplier=best["multiplier"],
-        el_residual=best["el_residual"],
-        converged=best["converged"],
-        localization=best["localization"],
-        problem=problem,
-        n_iters=best["n_iters"],
-        seed_label=best["label"],
-        restart_summary=[(o["label"], o["energy"], o["el_residual"], o["converged"])
-                         for o in outcomes],
-        trace=best["trace"],
-    )
+    outcomes = [_descend(graph, problem, cfg, values, label, metric, radius) for values, label in seeds]
+    best = min(outcomes, key=lambda o: (o.energy, o.el_residual, o.localization.center_of_mass))
+    best.restart_summary = [(o.seed_label, o.energy, o.el_residual, o.converged) for o in outcomes]
+    return best
 
 
 def minimize_nls(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None) -> SolveResult:

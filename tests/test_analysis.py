@@ -75,6 +75,30 @@ def test_threshold_range_validation():
         estimate_threshold(lattice_family(1), 4.0, (2.0, 1.0), solver_cfg=CFG)
 
 
+def test_threshold_a_range_needs_two_masses():
+    # [0.5] once surfaced as a bare IndexError
+    from varopt import InvalidRange
+    for bad in ([0.5], [], [0.5, 1.0, 2.0]):
+        with pytest.raises(InvalidRange, match="a_range"):
+            estimate_threshold(lattice_family(1), 4.0, bad, solver_cfg=CFG)
+
+
+def test_property_suites_check_their_inputs():
+    # tol=True once meant 1, zero_tol=nan failed every check silently, and an
+    # empty grid passed vacuously (E) or raised a bare IndexError (J)
+    g = build_graph(GraphSpec(d=1, L=4))
+    for name, bad in (("tol", True), ("zero_tol", math.nan), ("tol", -1.0), ("zero_tol", "0")):
+        with pytest.raises(InvalidSpec, match=f"^{name} must"):
+            verify_E_properties(g, 4.0, [1.0], solver_cfg=CFG, **{name: bad})
+    for bad in (True, math.inf, -1e-4):
+        with pytest.raises(InvalidSpec, match="^rel_tol must"):
+            verify_J_properties(g, 2.0, 6.0, [1.0], solver_cfg=CFG, rel_tol=bad, allow_subcritical=True)
+    with pytest.raises(InvalidSpec, match="a_grid"):
+        verify_E_properties(g, 4.0, [], solver_cfg=CFG)
+    with pytest.raises(InvalidSpec, match="a_grid"):
+        verify_J_properties(g, 2.0, 6.0, [], solver_cfg=CFG, allow_subcritical=True)
+
+
 def test_threshold_levels_must_not_be_empty():
     # an empty tuple once surfaced as max()'s bare ValueError
     with pytest.raises(InvalidSpec, match="levels"):

@@ -207,11 +207,12 @@ NLS_PROBLEM = {"a": 1.0, "p": 4.0}
     ("solve-nls", {"graph": {"d": 1, "L": 6, "additions": [[[True], [-1]]]},
                    "problem": NLS_PROBLEM}, "True"),
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": []}}, "levels"),
+    ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5]}}, "a_range"),
 ], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
         "graph-unknown", "problem-unknown", "seed", "edge-coordinate", "p-bool", "kind-mismatch",
         "solve-params", "graph-list", "params-list", "compare-tol-bool", "compare-strict_margin",
         "lemmas-n_fields", "threshold-max_probes",
-        "edge-coordinate-bool", "threshold-levels-empty"])
+        "edge-coordinate-bool", "threshold-levels-empty", "threshold-a_range"])
 def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload, named):
     if experiment != "verify-lemmas":  # the one experiment that runs no solver
         payload = dict(payload, solver={"restarts": 1})
@@ -219,6 +220,16 @@ def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload,
     assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert named in err["message"], err
+    assert not (tmp_path / "o").exists()
+
+
+def test_string_seeds_exit_2(tmp_path, capsys):
+    # "delta" was once split into the descriptors "d", "e", ...
+    path = write_config(tmp_path, "cfg.json", {"graph": LINE, "problem": NLS_PROBLEM,
+                                               "solver": {"seeds": "delta"}})
+    assert main(["solve-nls", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidSpec" and "seeds must be" in err["message"], err
     assert not (tmp_path / "o").exists()
 
 
@@ -346,3 +357,82 @@ def test_thread_settings_go_to_results_json_only(tmp_path, monkeypatch):
         assert summary["thread_env"] == {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
                                          "OMP_NUM_THREADS": None}
         assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == digest
+
+
+# every file each experiment writes at seed 5, as sha256 (results.json without
+# thread_env, keys sorted), with the exit code: a change to how results are
+# gathered or written must not move a byte
+GOLDEN_RUNS = {
+    "solve-nls-trace-field": (
+        "solve-nls", {"graph": {"d": 1, "L": 6}, "problem": {"a": 2.0, "p": 4.0},
+                      "solver": {"restarts": 3, "record_trace": True}, "emit_field": True}, 0,
+        {"minimizer.json": "431bc541760d67a006c7e958d40cb3c4235c75513f6faa8e16d84457b641951f",
+         "results.csv": "d957fc2861f2b4287157cd66fe2769e73d38012e34c9236dee66f74e29472145",
+         "results.json": "3e7270b3ea9b8aa8a0123066664e54a243fe2b7d22636c18caeb93bbb95ecc73",
+         "trace.csv": "1e4c8090c91ae9a4e863786339fe3a37211ba19d0dad78b29d68624f0600b7a0"}),
+    "solve-nls-exit3": (
+        "solve-nls", {"graph": {"d": 1, "L": 6}, "problem": {"a": 2.0, "p": 4.0},
+                      "solver": {"restarts": 1, "seeds": ["random"], "max_iters": 2}}, 3,
+        {"results.csv": "969a3b01f9e7ecf9b76009f4d6ad4a9cb9ed3e23837287e87178d088c47a17d5",
+         "results.json": "736839a60d4be4c9f554f062e9e78a219b7f5e903eb25bf43ab1443ac48e0237"}),
+    "solve-sobolev": (
+        "solve-sobolev", {"graph": {"construction": "sphere_deletion", "d": 3, "R": 2, "L": 4},
+                          "problem": {"p": 2.0, "q": 6.0}, "solver": {"restarts": 3, "tol_grad": 1e-7}}, 0,
+        {"results.csv": "286454f37effbd96a5c19005e1ae76bd6fcc173aaca14c594cb4e2982a5ec15b",
+         "results.json": "6fa6618a55bf3af6a4e3edd23b76921fcba4284ae1670688ea369e8201fbc5b2"}),
+    "threshold-all_negative": (
+        "threshold", {"graph": {"d": 1, "L": 10}, "params": {"p": 4.0, "a_range": [0.5, 6.0]},
+                      "solver": {"restarts": 3}}, 0,
+        {"results.csv": "1579beefc222762142566236ce4736ab6fbda3f0f978865aea02fa71b26831fd",
+         "results.json": "bf941e3d04fc1d6ab37dfb76a20172d861c99553a10f6f809325e51dab557b03"}),
+    "threshold-bracketed": (
+        "threshold", {"graph": {"d": 1, "L": 6, "boundary": "dirichlet"},
+                      "params": {"p": 6.0, "a_range": [0.5, 6.0], "bracket_tol": 0.5},
+                      "solver": {"restarts": 3}}, 0,
+        {"results.csv": "377fe341159ef396420794a56f0a15b955ab00d09883c8e6f616a41341ed51a0",
+         "results.json": "2d2649e0ab28d5d0e6949ed8a29579ce707624fb886701aff687d50c3803f6e5"}),
+    "compare-nls": (
+        "compare", {"graph": {"construction": "star_addition", "d": 1, "R": 2, "L": 8},
+                    "problem": {"p": 4.0}, "params": {"a_grid": [1.0, 2.0], "tol": 1e-4},
+                    "solver": {"restarts": 3}}, 0,
+        {"results.csv": "c98bc6566cf148c953bd6df760a0a102dbe73f2585ab5d406781d705dc77b176",
+         "results.json": "d7c67fc5736812a07f942c3586c9ff5dc45fb02b71b11b68274d075f1c78de16"}),
+    "compare-sobolev": (
+        "compare", {"graph": {"construction": "sphere_deletion", "d": 3, "R": 2, "L": 4},
+                    "problem": {"kind": "sobolev", "p": 2.0, "q": 6.0}, "params": {"a_grid": [1.0, 2.0]},
+                    "solver": {"restarts": 2, "tol_grad": 1e-7}}, 0,
+        {"results.csv": "19c193c29b4b7678be05aa03045b4981fc67d1a5b4cd786cfe0b3654b7aa2a81",
+         "results.json": "dcea59be13b0732fa20abdae4df360998b881e3b27845735607b457da2e7a771"}),
+    "sobolev-gap": (
+        "sobolev-gap", {"params": {"d": 3, "p": 2.0, "R_list": [2], "L": 5},
+                        "solver": {"restarts": 2, "tol_grad": 1e-7}}, 0,
+        {"results.csv": "f92ed0b51b4e0cf22aed015388124f263c1a2ef2ed206ae15a70002a7520bd7a",
+         "results.json": "97f9bb3e6602fcd491d5a22e0ae09dea2c2a38eee4e84659a89c27f7e6d4ef38"}),
+    "star-probe": (
+        "star-probe", {"params": {"d": 1, "R": 4, "p": 4.0, "L_list": [7, 9], "a": 3.0},
+                       "solver": {"restarts": 3}}, 0,
+        {"results.csv": "548a02f2129f366ca67b42f171f5360c0d8ea790ef02286c9a8aa4104d571c15",
+         "results.json": "5b019b36b5df1371d39264510cfd9bbd1db2c047a4ea3ec8b820017628cc894b"}),
+    "verify-lemmas": (
+        "verify-lemmas", {"graph": {"d": 1, "L": 12}, "params": {"n_fields": 10}}, 0,
+        {"results.csv": "ebc840bb368b6d8af5cd42997bef42eff930d99cbdd79ccd368c13520ee1fc47",
+         "results.json": "e1c11135eaf54068a9e8f93bee7d8155857eec64b29ac4f70d8525a2a7f872cb"}),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_RUNS))
+def test_golden_cli_artifacts(tmp_path, case):
+    # every graph has under 10^4 vertices, so the BLAS thread count cannot move these
+    experiment, payload, code, expected = GOLDEN_RUNS[case]
+    path = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", path, "--out", str(out), "--seed", "5"]) == code
+    got = {}
+    for artifact in out.iterdir():
+        data = artifact.read_bytes()
+        if artifact.name == "results.json":
+            doc = json.loads(data)
+            del doc["thread_env"]
+            data = json.dumps(doc, indent=2, sort_keys=True).encode()
+        got[artifact.name] = hashlib.sha256(data).hexdigest()
+    assert got == expected

@@ -14,6 +14,7 @@ from varopt import (
     InvalidExponent,
     InvalidSpec,
     ProblemSpec,
+    SolveResult,
     SolverConfig,
     TooLarge,
     brute_force_oracle,
@@ -261,6 +262,36 @@ def test_solver_config_validation():
         with pytest.raises(InvalidSpec, match="tol_grad"):
             SolverConfig(tol_grad=bad).validate()
     SolverConfig(max_iters=np.int64(5), restarts=np.int64(2)).validate()
+
+
+def test_seeds_must_be_a_list_or_tuple():
+    # a string was once split into one-letter descriptors: "unknown seed descriptor 'd'"
+    for bad in ("delta", np.ones((2, 3)), 3, {"delta": 1}):
+        with pytest.raises(InvalidSpec, match="seeds"):
+            SolverConfig(seeds=bad).validate()
+    g = path_graph(3)
+    with pytest.raises(InvalidSpec, match="seeds"):
+        minimize_nls(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds="delta"))
+    res = minimize_nls(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=("delta", [1.0, 2.0, 1.0])))
+    assert [r[0] for r in res.restart_summary] == ["delta", "explicit"]
+
+
+def test_each_restart_is_a_solve_result(monkeypatch):
+    # the winner is the record its restart built, and the summary lists every restart's
+    outcomes = []
+    descend = solver._descend
+
+    def kept(*args):
+        outcomes.append(descend(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(solver, "_descend", kept)
+    g = build_graph(GraphSpec(d=1, L=6))
+    res = minimize(g, ProblemSpec(kind="nls", a=2.0, p=4.0), CFG)
+    assert len(outcomes) == 4
+    assert res.restart_summary == [(o.seed_label, o.energy, o.el_residual, o.converged) for o in outcomes]
+    assert all(isinstance(o, SolveResult) and o.minimizer.graph is g for o in outcomes)
+    assert res is min(outcomes, key=lambda o: (o.energy, o.el_residual, o.localization.center_of_mass))
 
 
 def test_explicit_seed_must_match_the_graph():
@@ -609,7 +640,7 @@ def test_jacobi_metric_regression_guard(monkeypatch):
 
     def counted(*args):
         out = descend(*args)
-        iters.append(out["n_iters"])
+        iters.append(out.n_iters)
         return out
 
     monkeypatch.setattr(solver, "_descend", counted)
