@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -32,11 +33,23 @@ from .solver import (
 )
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
+
+
 def _check_tolerances(**tolerances) -> None:
     """Reject a tolerance that is a boolean, not a number, negative or not finite."""
     for name, x in tolerances.items():
-        if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real) or not 0 <= x < math.inf:
+        if not (_is_number(x) and 0 <= x < math.inf):
             raise InvalidSpec(f"{name} must be a finite number >= 0, not a boolean, got {x!r}")
+
+
+def _mass_grid(a_grid) -> list:
+    """The masses of a grid as floats, in the caller's order; at least one."""
+    a_grid = list(a_grid)
+    if not (a_grid and all(map(_is_number, a_grid))):
+        raise InvalidSpec(f"a_grid must list at least one mass, all numbers, got {a_grid!r}")
+    return [float(a) for a in a_grid]
 
 
 def _graph_label(graph: Graph) -> str:
@@ -101,8 +114,10 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
         raise InvalidSpec(f"max_probes must be a whole number >= 0, got {max_probes!r}")
     if len(levels) == 0:
         raise InvalidSpec("levels must list at least one truncation radius L")
-    if len(a_range) != 2:
-        raise InvalidRange(f"a_range must hold two masses [a_min, a_max], got {a_range!r}")
+    if not (isinstance(a_range, (list, tuple)) and len(a_range) == 2
+            and all(map(_is_number, a_range))):
+        raise InvalidRange(f"a_range must be a list or tuple of two numbers [a_min, a_max], "
+                           f"got {a_range!r}")
     a_min, a_max = float(a_range[0]), float(a_range[1])
     if not (0 < a_min < a_max):
         raise InvalidRange(f"need 0 < a_min < a_max, got {a_range}")
@@ -201,12 +216,13 @@ def compare_energies(graph_perturbed: Graph, graph_base: Graph, problem_template
     _check_tolerances(tol=tol, **({} if strict_margin is None else {"strict_margin": strict_margin}))
     if graph_perturbed.d != graph_base.d or graph_perturbed.L != graph_base.L:
         raise InvalidSpec("comparison graphs must share dimension and truncation radius")
+    a_grid = _mass_grid(a_grid)
     cfg = solver_cfg or SolverConfig()
     if strict_margin is None:
         strict_margin = 10.0 * cfg.tol_grad
     perturbed, base_vals, margins, verdicts, conv = [], [], [], [], []
     for a in a_grid:
-        problem = replace(problem_template, a=float(a))
+        problem = replace(problem_template, a=a)
         rp = minimize(graph_perturbed, problem, cfg)
         rb = minimize(graph_base, problem, cfg)
         if raise_on_nonconverged and not (rp.converged and rb.converged):
@@ -218,7 +234,7 @@ def compare_energies(graph_perturbed: Graph, graph_base: Graph, problem_template
         verdicts.append(ComparisonReport.verdict(margins[-1], tol, strict_margin))
         conv.append(rp.converged and rb.converged)
     return ComparisonReport(problem_template.kind, problem_template.p, problem_template.q,
-                            [float(a) for a in a_grid], perturbed, base_vals, margins,
+                            a_grid, perturbed, base_vals, margins,
                             verdicts, tol, strict_margin, conv)
 
 
@@ -248,20 +264,12 @@ class PropertyReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _mass_grid(a_grid) -> list:
-    """The masses of a property suite, ascending; at least one."""
-    grid = sorted(float(a) for a in a_grid)
-    if not grid:
-        raise InvalidSpec("a_grid must list at least one mass")
-    return grid
-
-
 def verify_E_properties(graph: Graph, p, a_grid, solver_cfg=None,
                         zero_tol=1e-8, tol=1e-6) -> PropertyReport:
     """Check the ground-state energy curve over a mass grid: nonpositive,
     non-increasing, and subadditive on every pair that sums into the grid."""
     _check_tolerances(zero_tol=zero_tol, tol=tol)
-    a_grid = _mass_grid(a_grid)
+    a_grid = sorted(_mass_grid(a_grid))
     energies = {}
     for a in a_grid:
         energies[a] = minimize(graph, ProblemSpec(kind=NLS, a=a, p=p), solver_cfg).energy
@@ -298,7 +306,7 @@ def verify_J_properties(graph: Graph, p, q, a_grid, solver_cfg=None,
     the previous one (an exactly feasible point), plus fresh restarts.
     """
     _check_tolerances(rel_tol=rel_tol)
-    a_grid = _mass_grid(a_grid)
+    a_grid = sorted(_mass_grid(a_grid))
     cfg = solver_cfg or SolverConfig()
     values_min: dict[float, float] = {}
     carry = None
@@ -366,8 +374,7 @@ def estimate_sobolev_constant(graph: Graph, p, q, solver_cfg=None,
 
 def ball_indicator_field(graph: Graph, R: int, q) -> Field:
     """The unit-l^q normalized indicator of B_R: value |B_R|^(-1/q) inside."""
-    radii = np.max(np.abs(graph.coords), axis=1)
-    inside = radii < R
+    inside = reduce(np.maximum, map(np.abs, graph.offsets())).ravel() < R
     count = int(np.sum(inside))
     if count == 0:
         raise InvalidSpec(f"B_{R} contains no vertices of the graph")
@@ -407,7 +414,9 @@ def sobolev_critical_gap(d, p, R_list, L, solver_cfg=None, boundary="dirichlet")
     if not (1 <= p < d):
         raise InvalidSpec(f"critical exponent needs 1 <= p < d, got p={p}, d={d}")
     R_list = sorted(R_list)
-    if R_list and R_list[-1] >= L / 2:
+    if not R_list:
+        raise InvalidSpec("R_list must list at least one sphere radius R")
+    if R_list[-1] >= L / 2:
         raise InvalidSpec(f"largest R={R_list[-1]} must stay below L/2={L / 2}")
     q = d * p / (d - p)
     base = build_graph(GraphSpec(d=d, L=L), boundary=boundary)
@@ -479,7 +488,7 @@ class StarProbeReport:
 
 
 def _weighted_median_radius(graph: Graph, weight: np.ndarray) -> int:
-    radii = np.max(np.abs(graph.coords), axis=1)
+    radii = reduce(np.maximum, map(np.abs, graph.offsets())).ravel()
     order = np.argsort(radii, kind="stable")
     cum = np.cumsum(weight[order])
     total = cum[-1]
@@ -513,8 +522,11 @@ def star_nonattainment_probe(d, R, p, q, L_list, a, solver_cfg=None,
     kind = NLS if q is None else SOBOLEV
     boundary = DEFAULT_BOUNDARY[kind] if boundary is None else boundary
     cfg = solver_cfg or SolverConfig()
+    L_list = sorted(L_list)
+    if not L_list:
+        raise InvalidSpec("L_list must list at least one truncation radius L")
     records = []
-    for L in sorted(L_list):
+    for L in L_list:
         star = build_graph(star_addition_spec(d, R, L), boundary=boundary)
         base = build_graph(GraphSpec(d=d, L=L), boundary=boundary)
         problem = ProblemSpec(kind=kind, a=a, p=p, q=q)
@@ -553,8 +565,8 @@ def _split_pair(graph: Graph, rng: np.random.Generator):
     ext = graph.extent
     radius = max(1, ext // 3)
     c = np.ones(graph.d, dtype=np.int64) * (ext - radius)
-    d1 = np.max(np.abs(graph.coords + c), axis=1)
-    d2 = np.max(np.abs(graph.coords), axis=1)
+    d1 = reduce(np.maximum, map(np.abs, graph.offsets(-c))).ravel()
+    d2 = reduce(np.maximum, map(np.abs, graph.offsets())).ravel()
     v = np.where(d1 < radius, rng.standard_normal(graph.n), 0.0)
     w = np.where(d2 < radius, rng.standard_normal(graph.n), 0.0)
     return v, w, tuple(-c)

@@ -138,8 +138,11 @@ class Graph:
     """Immutable truncation: the box lo + [0, shape), its edge list and its phantom counts.
 
     Vertex ids run in C order, which is lexicographic order on coordinates,
-    so ids and ``coords`` are computed, never looked up (``vertex_id`` and
-    ``build_graph`` share ``_flat_ids``). ``tails`` and ``heads`` are contiguous
+    so ids and positions are computed, never looked up (``vertex_id`` and
+    ``build_graph`` share ``_flat_ids``). ``coords`` builds the (n, d) position
+    table on each access and is deliberately not cached; ``offsets(c)`` gives
+    the per-axis offsets x_k - c_k as broadcasting ranges, from which radii and
+    distances are reduced without it. ``tails`` and ``heads`` are contiguous
     int64 rows of the id pairs i < j sorted by (i, j); ``edges`` is their (m, 2)
     transposed view. Degrees are ``np.bincount(edges.ravel(), minlength=n)``;
     ``phantom`` counts each vertex's base-lattice edges that leave the box
@@ -166,7 +169,6 @@ class Graph:
         self.phantom = np.zeros(n) if phantom is None else np.asarray(phantom, dtype=np.float64)
         if self.phantom.shape != (n,):
             raise InvalidSpec(f"phantom needs shape ({n},), got {self.phantom.shape}")
-        self.coords = np.stack(np.unravel_index(np.arange(n), self.shape), axis=1) + self.lo
         ordered = np.sort(edges[:, 0] * n + edges[:, 1])  # i * n + j sorts like the pair (i, j)
         if np.any(ordered[1:] == ordered[:-1]):
             raise InvalidSpec("an edge is listed twice")
@@ -177,6 +179,20 @@ class Graph:
         # sup-norm extent of the vertex set; box semantics for localization
         self.extent = max(max(-a, a + m - 1) for a, m in zip(self.lo, self.shape))
         self.L = spec.L if spec is not None else self.extent + 1
+
+    @property
+    def coords(self) -> np.ndarray:
+        """The (n, d) int64 coordinates in id order, built anew on each access."""
+        return np.stack(np.unravel_index(np.arange(self.n), self.shape), axis=1) + self.lo
+
+    def offsets(self, centre=None) -> tuple:
+        """Per-axis offsets x_k - c_k (c defaults to the origin) as int64 ranges
+        shaped to broadcast over ``shape``: ``reduce(np.maximum, map(np.abs,
+        offs)).ravel()`` is the sup-norm radius of every vertex and
+        ``sum(o * o for o in offs).ravel()`` its squared distance, in id order."""
+        centre = (0,) * self.d if centre is None else centre
+        return np.ix_(*(np.arange(m, dtype=np.int64) + (a - _coordinate(c))
+                        for a, m, c in zip(self.lo, self.shape, centre, strict=True)))
 
     def __contains__(self, x) -> bool:
         return len(x) == self.d and all(_is_int(c) and 0 <= c - a < m

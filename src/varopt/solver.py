@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -161,7 +162,7 @@ def _localize(graph: Graph, weight: np.ndarray, probe_radius: int) -> Localizati
         com = (0.0,) * graph.d
         return Localization(com, probe_radius, 0.0, 0.0)
     com = tuple(float(c) for c in (graph.coords.T @ weight) / total)
-    radii = np.max(np.abs(graph.coords), axis=1)
+    radii = reduce(np.maximum, map(np.abs, graph.offsets())).ravel()
     in_ball = float(np.sum(weight[radii < probe_radius]))
     ring = float(np.sum(weight[radii >= graph.extent - 1])) if graph.extent >= 1 else total
     return Localization(com, probe_radius, in_ball, ring / total)
@@ -206,7 +207,8 @@ def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.nd
     if centre is None:
         centre = (0,) * graph.d
         if centre not in graph:
-            centre = tuple(graph.coords[graph.n // 2].tolist())
+            middle = np.unravel_index(graph.n // 2, graph.shape)
+            centre = tuple(a + int(i) for a, i in zip(graph.lo, middle))
     if head == "delta":
         u = np.zeros(graph.n)
         u[graph.vertex_id(centre)] = 1.0
@@ -216,7 +218,7 @@ def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.nd
             width = max(2.0, graph.extent / 2.0) if head == "widegauss" else 1.5
         if not (0 < width < np.inf):
             raise InvalidSpec(f"seed {name!r} needs a finite width > 0")
-        dist2 = np.sum((graph.coords - np.asarray(centre)) ** 2, axis=1)
+        dist2 = sum(o * o for o in graph.offsets(centre)).ravel()
         return np.exp(-0.5 * dist2 / width ** 2), name
     if head == "uniform":
         return np.ones(graph.n), name
@@ -224,7 +226,7 @@ def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.nd
         if width is not None and width < 1:
             raise InvalidSpec(f"seed {name!r} needs a ball radius >= 1")
         radius = _default_probe_radius(graph) if width is None else width
-        radii = np.max(np.abs(graph.coords), axis=1)
+        radii = reduce(np.maximum, map(np.abs, graph.offsets())).ravel()
         u = (radii < radius).astype(np.float64)
         if not u.any():
             u[:] = 1.0

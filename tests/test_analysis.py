@@ -83,6 +83,14 @@ def test_threshold_a_range_needs_two_masses():
             estimate_threshold(lattice_family(1), 4.0, bad, solver_cfg=CFG)
 
 
+def test_threshold_a_range_must_be_two_numbers():
+    # 5 once raised a bare TypeError from len(), "ab" a ValueError from float()
+    from varopt import InvalidRange
+    for bad in (5, "ab", [0.5, "x"], [True, 2.0], (0.5, np.bool_(True))):
+        with pytest.raises(InvalidRange, match="a_range"):
+            estimate_threshold(lattice_family(1), 4.0, bad, solver_cfg=CFG)
+
+
 def test_property_suites_check_their_inputs():
     # tol=True once meant 1, zero_tol=nan failed every check silently, and an
     # empty grid passed vacuously (E) or raised a bare IndexError (J)
@@ -97,6 +105,9 @@ def test_property_suites_check_their_inputs():
         verify_E_properties(g, 4.0, [], solver_cfg=CFG)
     with pytest.raises(InvalidSpec, match="a_grid"):
         verify_J_properties(g, 2.0, 6.0, [], solver_cfg=CFG, allow_subcritical=True)
+    for bad in ([True, 1.0], ["2"]):  # True once ran as the mass 1.0
+        with pytest.raises(InvalidSpec, match="a_grid"):
+            verify_E_properties(g, 4.0, bad, solver_cfg=CFG)
 
 
 def test_threshold_levels_must_not_be_empty():
@@ -143,6 +154,26 @@ def test_compare_deletion_graph_never_higher():
     report = compare_energies(perturbed, base, ProblemSpec(kind="nls", a=1.0, p=4),
                               [1.0, 4.0], solver_cfg=CFG)
     assert all(v != "violated" for v in report.verdicts)
+
+
+def test_empty_grids_are_rejected_before_any_solve():
+    # each once reported vacuous success: all_hold true, all three *_ok flags
+    # true, or (the gap) a full base solve and then no records
+    g = build_graph(GraphSpec(d=1, L=6))
+    for bad in ([], [True], [1.0, "x"]):  # True once ran as the mass 1.0, "x" raised ValueError
+        with pytest.raises(InvalidSpec, match="a_grid"):
+            compare_energies(g, g, ProblemSpec(kind="nls", a=1.0, p=4), bad, solver_cfg=CFG)
+    with pytest.raises(InvalidSpec, match="L_list"):
+        star_nonattainment_probe(1, 4, 4.0, None, [], 3.0, solver_cfg=CFG)
+    with pytest.raises(InvalidSpec, match="R_list"):
+        sobolev_critical_gap(3, 2.0, [], 6, solver_cfg=CFG)
+
+
+def test_compare_keeps_the_callers_grid_order():
+    g = build_graph(GraphSpec(d=1, L=4))
+    report = compare_energies(g, g, ProblemSpec(kind="nls", a=1.0, p=4), (2, 1.0), solver_cfg=CFG)
+    assert report.a_grid == [2.0, 1.0]
+    assert report.perturbed[0] < report.perturbed[1]
 
 
 def test_compare_requires_matching_boxes():

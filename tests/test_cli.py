@@ -208,11 +208,22 @@ NLS_PROBLEM = {"a": 1.0, "p": 4.0}
                    "problem": NLS_PROBLEM}, "True"),
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": []}}, "levels"),
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5]}}, "a_range"),
+    ("compare", {"graph": LINE, "problem": NLS_PROBLEM, "params": {"a_grid": []}}, "a_grid"),
+    ("compare", {"graph": LINE, "problem": NLS_PROBLEM, "params": {"a_grid": [True]}}, "a_grid"),
+    ("star-probe", {"params": dict(STAR, L_list=[])}, "L_list"),
+    ("sobolev-gap", {"params": dict(GAP, R_list=[])}, "R_list"),
+    ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": 5}}, "a_range"),
+    ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": "ab"}}, "a_range"),
+    ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, "x"]}}, "a_range"),
+    ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [True, 2.0]}}, "a_range"),
 ], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
         "graph-unknown", "problem-unknown", "seed", "edge-coordinate", "p-bool", "kind-mismatch",
         "solve-params", "graph-list", "params-list", "compare-tol-bool", "compare-strict_margin",
         "lemmas-n_fields", "threshold-max_probes",
-        "edge-coordinate-bool", "threshold-levels-empty", "threshold-a_range"])
+        "edge-coordinate-bool", "threshold-levels-empty", "threshold-a_range",
+        "compare-a_grid-empty", "compare-a_grid-bool", "star-probe-L_list-empty", "sobolev-gap-R_list-empty",
+        "threshold-a_range-int", "threshold-a_range-str", "threshold-a_range-entry-str",
+        "threshold-a_range-bool"])
 def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload, named):
     if experiment != "verify-lemmas":  # the one experiment that runs no solver
         payload = dict(payload, solver={"restarts": 1})

@@ -1,7 +1,10 @@
 """Graph construction: box truncations, perturbation specs, adjacency."""
 
+import gc
 import itertools
 import json
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from varopt import (
     sphere_deletion_spec,
     star_addition_spec,
 )
+from varopt.analysis import ball_indicator_field
+from varopt.solver import _default_probe_radius, _localize, default_seed_plan, make_seed
 
 
 def bfs_oracle(vertices, edge_set):
@@ -448,3 +453,54 @@ def test_build_graph_matches_tuple_reference(data):
         assert degree(g, v) == len(adj[v])
         assert neighbours(g, v) == sorted(adj[v])
     assert is_connected(g) == connected
+
+
+@pytest.mark.parametrize("g", [
+    *(build_graph(GraphSpec(d=d, L=3)) for d in (1, 2, 3, 4)),
+    Graph((2, -3), (3, 4), np.zeros((0, 2), dtype=np.int64)),
+    path_graph(5), path_graph(6),
+    build_graph(sphere_deletion_spec(2, 2, 4)), build_graph(star_addition_spec(2, 2, 4)),
+], ids=["box-d1", "box-d2", "box-d3", "box-d4", "shifted-box", "path-5", "path-6",
+        "deletion", "addition"])
+def test_offsets_give_coordinate_radii_and_distances(g):
+    coords = g.coords
+    for centre in ((0,) * g.d, tuple(coords[g.n // 3]), tuple(coords[-1] + 2),
+                   tuple(np.asarray(g.lo) - 3)):
+        offsets = g.offsets(centre)
+        radius = reduce(np.maximum, map(np.abs, offsets)).ravel()
+        dist2 = sum(o * o for o in offsets).ravel()
+        want_radius = np.max(np.abs(coords - np.asarray(centre)), axis=1)
+        want_dist2 = np.sum((coords - np.asarray(centre)) ** 2, axis=1)
+        assert radius.dtype == want_radius.dtype and np.array_equal(radius, want_radius)
+        assert dist2.dtype == want_dist2.dtype and np.array_equal(dist2, want_dist2)
+    assert all(np.array_equal(a, b) for a, b in zip(g.offsets(), g.offsets((0,) * g.d)))
+
+
+def _read_positions(g):
+    """Every library use of vertex positions: all seed kinds, localization, a ball."""
+    rng = np.random.default_rng(0)
+    for descriptor in default_seed_plan(8):
+        u, _ = make_seed(g, descriptor, rng)
+        _localize(g, u, _default_probe_radius(g))
+    ball_indicator_field(g, 2, 6.0)
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(d=3, L=12), sphere_deletion_spec(3, 2, 12)],
+                         ids=["box", "sphere-deletion"])
+def test_graph_retains_only_edges_and_phantom_counts(spec):
+    # a Graph keeps tails, heads and phantom (8 bytes each per edge end or
+    # vertex); an (n, d) coordinate table, built or cached, would add 8nd bytes
+    _read_positions(build_graph(GraphSpec(d=3, L=3), boundary="dirichlet"))  # warm numpy
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build_graph(spec, boundary="dirichlet")
+        budget = 8 * (2 * g.n_edges + g.n) + 64 * 1024
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before <= budget
+        _read_positions(g)
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before <= budget
+    finally:
+        tracemalloc.stop()
