@@ -115,8 +115,8 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
     if len(levels) == 0:
         raise InvalidSpec("levels must list at least one truncation radius L")
     if not (isinstance(a_range, (list, tuple)) and len(a_range) == 2
-            and all(map(_is_number, a_range))):
-        raise InvalidRange(f"a_range must be a list or tuple of two numbers [a_min, a_max], "
+            and all(_is_number(a) and -math.inf < a < math.inf for a in a_range)):
+        raise InvalidRange(f"a_range must be a list or tuple of two finite numbers [a_min, a_max], "
                            f"got {a_range!r}")
     a_min, a_max = float(a_range[0]), float(a_range[1])
     if not (0 < a_min < a_max):

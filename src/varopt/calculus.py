@@ -97,8 +97,11 @@ def _signed_pow(x, p):
 # dirichlet mode; their summation order is part of the solver's output.
 
 def _edge_diff(graph: Graph, u: np.ndarray) -> np.ndarray:
-    """The edge differences d = u[head] - u[tail], in edge order."""
-    return u[graph.heads] - u[graph.tails]
+    """The edge differences d = u[head] - u[tail], in edge order; subtracting in
+    place keeps two edge-length arrays alive instead of three."""
+    d = u[graph.heads]
+    d -= u[graph.tails]
+    return d
 
 
 def _dirichlet(graph: Graph, u: np.ndarray, p, d=None):

@@ -106,8 +106,9 @@ class SolverConfig:
             raise InvalidSpec(f"solver config needs a finite tol_grad > 0, got {self.tol_grad}")
         if not isinstance(self.record_trace, (bool, np.bool_)):
             raise InvalidSpec(f"record_trace must be true or false, got {self.record_trace!r}")
-        if self.seeds is not None and not isinstance(self.seeds, (list, tuple)):
-            raise InvalidSpec(f"seeds must be a list of seed descriptors or arrays, got {self.seeds!r}")
+        if self.seeds is not None and not (isinstance(self.seeds, (list, tuple)) and self.seeds):
+            raise InvalidSpec(f"seeds must be a nonempty list of seed descriptors or arrays, "
+                              f"got {self.seeds!r}")
 
 
 @dataclass
@@ -178,17 +179,15 @@ def _default_probe_radius(graph: Graph) -> int:
 # ---------------------------------------------------------------------------
 # seed plan
 
-def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.ndarray, str]:
-    """Turn a seed descriptor into a raw (unnormalized) nonnegative field.
-
-    Descriptors: "delta[@c1,c2,...]", "gauss[@c1,...][:width]", "uniform",
-    "ball[:radius]", "corner+", "corner-", "random", or an explicit array.
-    """
+def _seed_recipe(graph: Graph, descriptor) -> tuple:
+    """Check a seed descriptor against the graph and resolve it to (head, centre,
+    width, label), building no field; an explicit seed resolves to its values in
+    place of the centre. minimize checks its whole plan this way before any descent."""
     if isinstance(descriptor, (np.ndarray, list)):
         values = np.asarray(descriptor, dtype=np.float64)
         if values.shape != (graph.n,) or not np.all(np.isfinite(values)):
             raise InvalidSpec(f"explicit seed needs {graph.n} finite values, got shape {values.shape}")
-        return np.abs(values), "explicit"
+        return "explicit", values, None, "explicit"
     name = str(descriptor)
     head, _, width_part = name.partition(":")
     head, _, at_part = head.partition("@")
@@ -204,36 +203,62 @@ def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.nd
         head, centre = "gauss", (ext,) * graph.d
     elif head == "corner-":
         head, centre = "gauss", (-ext,) * graph.d
-    if centre is None:
+    if centre is None and head in ("delta", "gauss", "widegauss"):
         centre = (0,) * graph.d
         if centre not in graph:
             middle = np.unravel_index(graph.n // 2, graph.shape)
             centre = tuple(a + int(i) for a, i in zip(graph.lo, middle))
     if head == "delta":
-        u = np.zeros(graph.n)
-        u[graph.vertex_id(centre)] = 1.0
-        return u, name
-    if head in ("gauss", "widegauss"):
+        if centre not in graph:
+            raise InvalidSpec(f"seed {name!r} needs a centre inside the box {graph.lo} + [0, {graph.shape})")
+    elif head in ("gauss", "widegauss"):
         if width is None:
             width = max(2.0, graph.extent / 2.0) if head == "widegauss" else 1.5
         if not (0 < width < np.inf):
             raise InvalidSpec(f"seed {name!r} needs a finite width > 0")
+        # by products of the box's nearest and farthest squared distances, before any
+        # division: the top value exp(-t) must be a normal number (t < 708), no quotient
+        # may overflow and width ** 2 must be finite
+        near = sum(max(a - c, 0, c - a - m + 1) ** 2 for a, m, c in zip(graph.lo, graph.shape, centre))
+        far = sum(max(c - a, a + m - 1 - c) ** 2 for a, m, c in zip(graph.lo, graph.shape, centre))
+        w2 = width * width
+        if not (near < 1416.0 * w2 and far < 1e300 * w2 and w2 < np.inf):
+            raise InvalidSpec(f"seed {name!r} has no usable values on this graph "
+                              f"(width {width:g}, centre {centre})")
+    elif head == "ball":
+        if width is not None and width < 1:
+            raise InvalidSpec(f"seed {name!r} needs a ball radius >= 1")
+    elif head not in ("uniform", "random"):
+        raise InvalidSpec(f"unknown seed descriptor {descriptor!r}")
+    return head, centre, width, name
+
+
+def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.ndarray, str]:
+    """Turn a seed descriptor into a raw (unnormalized) nonnegative field.
+
+    Descriptors: "delta[@c1,c2,...]", "gauss[@c1,...][:width]", "uniform",
+    "ball[:radius]", "corner+", "corner-", "random", or an explicit array.
+    """
+    head, centre, width, name = _seed_recipe(graph, descriptor)
+    if head == "explicit":
+        return np.abs(centre), name
+    if head == "delta":
+        u = np.zeros(graph.n)
+        u[graph.vertex_id(centre)] = 1.0
+        return u, name
+    if head in ("gauss", "widegauss"):
         dist2 = sum(o * o for o in graph.offsets(centre)).ravel()
         return np.exp(-0.5 * dist2 / width ** 2), name
     if head == "uniform":
         return np.ones(graph.n), name
     if head == "ball":
-        if width is not None and width < 1:
-            raise InvalidSpec(f"seed {name!r} needs a ball radius >= 1")
         radius = _default_probe_radius(graph) if width is None else width
         radii = reduce(np.maximum, map(np.abs, graph.offsets())).ravel()
         u = (radii < radius).astype(np.float64)
         if not u.any():
             u[:] = 1.0
         return u, name
-    if head == "random":
-        return np.abs(rng.standard_normal(graph.n)), name
-    raise InvalidSpec(f"unknown seed descriptor {descriptor!r}")
+    return np.abs(rng.standard_normal(graph.n)), name
 
 
 def default_seed_plan(restarts: int) -> list:
@@ -336,51 +361,62 @@ _STAGNATION_LIMIT = 200
 _TIE_ULPS = 4.0 * np.finfo(np.float64).eps  # near-tie width relative to max(1, |E|)
 
 
+def _spectral_step(du, dg, step):
+    """The Barzilai-Borwein step for the displacement du and the direction change
+    dg, clamped; the persistent step while dg shows no curvature."""
+    denom = np.dot(du, dg)
+    return min(max(np.dot(du, du) / denom, 1e-12), _STEP_MAX) if denom > 0 else step
+
+
 def _descend(graph, problem, cfg, seed_values, label, metric, radius) -> SolveResult:
+    # the path's arrays are gone by the time the localization builds its coordinates
+    u, E_u, lam, res_norm, converged, it, trace = _descent_path(graph, problem, cfg, seed_values, metric)
+    return SolveResult(Field(graph, u), float(E_u), float(lam), res_norm, converged,
+                       _localize(graph, _constraint_weight(problem, u), radius), problem, it, label,
+                       trace=trace)
+
+
+def _descent_path(graph, problem, cfg, seed_values, metric):
+    """Descend from the seed; return the last point, its energy, multiplier and
+    residual norm, whether it converged, the iteration count and the trace."""
     energy, gradient, residual = _functional(graph, problem)
 
     def stationarity(u, parts, d):
         g = gradient(u, d)
         lam, res = residual(u, g, parts)
-        return g, lam, res, float(np.sqrt(np.dot(res, res)))
+        return g, lam, float(np.sqrt(np.dot(res, res)))
 
-    # each point is evaluated once: energy at the trial, state at acceptance or tie test
+    # each point is evaluated once: energy at the trial, stationarity at acceptance or
+    # tie test; res_norm is None until the current point's is known
     u = _project(problem, np.abs(seed_values))
     E_u, parts, d = energy(u)
     E = E_u  # the monotone envelope, which the backtracking compares against
-    state = None
+    res_norm = None
     step = _STEP_INIT
     trace = [] if cfg.record_trace else None
     converged = False
     stagnation = 0
-    prev_u = None
-    prev_dir = None
+    prev_u = prev_dir = None
     it = 0
     for it in range(cfg.max_iters):
-        if state is None:
-            state = stationarity(u, parts, d)
-        g, _, _, res_norm = state
+        if res_norm is None:
+            g, lam, res_norm = stationarity(u, parts, d)
         if trace is not None:
             trace.append((it, E, res_norm, step))
         if res_norm <= cfg.tol_grad:
             converged = True
             break
-        precondition = None if metric is None else metric(u, d)  # only where the descent moves from
-        d = None
-        direction = _tangent_direction(g, _constraint_normal(problem, u), precondition)
+        # the metric only where the descent moves from; no trial reads the gradient,
+        # the metric or the old differences, so none outlives the direction
+        direction = _tangent_direction(g, _constraint_normal(problem, u),
+                                       None if metric is None else metric(u, d))
+        g = d = None
         if not direction.any():
             break
         # spectral (Barzilai-Borwein) trial step, clamped, falling back to the
         # persistent step while no curvature information is available
-        s = step
-        if prev_u is not None:
-            du = u - prev_u
-            dg = direction - prev_dir
-            denom = np.dot(du, dg)
-            if denom > 0:
-                s = min(max(np.dot(du, du) / denom, 1e-12), _STEP_MAX)
-        prev_u = u
-        prev_dir = direction
+        s = step if prev_u is None else _spectral_step(u - prev_u, direction - prev_dir, step)
+        prev_u, prev_dir = u, direction
         # backtrack on the energy; once energy differences fall below float
         # resolution, accept near-ties (a few ulps) that reduce the residual
         tie_tol = _TIE_ULPS * max(1.0, abs(E))
@@ -389,13 +425,14 @@ def _descend(graph, problem, cfg, seed_values, label, metric, radius) -> SolveRe
             v = _project(problem, np.abs(u - s * direction))
             Ev, parts_v, d_v = energy(v)
             if Ev < E:
-                improved, state = True, None
+                improved, res_norm = True, None
                 break
             if Ev - E <= tie_tol and (v != u).any():
-                tie = stationarity(v, parts_v, d_v)
-                if tie[3] < res_norm:
-                    improved, state = tie[3] <= 0.9 * res_norm, tie
+                g, lam_v, res_v = stationarity(v, parts_v, d_v)
+                if res_v < res_norm:
+                    improved, lam, res_norm = res_v <= 0.9 * res_norm, lam_v, res_v
                     break
+                g = None
             s *= 0.5
         else:
             break  # no admissible step at machine precision
@@ -410,33 +447,42 @@ def _descend(graph, problem, cfg, seed_values, label, metric, radius) -> SolveRe
                 break
     else:
         it = cfg.max_iters
-    if state is None:
-        state = stationarity(u, parts, d)
-    _, lam, _, res_norm = state
+    if res_norm is None:
+        _, lam, res_norm = stationarity(u, parts, d)
     converged = converged or res_norm <= cfg.tol_grad
     if trace is not None:
         trace.append((it, E_u, res_norm, step))
-    return SolveResult(Field(graph, u), float(E_u), float(lam), res_norm, converged,
-                       _localize(graph, _constraint_weight(problem, u), radius), problem, it, label,
-                       trace=np.array(trace) if trace is not None else None)
+        trace = np.array(trace)
+    return u, E_u, lam, res_norm, converged, it, trace
 
 
 def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None) -> SolveResult:
-    """Minimize the problem's functional on its constraint sphere, multistart."""
+    """Minimize the problem's functional on its constraint sphere, multistart.
+
+    Each seed is built just before its descent, and each restart is ranked as it
+    ends; only the winner's result and every restart's summary are kept.
+    """
     cfg = cfg or SolverConfig()
     problem.validate_for(graph)
     cfg.validate()
     plan = list(cfg.seeds) if cfg.seeds else default_seed_plan(cfg.restarts)
-    seeds = []
-    for k, descriptor in enumerate(plan):
-        rng = np.random.default_rng([cfg.rng_seed, k])
-        seeds.append(make_seed(graph, descriptor, rng))
+
+    for descriptor in plan:
+        _seed_recipe(graph, descriptor)  # a bad descriptor anywhere in the plan fails before any descent
 
     metric = _preconditioner(graph, problem)
     radius = _default_probe_radius(graph)
-    outcomes = [_descend(graph, problem, cfg, values, label, metric, radius) for values, label in seeds]
-    best = min(outcomes, key=lambda o: (o.energy, o.el_residual, o.localization.center_of_mass))
-    best.restart_summary = [(o.seed_label, o.energy, o.el_residual, o.converged) for o in outcomes]
+    best = best_key = None
+    summary = []
+    for k, descriptor in enumerate(plan):
+        rng = np.random.default_rng([cfg.rng_seed, k])
+        outcome = _descend(graph, problem, cfg, *make_seed(graph, descriptor, rng), metric, radius)
+        summary.append((outcome.seed_label, outcome.energy, outcome.el_residual, outcome.converged))
+        key = (outcome.energy, outcome.el_residual, outcome.localization.center_of_mass)
+        if best is None or key < best_key:  # strict: the first of equal restarts wins, as with min
+            best, best_key = outcome, key
+        del outcome  # a losing restart's arrays go before the next descent
+    best.restart_summary = summary
     return best
 
 

@@ -91,6 +91,17 @@ def test_threshold_a_range_must_be_two_numbers():
             estimate_threshold(lattice_family(1), 4.0, bad, solver_cfg=CFG)
 
 
+def test_threshold_a_range_must_be_finite_before_any_solve(monkeypatch):
+    # [0.5, inf] once ran a full probe at a=0.5 and then failed naming a=inf, not a_range
+    from varopt import InvalidRange, analysis
+    solves = []
+    monkeypatch.setattr(analysis, "minimize", lambda *args: solves.append(args))
+    for bad in ([0.5, math.inf], (-math.inf, 1.0), [0.5, math.nan], (np.float64(0.5), np.inf)):
+        with pytest.raises(InvalidRange, match="a_range"):
+            estimate_threshold(lattice_family(1), 4.0, bad, solver_cfg=CFG)
+    assert solves == []
+
+
 def test_property_suites_check_their_inputs():
     # tol=True once meant 1, zero_tol=nan failed every check silently, and an
     # empty grid passed vacuously (E) or raised a bare IndexError (J)

@@ -216,6 +216,7 @@ NLS_PROBLEM = {"a": 1.0, "p": 4.0}
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": "ab"}}, "a_range"),
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, "x"]}}, "a_range"),
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [True, 2.0]}}, "a_range"),
+    ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, float("inf")]}}, "a_range"),
 ], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
         "graph-unknown", "problem-unknown", "seed", "edge-coordinate", "p-bool", "kind-mismatch",
         "solve-params", "graph-list", "params-list", "compare-tol-bool", "compare-strict_margin",
@@ -223,7 +224,7 @@ NLS_PROBLEM = {"a": 1.0, "p": 4.0}
         "edge-coordinate-bool", "threshold-levels-empty", "threshold-a_range",
         "compare-a_grid-empty", "compare-a_grid-bool", "star-probe-L_list-empty", "sobolev-gap-R_list-empty",
         "threshold-a_range-int", "threshold-a_range-str", "threshold-a_range-entry-str",
-        "threshold-a_range-bool"])
+        "threshold-a_range-bool", "threshold-a_range-inf"])
 def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload, named):
     if experiment != "verify-lemmas":  # the one experiment that runs no solver
         payload = dict(payload, solver={"restarts": 1})
@@ -238,6 +239,16 @@ def test_string_seeds_exit_2(tmp_path, capsys):
     # "delta" was once split into the descriptors "d", "e", ...
     path = write_config(tmp_path, "cfg.json", {"graph": LINE, "problem": NLS_PROBLEM,
                                                "solver": {"seeds": "delta"}})
+    assert main(["solve-nls", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidSpec" and "seeds must be" in err["message"], err
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_seed_plan_exits_2(tmp_path, capsys):
+    # "seeds": [] once ran the default six-seed plan
+    path = write_config(tmp_path, "cfg.json", {"graph": LINE, "problem": NLS_PROBLEM,
+                                               "solver": {"seeds": []}})
     assert main(["solve-nls", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidSpec" and "seeds must be" in err["message"], err

@@ -1,7 +1,9 @@
 """Constrained solver: closed forms, oracle cross-checks, invariants."""
 
+import gc
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -266,7 +268,7 @@ def test_solver_config_validation():
 
 def test_seeds_must_be_a_list_or_tuple():
     # a string was once split into one-letter descriptors: "unknown seed descriptor 'd'"
-    for bad in ("delta", np.ones((2, 3)), 3, {"delta": 1}):
+    for bad in ("delta", np.ones((2, 3)), 3, {"delta": 1}, [], ()):  # [] once ran the default plan
         with pytest.raises(InvalidSpec, match="seeds"):
             SolverConfig(seeds=bad).validate()
     g = path_graph(3)
@@ -314,6 +316,7 @@ def test_seed_descriptor_must_fit_the_graph():
     rng = np.random.default_rng(0)
     values, _ = make_seed(g2, "gauss@1,-1:0.5", rng)
     assert np.argmax(values) == g2.vertex_id((1, -1))
+    assert make_seed(g2, "gauss:1e150", rng)[0].min() == 1.0  # flat, and its width squares finitely
     for bad in ("gauss@1", "delta@1", "widegauss@1,2,3", "uniform@0", "ball@1,1,1",
                 "gauss:0", "gauss:-1", "gauss:inf", "gauss:nan", "widegauss:0", "corner+:0"):
         with pytest.raises(InvalidSpec):
@@ -322,8 +325,21 @@ def test_seed_descriptor_must_fit_the_graph():
         minimize_nls(g2, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=["gauss:0", "delta"]))
 
 
+@pytest.mark.parametrize("bad", ["nonsense", "gauss:1e-300", "gauss@60,60"])
+def test_every_seed_is_checked_before_the_first_descent(monkeypatch, bad):
+    # a bad descriptor anywhere in the plan raises before any restart runs; gauss:1e-300
+    # once descended on NaNs, and gauss@60,60 failed its projection mid-solve
+    descents = []
+    monkeypatch.setattr(solver, "_descend", lambda *args: descents.append(args))
+    g = build_graph(GraphSpec(d=2, L=4))
+    with pytest.raises(InvalidSpec, match=re.escape(repr(bad))):
+        minimize(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=["delta", "gauss:2.0", bad]))
+    assert descents == []
+
+
 @pytest.mark.parametrize("descriptor", ["gauss:abc", "delta@1,x", "gauss@,1", "delta@0.5,0", "ball:1.5",
-                                        "ball:inf", "ball:0", "ball:-2", "corner-:wide"])
+                                        "ball:inf", "ball:0", "ball:-2", "corner-:wide", "delta@9,9",
+                                        "gauss:1e-300", "gauss@60,60", "widegauss:1e-160", "gauss:1e200"])
 def test_malformed_seed_descriptor_is_invalid_spec(descriptor):
     g2 = build_graph(GraphSpec(d=2, L=3))
     with pytest.raises(InvalidSpec, match=re.escape(repr(descriptor))):
@@ -684,3 +700,29 @@ def test_golden_bits(case):
     res = minimize(build_graph(spec, boundary=boundary), prob, GOLDEN_CFG)
     got = (res.energy.hex(), res.multiplier.hex(), res.el_residual.hex(), res.n_iters, res.seed_label)
     assert got == expected
+
+
+def traced_peak(solve):
+    """Peak traced memory of one call, counted from its start."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        solve()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec,boundary,prob", [
+    (GraphSpec(d=3, L=8), "dirichlet", ProblemSpec(kind="sobolev", a=1.0, p=2.0, q=6.0)),
+    (GraphSpec(d=2, L=12), "drop", ProblemSpec(kind="nls", a=2.0, p=4.0)),
+], ids=["sobolev-p2-box-inverse", "nls-drop"])
+def test_a_solve_holds_one_restart_at_a_time(spec, boundary, prob):
+    # the six restarts of the default plan cost the one restart's working set plus
+    # the running winner; keeping every seed and every restart's minimizer until
+    # the ranking once cost about ten field-sized arrays more
+    g = build_graph(spec, boundary=boundary)
+    minimize(g, prob)  # warm numpy and the solver's caches
+    one = traced_peak(lambda: minimize(g, prob, SolverConfig(seeds=["delta"])))
+    six = traced_peak(lambda: minimize(g, prob))
+    assert six - one <= 4 * 8 * g.n + 16 * 1024
