@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
@@ -135,12 +134,9 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
         # a negative energy estimate is a feasible-point upper bound, hence a
         # sound classification even when the residual tolerance was not met;
         # a nonnegative estimate is only trusted from a converged solve
-        rec = probe(a)
-        if rec.converged or rec.negative:
-            return rec
-        for nudge in (0.02, -0.02, 0.05):
+        for nudge in (0.0, 0.02, -0.02, 0.05):  # a itself, then the nudges inside the range
             a_try = a + nudge * (hi - lo)
-            if lo < a_try < hi:
+            if nudge == 0.0 or lo < a_try < hi:
                 rec = probe(a_try)
                 if rec.converged or rec.negative:
                     return rec
@@ -153,26 +149,19 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
         raise InconclusiveProbe(
             f"could not classify the range endpoints of {a_range} on {label}; "
             f"{len(probes)} probes recorded")
-    if first.negative and last.negative:
-        return ThresholdResult(p, label, tol_neg, bracket_tol, "all_negative",
-                               None, first.a, probes)
-    if not first.negative and not last.negative:
-        return ThresholdResult(p, label, tol_neg, bracket_tol, "all_nonnegative",
-                               last.a, None, probes)
-    lo, hi = (first.a, last.a) if not first.negative else (last.a, first.a)
-    # invariant: probe(lo) classified nonnegative, probe(hi) negative
-    count = 0
-    while hi - lo > bracket_tol and count < max_probes:
+    # invariant: lo is the largest mass classified nonnegative, hi the smallest classified negative
+    lo = max((rec.a for rec in (first, last) if not rec.negative), default=None)
+    hi = min((rec.a for rec in (first, last) if rec.negative), default=None)
+    status = "all_negative" if lo is None else "all_nonnegative" if hi is None else "bracketed"
+    for _ in range(max_probes):
+        if status != "bracketed" or hi - lo <= bracket_tol:
+            break
         rec = settled_probe(0.5 * (lo + hi), min(lo, hi), max(lo, hi))
-        count += 1
         if rec is None:
-            return ThresholdResult(p, label, tol_neg, bracket_tol, "inconclusive",
-                                   lo, hi, probes)
-        if rec.negative:
-            hi = rec.a
-        else:
-            lo = rec.a
-    return ThresholdResult(p, label, tol_neg, bracket_tol, "bracketed", lo, hi, probes)
+            status = "inconclusive"
+            break
+        lo, hi = (lo, rec.a) if rec.negative else (rec.a, hi)
+    return ThresholdResult(p, label, tol_neg, bracket_tol, status, lo, hi, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +363,7 @@ def estimate_sobolev_constant(graph: Graph, p, q, solver_cfg=None,
 
 def ball_indicator_field(graph: Graph, R: int, q) -> Field:
     """The unit-l^q normalized indicator of B_R: value |B_R|^(-1/q) inside."""
-    inside = reduce(np.maximum, map(np.abs, graph.offsets())).ravel() < R
+    inside = graph.sup_distance() < R
     count = int(np.sum(inside))
     if count == 0:
         raise InvalidSpec(f"B_{R} contains no vertices of the graph")
@@ -488,7 +477,7 @@ class StarProbeReport:
 
 
 def _weighted_median_radius(graph: Graph, weight: np.ndarray) -> int:
-    radii = reduce(np.maximum, map(np.abs, graph.offsets())).ravel()
+    radii = graph.sup_distance()
     order = np.argsort(radii, kind="stable")
     cum = np.cumsum(weight[order])
     total = cum[-1]
@@ -565,10 +554,8 @@ def _split_pair(graph: Graph, rng: np.random.Generator):
     ext = graph.extent
     radius = max(1, ext // 3)
     c = np.ones(graph.d, dtype=np.int64) * (ext - radius)
-    d1 = reduce(np.maximum, map(np.abs, graph.offsets(-c))).ravel()
-    d2 = reduce(np.maximum, map(np.abs, graph.offsets())).ravel()
-    v = np.where(d1 < radius, rng.standard_normal(graph.n), 0.0)
-    w = np.where(d2 < radius, rng.standard_normal(graph.n), 0.0)
+    v = np.where(graph.sup_distance(-c) < radius, rng.standard_normal(graph.n), 0.0)
+    w = np.where(graph.sup_distance() < radius, rng.standard_normal(graph.n), 0.0)
     return v, w, tuple(-c)
 
 

@@ -15,6 +15,7 @@ import itertools
 import numbers
 import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -187,12 +188,15 @@ class Graph:
 
     def offsets(self, centre=None) -> tuple:
         """Per-axis offsets x_k - c_k (c defaults to the origin) as int64 ranges
-        shaped to broadcast over ``shape``: ``reduce(np.maximum, map(np.abs,
-        offs)).ravel()`` is the sup-norm radius of every vertex and
-        ``sum(o * o for o in offs).ravel()`` its squared distance, in id order."""
+        shaped to broadcast over ``shape``: ``sum(o * o for o in offs).ravel()``
+        is the squared distance of every vertex, in id order."""
         centre = (0,) * self.d if centre is None else centre
         return np.ix_(*(np.arange(m, dtype=np.int64) + (a - _coordinate(c))
                         for a, m, c in zip(self.lo, self.shape, centre, strict=True)))
+
+    def sup_distance(self, centre=None) -> np.ndarray:
+        """The sup-norm distance of every vertex from c (the origin by default), in id order."""
+        return reduce(np.maximum, map(np.abs, self.offsets(centre))).ravel()
 
     def __contains__(self, x) -> bool:
         return len(x) == self.d and all(_is_int(c) and 0 <= c - a < m

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -137,21 +136,22 @@ class SolveResult:
     trace: np.ndarray | None = None    # columns: iter, energy, residual, step
 
 
+def _power(problem: ProblemSpec) -> float:
+    """The exponent of the constraint sphere: ||u||_2^2 = a for nls, ||u||_q^q = a for sobolev."""
+    return 2.0 if problem.kind == NLS else problem.q
+
+
 def _constraint_weight(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
     """Per-vertex mass density of the active constraint."""
-    if problem.kind == NLS:
-        return u * u
-    return _abs_pow(u, problem.q)
+    return _abs_pow(u, _power(problem))
 
 
 def _project(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
     """Rescale onto the constraint sphere."""
-    if problem.kind == NLS:
-        norm = math.sqrt(np.dot(u, u))
-        exponent = 0.5
-    else:
-        norm = np.add.reduce(_abs_pow(u, problem.q)) ** (1.0 / problem.q)
-        exponent = 1.0 / problem.q
+    exponent = 1.0 / _power(problem)
+    # the nls norm stays a dot product, which rounds differently from the sobolev sum
+    norm = (math.sqrt(np.dot(u, u)) if problem.kind == NLS
+            else np.add.reduce(_abs_pow(u, problem.q)) ** exponent)
     if norm == 0.0:
         raise InvalidSpec("cannot project the zero field onto a constraint sphere")
     return u * (problem.a ** exponent / norm)
@@ -160,10 +160,9 @@ def _project(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
 def _localize(graph: Graph, weight: np.ndarray, probe_radius: int) -> Localization:
     total = float(np.sum(weight))
     if total <= 0:
-        com = (0.0,) * graph.d
-        return Localization(com, probe_radius, 0.0, 0.0)
+        return Localization((0.0,) * graph.d, probe_radius, 0.0, 0.0)
     com = tuple(float(c) for c in (graph.coords.T @ weight) / total)
-    radii = reduce(np.maximum, map(np.abs, graph.offsets())).ravel()
+    radii = graph.sup_distance()
     in_ball = float(np.sum(weight[radii < probe_radius]))
     ring = float(np.sum(weight[radii >= graph.extent - 1])) if graph.extent >= 1 else total
     return Localization(com, probe_radius, in_ball, ring / total)
@@ -179,86 +178,74 @@ def _default_probe_radius(graph: Graph) -> int:
 # ---------------------------------------------------------------------------
 # seed plan
 
-def _seed_recipe(graph: Graph, descriptor) -> tuple:
-    """Check a seed descriptor against the graph and resolve it to (head, centre,
-    width, label), building no field; an explicit seed resolves to its values in
-    place of the centre. minimize checks its whole plan this way before any descent."""
+# the form of each seed head: the parts it takes, "@" a centre and ":" a width
+_SEED_FORMS = {"delta": "[@centre]", "gauss": "[@centre][:width]", "widegauss": "[@centre][:width]",
+               "ball": "[@centre][:radius]", "corner+": "[:width]", "corner-": "[:width]",
+               "uniform": "", "random": ""}
+
+
+def _seed_recipe(graph: Graph, descriptor, power=1) -> tuple:
+    """Read and check a seed descriptor against the graph, building no field, and return
+    (build, label), where build(rng) makes the raw field. A Gaussian's top value to the
+    constraint exponent power must be a normal number. minimize checks its plan this way."""
     if isinstance(descriptor, (np.ndarray, list)):
         values = np.asarray(descriptor, dtype=np.float64)
         if values.shape != (graph.n,) or not np.all(np.isfinite(values)):
             raise InvalidSpec(f"explicit seed needs {graph.n} finite values, got shape {values.shape}")
-        return "explicit", values, None, "explicit"
+        return lambda rng: np.abs(values), "explicit"
     name = str(descriptor)
-    head, _, width_part = name.partition(":")
-    head, _, at_part = head.partition("@")
-    try:
-        centre = tuple(int(c) for c in at_part.split(",")) if at_part else None
-        width = (int if head == "ball" else float)(width_part) if width_part else None
+    head, colon, width_part = name.partition(":")
+    head, at, at_part = head.partition("@")
+    if head not in _SEED_FORMS:
+        raise InvalidSpec(f"unknown seed descriptor {descriptor!r}")
+    try:  # a part is malformed if it is empty or its head does not take it
+        if any(sep and not (part and sep in _SEED_FORMS[head])
+               for sep, part in ((at, at_part), (colon, width_part))):
+            raise ValueError
+        centre = tuple(int(c) for c in at_part.split(",")) if at else None
+        width = (int if head == "ball" else float)(width_part) if colon else None
     except ValueError:
-        raise InvalidSpec(f"seed {name!r} has a malformed centre or width") from None
+        raise InvalidSpec(f"seed {name!r} does not read as {head}{_SEED_FORMS[head]}") from None
     if centre is not None and len(centre) != graph.d:
         raise InvalidSpec(f"seed {name!r} needs a centre of dimension d={graph.d}")
-    ext = graph.extent
-    if head == "corner+":
-        head, centre = "gauss", (ext,) * graph.d
-    elif head == "corner-":
-        head, centre = "gauss", (-ext,) * graph.d
-    if centre is None and head in ("delta", "gauss", "widegauss"):
-        centre = (0,) * graph.d
-        if centre not in graph:
-            middle = np.unravel_index(graph.n // 2, graph.shape)
-            centre = tuple(a + int(i) for a, i in zip(graph.lo, middle))
+    if head in ("corner+", "corner-"):
+        centre = (graph.extent if head == "corner+" else -graph.extent,) * graph.d
+    elif centre is None:  # the origin, or the middle of a box without it
+        origin, middle = (0,) * graph.d, np.unravel_index(graph.n // 2, graph.shape)
+        centre = origin if origin in graph else tuple(a + int(i) for a, i in zip(graph.lo, middle))
+    if width is None:
+        width = (max(2.0, graph.extent / 2.0) if head == "widegauss"
+                 else _default_probe_radius(graph) if head == "ball" else 1.5)
+    if not (0 < width < np.inf):  # for the whole radius of a ball: >= 1
+        raise InvalidSpec(f"seed {name!r} needs a finite width > 0")
+    if head in ("delta", "ball") and centre not in graph:
+        raise InvalidSpec(f"seed {name!r} needs a centre inside the box {graph.lo} + [0, {graph.shape})")
     if head == "delta":
-        if centre not in graph:
-            raise InvalidSpec(f"seed {name!r} needs a centre inside the box {graph.lo} + [0, {graph.shape})")
-    elif head in ("gauss", "widegauss"):
-        if width is None:
-            width = max(2.0, graph.extent / 2.0) if head == "widegauss" else 1.5
-        if not (0 < width < np.inf):
-            raise InvalidSpec(f"seed {name!r} needs a finite width > 0")
-        # by products of the box's nearest and farthest squared distances, before any
-        # division: the top value exp(-t) must be a normal number (t < 708), no quotient
-        # may overflow and width ** 2 must be finite
+        build = lambda rng: np.eye(1, graph.n, graph.vertex_id(centre))[0]  # one 1.0 at the centre
+    elif head == "ball":  # it holds its centre, so it is never empty
+        build = lambda rng: (graph.sup_distance(centre) < width).astype(np.float64)
+    elif head == "uniform":
+        build = lambda rng: np.ones(graph.n)
+    elif head == "random":
+        build = lambda rng: np.abs(rng.standard_normal(graph.n))
+    else:  # gauss, widegauss and the corners
+        # the top value exp(-t) to the power must be a normal number (power * t < 708), no quotient
+        # may overflow and width ** 2 must be finite: checked by products, before any division
         near = sum(max(a - c, 0, c - a - m + 1) ** 2 for a, m, c in zip(graph.lo, graph.shape, centre))
         far = sum(max(c - a, a + m - 1 - c) ** 2 for a, m, c in zip(graph.lo, graph.shape, centre))
         w2 = width * width
-        if not (near < 1416.0 * w2 and far < 1e300 * w2 and w2 < np.inf):
+        if not (power * near < 1416.0 * w2 and far < 1e300 * w2 and w2 < np.inf):
             raise InvalidSpec(f"seed {name!r} has no usable values on this graph "
-                              f"(width {width:g}, centre {centre})")
-    elif head == "ball":
-        if width is not None and width < 1:
-            raise InvalidSpec(f"seed {name!r} needs a ball radius >= 1")
-    elif head not in ("uniform", "random"):
-        raise InvalidSpec(f"unknown seed descriptor {descriptor!r}")
-    return head, centre, width, name
+                              f"(width {width:g}, centre {centre}, constraint power {power:g})")
+        build = lambda rng: np.exp(-0.5 * sum(o * o for o in graph.offsets(centre)).ravel() / width ** 2)
+    return build, name
 
 
 def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.ndarray, str]:
-    """Turn a seed descriptor into a raw (unnormalized) nonnegative field.
-
-    Descriptors: "delta[@c1,c2,...]", "gauss[@c1,...][:width]", "uniform",
-    "ball[:radius]", "corner+", "corner-", "random", or an explicit array.
-    """
-    head, centre, width, name = _seed_recipe(graph, descriptor)
-    if head == "explicit":
-        return np.abs(centre), name
-    if head == "delta":
-        u = np.zeros(graph.n)
-        u[graph.vertex_id(centre)] = 1.0
-        return u, name
-    if head in ("gauss", "widegauss"):
-        dist2 = sum(o * o for o in graph.offsets(centre)).ravel()
-        return np.exp(-0.5 * dist2 / width ** 2), name
-    if head == "uniform":
-        return np.ones(graph.n), name
-    if head == "ball":
-        radius = _default_probe_radius(graph) if width is None else width
-        radii = reduce(np.maximum, map(np.abs, graph.offsets())).ravel()
-        u = (radii < radius).astype(np.float64)
-        if not u.any():
-            u[:] = 1.0
-        return u, name
-    return np.abs(rng.standard_normal(graph.n)), name
+    """Turn a seed descriptor (a head of _SEED_FORMS in its form, or an explicit
+    array) into a raw (unnormalized) nonnegative field and its label."""
+    build, label = _seed_recipe(graph, descriptor)
+    return build(rng), label
 
 
 def default_seed_plan(restarts: int) -> list:
@@ -319,9 +306,8 @@ def _functional(graph: Graph, problem: ProblemSpec):
 
 
 def _constraint_normal(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    if problem.kind == NLS:
-        return 2.0 * u
-    return problem.q * _signed_pow(u, problem.q - 1.0)
+    power = _power(problem)
+    return power * _signed_pow(u, power - 1.0)
 
 
 def _preconditioner(graph: Graph, problem: ProblemSpec):
@@ -467,8 +453,8 @@ def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None
     cfg.validate()
     plan = list(cfg.seeds) if cfg.seeds else default_seed_plan(cfg.restarts)
 
-    for descriptor in plan:
-        _seed_recipe(graph, descriptor)  # a bad descriptor anywhere in the plan fails before any descent
+    for descriptor in plan:  # a bad descriptor anywhere in the plan fails before any descent
+        _seed_recipe(graph, descriptor, _power(problem))
 
     metric = _preconditioner(graph, problem)
     radius = _default_probe_radius(graph)
@@ -557,17 +543,17 @@ def brute_force_oracle(graph: Graph, problem: ProblemSpec, grid: dict | None = N
         w = [cols[start:start + block, k, None] for k in range(n - 2)] + [s * cos_last, s * sin_last]
         if problem.kind == NLS:
             u = [np.sqrt(problem.a) * x for x in w]
-            e = (0.5 * sum(_abs_pow(u[j] - u[i], 2.0) for i, j in edges)
-                 - sum(_abs_pow(x, problem.p) for x in u) / problem.p)
+            e = (0.5 * sum((u[j] - u[i]) ** 2 for i, j in edges)
+                 - sum(np.abs(x) ** problem.p for x in u) / problem.p)
             if phantom is not None:
-                e = e + 0.5 * sum(_abs_pow(x, 2.0) * c for x, c in zip(u, phantom))
+                e = e + 0.5 * sum(x ** 2 * c for x, c in zip(u, phantom))
         else:
             q = problem.q
-            scale = problem.a ** (1.0 / q) / sum(_abs_pow(x, q) for x in w) ** (1.0 / q)
+            scale = problem.a ** (1.0 / q) / sum(np.abs(x) ** q for x in w) ** (1.0 / q)
             u = [x * scale for x in w]
-            e = sum(_abs_pow(u[j] - u[i], problem.p) for i, j in edges)
+            e = sum(np.abs(u[j] - u[i]) ** problem.p for i, j in edges)
             if phantom is not None:
-                e = e + sum(_abs_pow(x, problem.p) * c for x, c in zip(u, phantom))
+                e = e + sum(np.abs(x) ** problem.p * c for x, c in zip(u, phantom))
         m = float(np.min(e))
         if m < best:
             best = m

@@ -1,6 +1,7 @@
 """Threshold bisection, comparisons, property suites, escape diagnostics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from varopt.analysis import (
     verify_J_properties,
     verify_lemma_suite,
 )
+from varopt import analysis
 
 CFG = SolverConfig(restarts=6, tol_grad=1e-8, max_iters=30000)
 
@@ -134,6 +136,42 @@ def test_threshold_inconclusive_endpoints_raise():
     with pytest.raises(InconclusiveProbe):
         estimate_threshold(lattice_family(1), 7.0, (0.001, 0.002), levels=(8,),
                            solver_cfg=crippled)
+
+
+def scripted_minimize(converged, negative):
+    """A stand-in for analysis.minimize: energy -1 where negative(a), else 0, and the
+    converged flag converged(a); every call's mass is recorded in .masses."""
+    def minimize(graph, problem, cfg):
+        minimize.masses.append(problem.a)
+        return SimpleNamespace(energy=-1.0 if negative(problem.a) else 0.0, converged=converged(problem.a))
+    minimize.masses = []
+    return minimize
+
+
+def test_threshold_endpoint_settled_by_a_nudge(monkeypatch):
+    # a_min and its first nudge stay unsettled, the nudge below a_min is skipped and
+    # the third nudge settles the endpoint; the bisection starts from the settled mass
+    fake = scripted_minimize(converged=lambda a: a >= 1.15, negative=lambda a: a >= 2.5)
+    monkeypatch.setattr(analysis, "minimize", fake)
+    result = estimate_threshold(lattice_family(1), 4.0, (1.0, 5.0), levels=(3,), bracket_tol=1.0)
+    settled = 1.0 + 0.05 * (5.0 - 1.0)
+    mid1 = 0.5 * (settled + 5.0)
+    mid2 = 0.5 * (settled + mid1)
+    assert fake.masses == [1.0, 1.0 + 0.02 * (5.0 - 1.0), settled, 5.0, mid1, mid2]
+    assert [pr.a for pr in result.probes] == fake.masses
+    assert (result.status, result.alpha_lo, result.alpha_hi) == ("bracketed", mid2, mid1)
+
+
+def test_threshold_unsettled_midpoint_is_inconclusive(monkeypatch):
+    # the first midpoint and all three nudges are nonnegative and unconverged: the
+    # run returns the bracket it had, with status "inconclusive"
+    fake = scripted_minimize(converged=lambda a: a < 2.5, negative=lambda a: a >= 3.5)
+    monkeypatch.setattr(analysis, "minimize", fake)
+    result = estimate_threshold(lattice_family(1), 4.0, (1.0, 5.0), levels=(3,))
+    mid = 0.5 * (1.0 + 5.0)
+    assert fake.masses == [1.0, 5.0, mid, mid + 0.02 * 4.0, mid - 0.02 * 4.0, mid + 0.05 * 4.0]
+    assert [pr.a for pr in result.probes] == fake.masses
+    assert (result.status, result.alpha_lo, result.alpha_hi) == ("inconclusive", 1.0, 5.0)
 
 
 def test_threshold_probe_consistent_with_subpath_oracle():

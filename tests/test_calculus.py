@@ -25,7 +25,7 @@ from varopt import (
     translate,
 )
 from varopt.analysis import ball_indicator_field
-from varopt.calculus import _p_laplacian_diagonal
+from varopt.calculus import _abs_pow, _p_laplacian_diagonal, _signed_pow
 
 RNG = np.random.default_rng(421)
 
@@ -34,6 +34,20 @@ def delta_at(graph, x):
     u = np.zeros(graph.n)
     u[graph.vertex_id(x)] = 1.0
     return u
+
+
+# ---------------------------------------------------------------------------
+# power helpers
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0])
+def test_power_helpers_match_numpy(p):
+    # each fast path against the generic numpy expression, to 2 ulps, on zeros,
+    # negatives, subnormals and results that underflow
+    tiny = np.finfo(np.float64).smallest_subnormal
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0, tiny, -tiny, 3e-310, -3e-310, 1e-100, -1e-100, 1e40, -1e40],
+                        np.random.default_rng(7).standard_normal(64) * 10.0 ** np.arange(-8, 8).repeat(4)])
+    for got, want in ((_abs_pow(x, p), np.abs(x) ** p), (_signed_pow(x, p), np.sign(x) * np.abs(x) ** p)):
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want))), p
 
 
 # ---------------------------------------------------------------------------

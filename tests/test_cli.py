@@ -74,6 +74,31 @@ def test_exit_code_3_when_not_converged(tmp_path):
     assert run(cfg) == 3
 
 
+def test_required_convergence_raises_not_converged(tmp_path, capsys):
+    # one iteration to a residual of 1e-18 cannot converge; each routine that
+    # requires convergence raises NotConverged carrying the failed solve
+    from varopt import NotConverged, ProblemSpec, SolverConfig, SolveResult, build_graph, star_addition_spec
+    settings = {"restarts": 1, "seeds": ["delta"], "max_iters": 1, "tol_grad": 1e-18}
+    cfg = SolverConfig(**settings)
+    dirichlet = build_graph(GraphSpec(d=3, L=3), boundary="dirichlet")
+    star, line = build_graph(star_addition_spec(1, 2, 6)), build_graph(GraphSpec(d=1, L=6))
+    calls = [
+        lambda: analysis.compare_energies(star, line, ProblemSpec(kind="nls", a=1.0, p=4.0), [1.0], solver_cfg=cfg),
+        lambda: analysis.star_nonattainment_probe(1, 2, 4.0, None, [6], 1.0, solver_cfg=cfg,
+                                                  raise_on_nonconverged=True),
+        lambda: analysis.estimate_sobolev_constant(dirichlet, 2.0, 6.0, solver_cfg=cfg),
+        lambda: analysis.sobolev_critical_gap(3, 2.0, [2], 6, solver_cfg=cfg),
+    ]
+    for call in calls:
+        with pytest.raises(NotConverged) as info:
+            call()
+        assert isinstance(info.value.result, SolveResult) and info.value.result.converged is False
+    path = write_config(tmp_path, "gap.json", {"params": GAP, "solver": settings})
+    assert main(["sobolev-gap", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NotConverged", err
+
+
 def test_compare_experiment_and_plot_data(tmp_path):
     out = tmp_path / "cmp"
     cfg = ExperimentConfig.from_dict({

@@ -64,11 +64,16 @@ def test_oracle_two_vertex():
 
 @pytest.mark.parametrize("a,p", [(1.0, 4.0), (2.0, 3.0), (0.5, 6.0)])
 def test_oracle_matches_solver_three_vertices(a, p):
-    g = path_graph(3)
-    prob = ProblemSpec(kind="nls", a=a, p=p)
-    oracle = brute_force_oracle(g, prob, {"resolution": 1e-3})
-    res = minimize_nls(g, prob, CFG)
-    assert abs(oracle - res.energy) <= 1e-5
+    # the d=1 L=2 dirichlet box runs the oracle's phantom terms, which a path lacks
+    box = build_graph(GraphSpec(d=1, L=2), boundary="dirichlet")
+    for g in (path_graph(3), box):
+        prob = ProblemSpec(kind="nls", a=a, p=p)
+        oracle = brute_force_oracle(g, prob, {"resolution": 1e-3})
+        res = minimize_nls(g, prob, CFG)
+        assert abs(oracle - res.energy) <= 1e-5
+    # p = q = 2 has the exact value a * lambda_min
+    sob = ProblemSpec(kind="sobolev", a=a, p=2.0, q=2.0, allow_subcritical=True)
+    assert abs(brute_force_oracle(box, sob, {"resolution": 1e-3}) - a * spectral_oracle(box)) <= 1e-5
 
 
 def test_oracle_size_limit():
@@ -344,6 +349,44 @@ def test_malformed_seed_descriptor_is_invalid_spec(descriptor):
     g2 = build_graph(GraphSpec(d=2, L=3))
     with pytest.raises(InvalidSpec, match=re.escape(repr(descriptor))):
         make_seed(g2, descriptor, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("descriptor", ["delta:5", "uniform:7", "uniform@3,3", "random@1,1:3", "corner+@1,1",
+                                        "ball:", "gauss@", "gauss:", "delta@"])
+def test_a_part_the_head_does_not_take_is_invalid_spec(monkeypatch, descriptor):
+    # each of these once ran as if the part were not there
+    g = build_graph(GraphSpec(d=2, L=4))
+    with pytest.raises(InvalidSpec, match=re.escape(repr(descriptor))):
+        make_seed(g, descriptor, np.random.default_rng(0))
+    descents = []
+    monkeypatch.setattr(solver, "_descend", lambda *args: descents.append(args))
+    with pytest.raises(InvalidSpec, match=re.escape(repr(descriptor))):
+        minimize(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=["delta", descriptor]))
+    assert descents == []
+
+
+def test_ball_seed_takes_a_centre():
+    g = build_graph(GraphSpec(d=2, L=4))
+    u, label = make_seed(g, "ball@2,2:1", np.random.default_rng(0))
+    assert label == "ball@2,2:1" and np.flatnonzero(u).tolist() == [g.vertex_id((2, 2))] and u.max() == 1.0
+    assert np.array_equal(make_seed(g, "ball@0,0:2", None)[0], make_seed(g, "ball:2", None)[0])
+    with pytest.raises(InvalidSpec, match=re.escape(repr("ball@4,0:1"))):
+        make_seed(g, "ball@4,0:1", None)  # the centre must lie in the box
+    # a box without the origin centres the ball in its middle, as it does a delta
+    off = Graph((1, 1), (3, 3), np.zeros((0, 2), dtype=np.int64))
+    assert np.array_equal(make_seed(off, "ball:1", None)[0], make_seed(off, "delta", None)[0])
+
+
+def test_gaussian_seed_is_checked_at_the_constraint_power(monkeypatch):
+    # its top value exp(-867/4.5) ~ 1.4e-84 is normal, but its sixth power underflows
+    # to 0: the solve once failed mid-plan, naming no seed
+    g = build_graph(GraphSpec(d=3, L=4), boundary="dirichlet")
+    assert make_seed(g, "gauss@20,20,20", None)[0].max() > 0
+    descents = []
+    monkeypatch.setattr(solver, "_descend", lambda *args: descents.append(args))
+    with pytest.raises(InvalidSpec, match=re.escape(repr("gauss@20,20,20"))):
+        minimize(g, ProblemSpec(kind="sobolev", a=1.0, p=2, q=6), SolverConfig(seeds=["delta", "gauss@20,20,20"]))
+    assert descents == []
 
 
 @pytest.mark.parametrize("boundary", ["drop", "dirichlet"])
