@@ -81,7 +81,9 @@ class ThresholdResult:
     status is "bracketed" when alpha_lo < alpha_hi hold probe energies of
     opposite classification, "all_negative" / "all_nonnegative" when every
     probe in the range classified the same way, "inconclusive" when the
-    solver failed to settle a needed probe.
+    solver failed to settle a needed probe, or when a_min classified negative
+    and a_max nonnegative, which a non-increasing energy rules out (alpha_lo
+    and alpha_hi then hold those two masses, alpha_lo > alpha_hi).
     """
 
     p: float
@@ -98,12 +100,12 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
                        tol_neg=1e-6, solver_cfg=None, max_probes=60) -> ThresholdResult:
     """Bisect the mass axis for the sign change of the ground-state energy.
 
-    graph_family maps a truncation radius L to a Graph; probes run on the
-    largest level. A probe classifies as negative when its energy estimate
-    drops below -tol_neg; a negative estimate is sound even without residual
-    convergence (the iterate is feasible, so its energy is an upper bound),
-    while a nonnegative classification is only accepted from a converged
-    solve. Unsettled probes are recorded and retried at nudged masses; if the
+    graph_family maps a truncation radius L to a Graph; probes run on the one
+    L that levels lists. A probe classifies as negative when its energy
+    estimate drops below -tol_neg; a negative estimate is sound even without
+    residual convergence (the iterate is feasible, so its energy is an upper
+    bound), while a nonnegative classification is only accepted from a
+    converged solve. Unsettled probes are recorded and retried at nudged masses; if the
     range endpoints themselves cannot be settled the run raises
     InconclusiveProbe, and a mid-bisection failure returns the partial
     bracket with status "inconclusive".
@@ -111,8 +113,8 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
     _check_tolerances(bracket_tol=bracket_tol, tol_neg=tol_neg)
     if not (_is_int(max_probes) and max_probes >= 0):
         raise InvalidSpec(f"max_probes must be a whole number >= 0, got {max_probes!r}")
-    if len(levels) == 0:
-        raise InvalidSpec("levels must list at least one truncation radius L")
+    if not (isinstance(levels, (list, tuple)) and len(levels) == 1):
+        raise InvalidSpec(f"levels must list exactly one truncation radius L, got {levels!r}")
     if not (isinstance(a_range, (list, tuple)) and len(a_range) == 2
             and all(_is_number(a) and -math.inf < a < math.inf for a in a_range)):
         raise InvalidRange(f"a_range must be a list or tuple of two finite numbers [a_min, a_max], "
@@ -120,7 +122,7 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
     a_min, a_max = float(a_range[0]), float(a_range[1])
     if not (0 < a_min < a_max):
         raise InvalidRange(f"need 0 < a_min < a_max, got {a_range}")
-    graph = graph_family(max(levels))
+    graph = graph_family(levels[0])
     probes: list[ProbeRecord] = []
 
     def probe(a):
@@ -152,11 +154,12 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
     # invariant: lo is the largest mass classified nonnegative, hi the smallest classified negative
     lo = max((rec.a for rec in (first, last) if not rec.negative), default=None)
     hi = min((rec.a for rec in (first, last) if rec.negative), default=None)
-    status = "all_negative" if lo is None else "all_nonnegative" if hi is None else "bracketed"
+    status = ("all_negative" if lo is None else "all_nonnegative" if hi is None
+              else "bracketed" if lo < hi else "inconclusive")
     for _ in range(max_probes):
         if status != "bracketed" or hi - lo <= bracket_tol:
             break
-        rec = settled_probe(0.5 * (lo + hi), min(lo, hi), max(lo, hi))
+        rec = settled_probe(0.5 * (lo + hi), lo, hi)
         if rec is None:
             status = "inconclusive"
             break
@@ -193,6 +196,17 @@ class ComparisonReport:
         return "<= holds"
 
 
+def _paired_solve(graph_perturbed: Graph, graph_base: Graph, problem: ProblemSpec, cfg: SolverConfig,
+                  required: bool, where: str) -> tuple:
+    """Solve the problem on the perturbed graph, then on the base. With required
+    set, an unconverged solve raises NotConverged naming where, with that result attached."""
+    rp = minimize(graph_perturbed, problem, cfg)
+    rb = minimize(graph_base, problem, cfg)
+    if required and not (rp.converged and rb.converged):
+        raise NotConverged(f"{where} did not converge", result=rp if not rp.converged else rb)
+    return rp, rb
+
+
 def compare_energies(graph_perturbed: Graph, graph_base: Graph, problem_template: ProblemSpec,
                      a_grid, solver_cfg=None, tol=1e-8, strict_margin=None,
                      raise_on_nonconverged=True) -> ComparisonReport:
@@ -203,20 +217,17 @@ def compare_energies(graph_perturbed: Graph, graph_base: Graph, problem_template
     ten times the solver residual tolerance).
     """
     _check_tolerances(tol=tol, **({} if strict_margin is None else {"strict_margin": strict_margin}))
-    if graph_perturbed.d != graph_base.d or graph_perturbed.L != graph_base.L:
-        raise InvalidSpec("comparison graphs must share dimension and truncation radius")
+    shapes = [(g.d, g.L, g.boundary) for g in (graph_perturbed, graph_base)]
+    if shapes[0] != shapes[1]:
+        raise InvalidSpec(f"comparison graphs must share (d, L, boundary), got {shapes[0]} and {shapes[1]}")
     a_grid = _mass_grid(a_grid)
     cfg = solver_cfg or SolverConfig()
     if strict_margin is None:
         strict_margin = 10.0 * cfg.tol_grad
     perturbed, base_vals, margins, verdicts, conv = [], [], [], [], []
     for a in a_grid:
-        problem = replace(problem_template, a=a)
-        rp = minimize(graph_perturbed, problem, cfg)
-        rb = minimize(graph_base, problem, cfg)
-        if raise_on_nonconverged and not (rp.converged and rb.converged):
-            raise NotConverged(f"comparison probe at a={a} did not converge",
-                               result=rp if not rp.converged else rb)
+        rp, rb = _paired_solve(graph_perturbed, graph_base, replace(problem_template, a=a), cfg,
+                               raise_on_nonconverged, f"comparison probe at a={a}")
         perturbed.append(rp.energy)
         base_vals.append(rb.energy)
         margins.append(rp.energy - rb.energy)
@@ -253,6 +264,16 @@ class PropertyReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _grid_sums(a_grid):
+    """(a, b, c) for each pair a <= b of the sorted grid whose sum lies within
+    1e-12 of a grid mass c, the first such mass in order."""
+    for i, a in enumerate(a_grid):
+        for b in a_grid[i:]:
+            c = next((c for c in a_grid if abs(c - (a + b)) < 1e-12), None)
+            if c is not None:
+                yield a, b, c
+
+
 def verify_E_properties(graph: Graph, p, a_grid, solver_cfg=None,
                         zero_tol=1e-8, tol=1e-6) -> PropertyReport:
     """Check the ground-state energy curve over a mass grid: nonpositive,
@@ -270,17 +291,10 @@ def verify_E_properties(graph: Graph, p, a_grid, solver_cfg=None,
         margin = energies[hi] - energies[lo]
         checks.append(CheckRecord(f"E({hi:g}) <= E({lo:g})", energies[hi], energies[lo],
                                   margin, margin <= tol))
-    grid_set = set(a_grid)
-    for i, a in enumerate(a_grid):
-        for b in a_grid[i:]:
-            tot = a + b
-            match = next((c for c in grid_set if abs(c - tot) < 1e-12), None)
-            if match is None:
-                continue
-            margin = energies[match] - (energies[a] + energies[b])
-            checks.append(CheckRecord(f"E({match:g}) <= E({a:g}) + E({b:g})",
-                                      energies[match], energies[a] + energies[b],
-                                      margin, margin <= tol))
+    for a, b, c in _grid_sums(a_grid):
+        margin = energies[c] - (energies[a] + energies[b])
+        checks.append(CheckRecord(f"E({c:g}) <= E({a:g}) + E({b:g})", energies[c],
+                                  energies[a] + energies[b], margin, margin <= tol))
     return PropertyReport(checks, values=energies)
 
 
@@ -297,53 +311,37 @@ def verify_J_properties(graph: Graph, p, q, a_grid, solver_cfg=None,
     _check_tolerances(rel_tol=rel_tol)
     a_grid = sorted(_mass_grid(a_grid))
     cfg = solver_cfg or SolverConfig()
-    values_min: dict[float, float] = {}
-    carry = None
-
-    def solve(a):
-        nonlocal carry
-        local_cfg = cfg
-        if carry is not None:
-            seed = carry[0] * (a / carry[1]) ** (1.0 / q)
-            plan = [seed] + list(cfg.seeds or ["gauss:2.0", "ball", "random"])
-            local_cfg = replace(cfg, seeds=plan)
+    a0 = a_grid[0]
+    solved_as = {}  # each mass the checks read -> the first such mass within 1e-12, which is solved
+    for a in a_grid + [float(theta * a0) for theta in thetas]:
+        solved_as[a] = next((m for m in solved_as.values() if abs(m - a) < 1e-12), a)
+    masses = list(dict.fromkeys(solved_as.values()))
+    values = {}
+    for prev, a in zip([None] + masses, masses):
+        plan = cfg
+        if prev is not None:  # res is the solve at prev
+            seed = res.minimizer.values * (a / prev) ** (1.0 / q)
+            plan = replace(cfg, seeds=[seed] + list(cfg.seeds or ["gauss:2.0", "ball", "random"]))
         res = minimize_sobolev(graph, ProblemSpec(kind=SOBOLEV, a=a, p=p, q=q,
-                                                  allow_subcritical=allow_subcritical),
-                               local_cfg)
-        carry = (res.minimizer.values.copy(), a)
-        return res.energy
-
-    def j_of(a):
-        a = float(a)
-        key = next((k for k in values_min if abs(k - a) < 1e-12), None)
-        if key is None:
-            values_min[a] = solve(a)
-            key = a
-        return values_min[key]
+                                                  allow_subcritical=allow_subcritical), plan)
+        values[a] = res.energy
+    j = {a: values[m] for a, m in solved_as.items()}
 
     checks = []
-    a0 = a_grid[0]
-    r0 = j_of(a0) / a0 ** (p / q)
+    r0 = j[a0] / a0 ** (p / q)
     for a in a_grid:
-        ratio = j_of(a) / a ** (p / q)
+        ratio = j[a] / a ** (p / q)
         rel = abs(ratio - r0) / max(abs(r0), 1e-300)
         checks.append(CheckRecord(f"J({a:g})/a^(p/q) ratio vs a={a0:g}", ratio, r0,
                                   rel, rel <= rel_tol))
     for theta in thetas:
-        lhs = j_of(theta * a0)
-        rhs = theta * j_of(a0)
+        lhs, rhs = j[float(theta * a0)], theta * j[a0]
         checks.append(CheckRecord(f"J({theta:g}*{a0:g}) < {theta:g} J({a0:g})",
                                   lhs, rhs, lhs - rhs, lhs < rhs))
-    for i, a in enumerate(a_grid):
-        for b in a_grid[i:]:
-            tot = a + b
-            match = next((c for c in a_grid if abs(c - tot) < 1e-12), None)
-            if match is None:
-                continue
-            lhs, rhs = j_of(match), j_of(a) + j_of(b)
-            checks.append(CheckRecord(f"J({match:g}) < J({a:g}) + J({b:g})",
-                                      lhs, rhs, lhs - rhs, lhs < rhs))
-    return PropertyReport(checks, values=values_min)
+    for a, b, c in _grid_sums(a_grid):
+        lhs, rhs = j[c], j[a] + j[b]
+        checks.append(CheckRecord(f"J({c:g}) < J({a:g}) + J({b:g})", lhs, rhs, lhs - rhs, lhs < rhs))
+    return PropertyReport(checks, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +517,7 @@ def star_nonattainment_probe(d, R, p, q, L_list, a, solver_cfg=None,
         star = build_graph(star_addition_spec(d, R, L), boundary=boundary)
         base = build_graph(GraphSpec(d=d, L=L), boundary=boundary)
         problem = ProblemSpec(kind=kind, a=a, p=p, q=q)
-        rp = minimize(star, problem, cfg)
-        rb = minimize(base, problem, cfg)
-        if raise_on_nonconverged and not (rp.converged and rb.converged):
-            raise NotConverged(f"star probe at L={L} did not converge",
-                               result=rp if not rp.converged else rb)
+        rp, rb = _paired_solve(star, base, problem, cfg, raise_on_nonconverged, f"star probe at L={L}")
         u = rp.minimizer.values
         origin_power = float(np.abs(u[star.vertex_id((0,) * d)]) ** (p - 2.0)) if kind == NLS else 0.0
         records.append(StarProbeRecord(
@@ -543,10 +537,6 @@ def star_nonattainment_probe(d, R, p, q, L_list, a, solver_cfg=None,
 
 # ---------------------------------------------------------------------------
 # random-field lemma suite
-
-def _random_field(graph: Graph, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal(graph.n)
-
 
 def _split_pair(graph: Graph, rng: np.random.Generator):
     """A corner bump v and a centred bump w whose translate lands in the
@@ -572,7 +562,7 @@ def verify_lemma_suite(graph: Graph, p=4.0, q=6.0, n_fields=100, rng_seed=0) -> 
     exponent_pairs = [(1.0, 1.5), (1.0, 2.0), (2.0, 3.0), (2.0, q), (3.0, 17.0), (2.0, np.inf)]
     parts_exponents = [2.0, 2.5, 3.0, p]
     for i in range(n_fields):
-        u = _random_field(graph, rng)
+        u = rng.standard_normal(graph.n)
         for lo, hi in exponent_pairs:
             worst["nesting"] = max(worst["nesting"], lp_norm(u, hi) - lp_norm(u, lo))
         mass = float(rng.uniform(0.25, 8.0))

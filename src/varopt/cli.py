@@ -175,12 +175,10 @@ def _run_compare(cfg: ExperimentConfig):
     kind = cfg.problem.get("kind", NLS)
     if kind not in DEFAULT_BOUNDARY:
         raise InvalidSpec(f"unknown problem kind {kind!r}")
-    default_boundary = DEFAULT_BOUNDARY[kind]
-    perturbed = build_graph_from_config(cfg.graph, default_boundary)
-    base_cfg = params.pop("base_graph", None)
-    if base_cfg is None:
-        base_cfg = {"d": perturbed.d, "L": perturbed.L, "boundary": perturbed.boundary}
-    base = build_graph_from_config(base_cfg, default_boundary)
+    perturbed = build_graph_from_config(cfg.graph, DEFAULT_BOUNDARY[kind])
+    # the base is the plain box of the perturbed graph, in its boundary mode, unless set
+    base = build_graph_from_config(params.pop("base_graph", {"d": perturbed.d, "L": perturbed.L}),
+                                   perturbed.boundary)
     report = analysis.compare_energies(
         perturbed, base, _problem(cfg, kind), solver_cfg=_solver_config(cfg),
         raise_on_nonconverged=False, **params)
@@ -277,7 +275,7 @@ def emit_plot_data(results_path: str, kind: str, out_path: str | None = None) ->
         raise InvalidSpec(f"unknown plot kind {kind!r}; expected one of {sorted(_PLOT_KINDS)}")
     x_cols, y_options = _PLOT_KINDS[kind]
     with open(results_path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         rows = list(reader)
         fieldnames = reader.fieldnames or []
     missing_x = [c for c in x_cols if c not in fieldnames]
@@ -286,13 +284,8 @@ def emit_plot_data(results_path: str, kind: str, out_path: str | None = None) ->
         raise MissingColumns(
             f"results file {results_path} lacks columns for {kind}: "
             f"need {x_cols} plus one of {y_options}, have {fieldnames}")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     cols = x_cols + y_cols
-    writer.writerow(cols)
-    for row in rows:
-        writer.writerow([row[c] for c in cols])
-    text = out.getvalue()
+    text = _render_csv(cols, ([row[c] for c in cols] for row in rows))
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
@@ -301,10 +294,6 @@ def emit_plot_data(results_path: str, kind: str, out_path: str | None = None) ->
 
 # ---------------------------------------------------------------------------
 # entry point
-
-def _error_json(exc: Exception) -> str:
-    return json.dumps({"error": type(exc).__name__, "message": str(exc)})
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="varopt", description=__doc__,
@@ -334,7 +323,8 @@ def main(argv=None) -> int:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidSpec(f"cannot read config {args.config}: {exc}") from exc
-        data["experiment"] = args.experiment
+        if isinstance(data, dict):  # from_dict names anything else
+            data["experiment"] = args.experiment
         config = ExperimentConfig.from_dict(data)
         if args.out:
             config.output_dir = args.out
@@ -343,12 +333,9 @@ def main(argv=None) -> int:
         if args.emit_field:
             config.emit_field = True
         return run(config)
-    except (NotConverged, InconclusiveProbe) as exc:
-        sys.stderr.write(_error_json(exc) + "\n")
-        return 3
     except (VaroptError, KeyError, TypeError, ValueError) as exc:
-        sys.stderr.write(_error_json(exc) + "\n")
-        return 2
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        return 3 if isinstance(exc, (NotConverged, InconclusiveProbe)) else 2
 
 
 if __name__ == "__main__":

@@ -187,11 +187,16 @@ _SEED_FORMS = {"delta": "[@centre]", "gauss": "[@centre][:width]", "widegauss": 
 def _seed_recipe(graph: Graph, descriptor, power=1) -> tuple:
     """Read and check a seed descriptor against the graph, building no field, and return
     (build, label), where build(rng) makes the raw field. A Gaussian's top value to the
-    constraint exponent power must be a normal number. minimize checks its plan this way."""
+    constraint exponent power must be a normal number, and an explicit array's values to
+    that power must not all vanish, so that the field projects. minimize checks its plan
+    this way."""
     if isinstance(descriptor, (np.ndarray, list)):
         values = np.asarray(descriptor, dtype=np.float64)
         if values.shape != (graph.n,) or not np.all(np.isfinite(values)):
             raise InvalidSpec(f"explicit seed needs {graph.n} finite values, got shape {values.shape}")
+        if not _abs_pow(values, power).any():
+            raise InvalidSpec(f"explicit seed vanishes at the constraint power {power:g}, "
+                              "so it cannot be projected")
         return lambda rng: np.abs(values), "explicit"
     name = str(descriptor)
     head, colon, width_part = name.partition(":")

@@ -129,6 +129,16 @@ def test_threshold_levels_must_not_be_empty():
         estimate_threshold(lattice_family(1), 4.0, (0.5, 6.0), levels=(), solver_cfg=CFG)
 
 
+@pytest.mark.parametrize("levels", [(8, 12), [10, 10], 12, {12}])
+def test_threshold_levels_must_list_one_L(monkeypatch, levels):
+    # (8, 12) once ran on L=12 alone and dropped 8 without a word
+    solves = []
+    monkeypatch.setattr(analysis, "minimize", lambda *args: solves.append(args))
+    with pytest.raises(InvalidSpec, match="levels must list exactly one"):
+        estimate_threshold(lattice_family(1), 4.0, (0.5, 6.0), levels=levels)
+    assert solves == []
+
+
 def test_threshold_inconclusive_endpoints_raise():
     from varopt import InconclusiveProbe
     # one iteration cannot settle a nonnegative classification at tiny mass
@@ -172,6 +182,21 @@ def test_threshold_unsettled_midpoint_is_inconclusive(monkeypatch):
     assert fake.masses == [1.0, 5.0, mid, mid + 0.02 * 4.0, mid - 0.02 * 4.0, mid + 0.05 * 4.0]
     assert [pr.a for pr in result.probes] == fake.masses
     assert (result.status, result.alpha_lo, result.alpha_hi) == ("inconclusive", 1.0, 5.0)
+
+
+def test_threshold_endpoints_in_the_wrong_order_are_inconclusive(monkeypatch, tmp_path):
+    # a_min negative and a_max nonnegative once returned "bracketed" with alpha_lo > alpha_hi;
+    # a non-increasing energy rules that order out, so the run says it cannot tell
+    from varopt.cli import ExperimentConfig, run
+    fake = scripted_minimize(converged=lambda a: True, negative=lambda a: a < 3.0)
+    monkeypatch.setattr(analysis, "minimize", fake)
+    result = estimate_threshold(lattice_family(1), 4.0, (1.0, 5.0), levels=(3,))
+    assert fake.masses == [1.0, 5.0]
+    assert (result.status, result.alpha_lo, result.alpha_hi) == ("inconclusive", 5.0, 1.0)
+    cfg = ExperimentConfig.from_dict({"experiment": "threshold", "graph": {"d": 1, "L": 3},
+                                      "params": {"p": 4.0, "a_range": [1.0, 5.0]},
+                                      "output_dir": str(tmp_path)})
+    assert run(cfg) == 3
 
 
 def test_threshold_probe_consistent_with_subpath_oracle():
@@ -229,6 +254,11 @@ def test_compare_requires_matching_boxes():
     with pytest.raises(InvalidSpec):
         compare_energies(build_graph(GraphSpec(d=1, L=8)),
                          build_graph(GraphSpec(d=1, L=10)),
+                         ProblemSpec(kind="nls", a=1.0, p=4), [1.0], solver_cfg=CFG)
+    # a dirichlet-mode graph once compared against a drop-mode box of the same d and L
+    with pytest.raises(InvalidSpec, match="boundary"):
+        compare_energies(build_graph(GraphSpec(d=1, L=8), boundary="dirichlet"),
+                         build_graph(GraphSpec(d=1, L=8)),
                          ProblemSpec(kind="nls", a=1.0, p=4), [1.0], solver_cfg=CFG)
 
 
@@ -295,6 +325,8 @@ def test_ball_indicator_field_normalization():
     inside = np.max(np.abs(g.coords), axis=1) < 2
     assert np.all(f.values[inside] == 27 ** (-1 / 6))
     assert np.all(f.values[~inside] == 0.0)
+    with pytest.raises(InvalidSpec, match="B_0 contains no vertices"):
+        ball_indicator_field(g, 0, 6.0)
 
 
 def test_sobolev_critical_gap_witness():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from varopt import GraphSpec, MissingColumns, analysis
+from varopt import GraphSpec, InvalidSpec, MissingColumns, analysis
 from varopt.cli import ExperimentConfig, _solver_config, build_graph_from_config, emit_plot_data, main, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -202,6 +202,7 @@ GAP = {"d": 3, "p": 2.0, "R_list": [2], "L": 6}
 STAR = {"d": 1, "R": 4, "p": 4.0, "L_list": [7, 9], "a": 3.0}
 LINE = {"construction": "lattice", "d": 1, "L": 6}
 NLS_PROBLEM = {"a": 1.0, "p": 4.0}
+CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "boundary": "dirichlet"}
 
 
 @pytest.mark.parametrize("experiment,payload,named", [
@@ -242,6 +243,11 @@ NLS_PROBLEM = {"a": 1.0, "p": 4.0}
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, "x"]}}, "a_range"),
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [True, 2.0]}}, "a_range"),
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, float("inf")]}}, "a_range"),
+    ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": [8, 12]}}, "levels"),
+    ("solve-nls", {"graph": dict(LINE, construction="torus"), "problem": NLS_PROBLEM}, "'torus'"),
+    ("compare", {"graph": LINE, "problem": {"kind": "heat", "p": 4.0}, "params": {"a_grid": [1.0]}}, "'heat'"),
+    ("compare", {"graph": CUT_DIRICHLET, "problem": {"p": 4.0},
+                 "params": {"a_grid": [1.0], "base_graph": {"d": 2, "L": 5, "boundary": "drop"}}}, "boundary"),
 ], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
         "graph-unknown", "problem-unknown", "seed", "edge-coordinate", "p-bool", "kind-mismatch",
         "solve-params", "graph-list", "params-list", "compare-tol-bool", "compare-strict_margin",
@@ -249,7 +255,8 @@ NLS_PROBLEM = {"a": 1.0, "p": 4.0}
         "edge-coordinate-bool", "threshold-levels-empty", "threshold-a_range",
         "compare-a_grid-empty", "compare-a_grid-bool", "star-probe-L_list-empty", "sobolev-gap-R_list-empty",
         "threshold-a_range-int", "threshold-a_range-str", "threshold-a_range-entry-str",
-        "threshold-a_range-bool", "threshold-a_range-inf"])
+        "threshold-a_range-bool", "threshold-a_range-inf", "threshold-levels-two",
+        "unknown-construction", "compare-unknown-kind", "compare-base-boundary-mismatch"])
 def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload, named):
     if experiment != "verify-lemmas":  # the one experiment that runs no solver
         payload = dict(payload, solver={"restarts": 1})
@@ -321,6 +328,45 @@ def test_missing_config_exit_2(capsys):
     assert main(["threshold"]) == 2
 
 
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    # [1, 2] once failed as "list indices must be integers or slices, not str"
+    path = write_config(tmp_path, "cfg.json", [1, 2])
+    assert main(["solve-nls", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InvalidSpec", "message": "config must be a JSON object"}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda tmp: ExperimentConfig.from_dict({"experiment": "solve"}), "unknown experiment 'solve'"),
+    (lambda tmp: run(ExperimentConfig(experiment="solve", output_dir=str(tmp / "o"))),
+     "unknown experiment 'solve'"),
+    (lambda tmp: emit_plot_data(str(tmp / "results.csv"), "energy-vs-R"), "unknown plot kind 'energy-vs-R'"),
+], ids=["from_dict-experiment", "run-experiment", "plot-kind"])
+def test_library_entry_points_name_a_bad_name(tmp_path, call, fragment):
+    with pytest.raises(InvalidSpec, match=re.escape(fragment)):
+        call(tmp_path)
+    assert not (tmp_path / "o").exists()
+
+
+def test_compare_base_takes_the_boundary_of_the_perturbed_graph(tmp_path):
+    # a base_graph without a boundary once took the problem kind's default, drop, so a
+    # dirichlet cut was compared with a drop box (E_base -0.0030864, verdict violated)
+    payload = {"graph": CUT_DIRICHLET, "problem": {"p": 4.0}, "params": {"a_grid": [1.0]},
+               "solver": {"restarts": 2}}
+    texts = []
+    for name, params in (("default", {}), ("explicit", {"base_graph": {"d": 2, "L": 5}})):
+        path = write_config(tmp_path, f"{name}.json", dict(payload, params=dict(payload["params"], **params)))
+        assert main(["compare", "--config", path, "--out", str(tmp_path / name)]) == 0
+        texts.append((tmp_path / name / "results.csv").read_text())
+    assert texts[0] == texts[1]
+    _, row = texts[0].splitlines()
+    a, e_pert, e_base, margin, verdict, converged = row.split(",")
+    assert float(e_base) == pytest.approx(0.0921784, abs=1e-7)
+    assert float(margin) == pytest.approx(-0.0929719, abs=1e-7)
+    assert (verdict, converged) == ("strict", "true")
+
+
 def test_main_solve_and_determinism(tmp_path):
     path = write_config(tmp_path, "solve.json", {
         "graph": {"construction": "lattice", "d": 1, "L": 8},
@@ -348,6 +394,22 @@ def test_plot_data_cli_to_file(tmp_path):
     assert main(["plot-data", "--results", str(out / "results.csv"),
                  "--kind", "escape-vs-L", "--out", dest]) == 0
     assert os.path.exists(dest)
+
+
+def test_plot_data_cli_to_stdout_and_its_arguments(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("L,E_perturbed,E_base,center_of_mass_norm\n7,-1.5,-1.25,2\n9,-1.75\n")
+    assert main(["plot-data", "--results", str(results), "--kind", "energy-vs-L"]) == 0
+    assert capsys.readouterr().out == "L,E_perturbed,E_base\n7,-1.5,-1.25\n9,-1.75,\n"
+    assert main(["plot-data", "--results", str(results)]) == 2
+    assert "plot-data needs --results and --kind" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_emit_field_flag_writes_the_minimizer(tmp_path):
+    path = write_config(tmp_path, "cfg.json", {"graph": LINE, "problem": NLS_PROBLEM,
+                                               "solver": {"restarts": 1}})
+    assert main(["solve-nls", "--config", path, "--out", str(tmp_path / "o"), "--emit-field"]) == 0
+    assert len(json.loads((tmp_path / "o" / "minimizer.json").read_text())) == 11
 
 
 def test_build_graph_from_config_variants():

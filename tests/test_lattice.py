@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import re
 import tracemalloc
 from functools import reduce
 
@@ -352,6 +353,17 @@ def test_spec_invariant_violations():
     with pytest.raises(InvalidSpec):
         build_graph(GraphSpec(d=2, L=8, deletions={((0, 0), (0, 1)), ((0, 0), (0, 1))},
                               additions=frozenset(), R=9))
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: canonical_edge((1, 0), (1, 0)), "degenerate edge at (1, 0)"),
+    (lambda: GraphSpec(d=1, L=3, additions={((0,), (5,))}).validate(), "B_6 exceeds the box B_3"),
+    (lambda: GraphSpec(d=2, L=4, additions={((0,), (2,))}).validate(), "wrong dimension (expected 2)"),
+    (lambda: GraphSpec.from_json_dict({"d": 1, "L": 4, "radius": 2}), "malformed graph spec"),
+], ids=["degenerate-edge", "ball-exceeds-box", "vertex-dimension", "json-unknown-key"])
+def test_spec_checks_name_their_cause(call, fragment):
+    with pytest.raises(InvalidSpec, match=re.escape(fragment)):
+        call()
 
 
 @pytest.mark.parametrize("edge", [((True,), (-1,)), ((1,), (False,)), ((0, True), (0, 2)),

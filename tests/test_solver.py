@@ -389,6 +389,34 @@ def test_gaussian_seed_is_checked_at_the_constraint_power(monkeypatch):
     assert descents == []
 
 
+@pytest.mark.parametrize("problem,seed", [
+    (ProblemSpec(kind="nls", a=1.0, p=4), np.zeros(11)),
+    (ProblemSpec(kind="sobolev", a=1.0, p=2, q=6, allow_subcritical=True), [1e-200] + [0.0] * 10),
+], ids=["zeros", "underflows-at-q6"])
+def test_an_explicit_seed_that_vanishes_fails_before_any_descent(monkeypatch, problem, seed):
+    # these once ran the delta and Gaussian restarts, then failed to project, naming no seed
+    descents = []
+    monkeypatch.setattr(solver, "_descend", lambda *args: descents.append(args))
+    g = build_graph(GraphSpec(d=1, L=6))
+    with pytest.raises(InvalidSpec, match="explicit seed vanishes"):
+        minimize(g, problem, SolverConfig(seeds=["delta", "gauss:2.0", seed]))
+    assert descents == []
+
+
+@pytest.mark.parametrize("call,error,fragment", [
+    (lambda g: minimize(g, ProblemSpec(kind="heat", a=1.0, p=4)), InvalidSpec, "unknown problem kind 'heat'"),
+    (lambda g: minimize(g, ProblemSpec(kind="sobolev", a=1.0, p=0.5, q=6, allow_subcritical=True)),
+     InvalidExponent, "p, q >= 1"),
+    (lambda g: minimize_sobolev(g, ProblemSpec(kind="nls", a=1.0, p=4)), InvalidSpec,
+     "minimize_sobolev got a problem of kind 'nls'"),
+    (lambda g: brute_force_oracle(path_graph(1), ProblemSpec(kind="nls", a=1.0, p=4)), InvalidSpec,
+     "at least 2 vertices"),
+], ids=["unknown-kind", "sobolev-p-below-1", "sobolev-of-nls", "oracle-one-vertex"])
+def test_problem_checks_name_their_cause(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(path_graph(3))
+
+
 @pytest.mark.parametrize("boundary", ["drop", "dirichlet"])
 def test_solver_functional_is_the_calculus_functions(boundary):
     # one implementation: the solver's closures equal the public functions bit for bit
