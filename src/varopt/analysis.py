@@ -274,19 +274,23 @@ def _grid_sums(a_grid):
                 yield a, b, c
 
 
+def _solved_as(masses) -> dict:
+    """Each mass -> the first listed mass within 1e-12 of it, which is the one solved."""
+    solved_as = {}
+    for a in masses:
+        solved_as[a] = next((m for m in solved_as.values() if abs(m - a) < 1e-12), a)
+    return solved_as
+
+
 def verify_E_properties(graph: Graph, p, a_grid, solver_cfg=None,
                         zero_tol=1e-8, tol=1e-6) -> PropertyReport:
     """Check the ground-state energy curve over a mass grid: nonpositive,
     non-increasing, and subadditive on every pair that sums into the grid."""
     _check_tolerances(zero_tol=zero_tol, tol=tol)
-    a_grid = sorted(_mass_grid(a_grid))
-    energies = {}
-    for a in a_grid:
-        energies[a] = minimize(graph, ProblemSpec(kind=NLS, a=a, p=p), solver_cfg).energy
-    checks = []
-    for a in a_grid:
-        checks.append(CheckRecord(f"E(a={a:g}) <= 0", energies[a], 0.0,
-                                  energies[a], energies[a] <= zero_tol))
+    a_grid = list(dict.fromkeys(_solved_as(sorted(_mass_grid(a_grid))).values()))  # each mass once
+    energies = {a: minimize(graph, ProblemSpec(kind=NLS, a=a, p=p), solver_cfg).energy for a in a_grid}
+    checks = [CheckRecord(f"E(a={a:g}) <= 0", energies[a], 0.0, energies[a], energies[a] <= zero_tol)
+              for a in a_grid]
     for lo, hi in zip(a_grid, a_grid[1:]):
         margin = energies[hi] - energies[lo]
         checks.append(CheckRecord(f"E({hi:g}) <= E({lo:g})", energies[hi], energies[lo],
@@ -312,9 +316,7 @@ def verify_J_properties(graph: Graph, p, q, a_grid, solver_cfg=None,
     a_grid = sorted(_mass_grid(a_grid))
     cfg = solver_cfg or SolverConfig()
     a0 = a_grid[0]
-    solved_as = {}  # each mass the checks read -> the first such mass within 1e-12, which is solved
-    for a in a_grid + [float(theta * a0) for theta in thetas]:
-        solved_as[a] = next((m for m in solved_as.values() if abs(m - a) < 1e-12), a)
+    solved_as = _solved_as(a_grid + [float(theta * a0) for theta in thetas])  # each mass the checks read
     masses = list(dict.fromkeys(solved_as.values()))
     values = {}
     for prev, a in zip([None] + masses, masses):

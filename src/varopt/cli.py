@@ -161,6 +161,8 @@ def _run_solve(cfg: ExperimentConfig, kind: str):
 
 
 def _run_threshold(cfg: ExperimentConfig):
+    if "L" in cfg.graph and cfg.params.get("levels", [cfg.graph["L"]]) != [cfg.graph["L"]]:
+        raise InvalidSpec(f"params.levels {cfg.params['levels']!r} is not [L] of the graph, L={cfg.graph['L']!r}")
     result = analysis.estimate_threshold(
         lambda L: build_graph_from_config(dict(cfg.graph, L=L), DEFAULT_BOUNDARY[NLS]),
         solver_cfg=_solver_config(cfg), **{"levels": [cfg.graph.get("L", 12)], **cfg.params})

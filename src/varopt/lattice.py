@@ -15,17 +15,13 @@ import itertools
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import DisconnectedGraph, InvalidSpec, OutOfBox
 
 BOUNDARY_MODES = ("drop", "dirichlet")
-
-
-def sup_norm(x) -> int:
-    return max(abs(c) for c in x)
 
 
 def _is_int(x) -> bool:
@@ -79,11 +75,31 @@ class GraphSpec:
         object.__setattr__(self, "deletions", frozenset(canonical_edge(*e) for e in self.deletions))
         object.__setattr__(self, "additions", frozenset(canonical_edge(*e) for e in self.additions))
 
+    @cached_property
+    def _edge_array(self) -> np.ndarray:
+        """Deletions then additions as one (k >= 1, 2, d) int64 array (object beyond int64)."""
+        edges = [*self.deletions, *self.additions]
+        try:
+            return np.array(edges, dtype=np.int64)
+        except OverflowError:
+            return np.array(edges, dtype=object)
+        except ValueError:  # vertices of different lengths
+            v = next(v for e in edges for v in e if len(v) != self.d)
+            raise InvalidSpec(f"vertex {v} has wrong dimension (expected {self.d})") from None
+
+    @classmethod
+    def _from_array(cls, d, L, R, kind: str, edges: np.ndarray) -> "GraphSpec":
+        """The spec whose ``kind`` are the rows of ``edges``, cached as given with no canonical_edge pass.
+        Callers pass a (k, 2, d) int64 array of distinct rows, x < y as tuples: a repeat is built twice."""
+        spec = cls(d=d, L=L, R=R)
+        spec.__dict__.update({kind: frozenset(_pairs(edges)), "_edge_array": edges})
+        return spec
+
     def perturbation_radius(self) -> int | None:
         """R if set, else the smallest radius enclosing all perturbed edges."""
         if self.R is not None or not (self.deletions or self.additions):
             return self.R
-        return max(sup_norm(v) for e in self.deletions | self.additions for v in e) + 1
+        return max(-int(self._edge_array.min()), int(self._edge_array.max())) + 1
 
     def validate(self) -> None:
         if not _is_int(self.d) or self.d < 1:
@@ -94,21 +110,21 @@ class GraphSpec:
             raise InvalidSpec(f"perturbation radius R must be an integer in [1, L], got {self.R!r}")
         if self.deletions and self.additions:
             raise InvalidSpec("deletions and additions cannot both be nonempty")
-        R_eff = self.perturbation_radius()
-        if R_eff is not None and R_eff > self.L:
+        if not (self.deletions or self.additions):
+            return
+        R_eff, edges = self.perturbation_radius(), self._edge_array
+        if R_eff > self.L:
             raise InvalidSpec(f"perturbation ball B_{R_eff} exceeds the box B_{self.L}")
-        for e in self.deletions | self.additions:
-            for v in e:
-                if len(v) != self.d:
-                    raise InvalidSpec(f"vertex {v} has wrong dimension (expected {self.d})")
-                if sup_norm(v) >= R_eff:  # R_eff <= L, so v also lies in the box
-                    raise InvalidSpec(f"perturbed vertex {v} lies outside B_{R_eff}")
-        for e in self.deletions:
-            if not is_base_edge(*e):
-                raise InvalidSpec(f"deletion {e} is not a base lattice edge")
-        for e in self.additions:
-            if is_base_edge(*e):
-                raise InvalidSpec(f"addition {e} is already a base lattice edge")
+        if edges.shape[2] != self.d:
+            raise InvalidSpec(f"vertex {tuple(edges[0, 0].tolist())} has wrong dimension (expected {self.d})")
+        outside = edges[((edges <= -R_eff) | (edges >= R_eff)).any(axis=2)]
+        if len(outside):  # R_eff <= L, so every other vertex lies in the box
+            raise InvalidSpec(f"perturbed vertex {tuple(outside[0].tolist())} lies outside B_{R_eff}")
+        base = np.abs(edges[:, 0] - edges[:, 1]).sum(axis=1) == 1
+        if self.deletions and not base.all():
+            raise InvalidSpec(f"deletion {next(_pairs(edges[~base]))} is not a base lattice edge")
+        if self.additions and base.any():
+            raise InvalidSpec(f"addition {next(_pairs(edges[base]))} is already a base lattice edge")
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,6 +141,11 @@ class GraphSpec:
             return cls(**data)
         except TypeError as exc:
             raise InvalidSpec(f"malformed graph spec: {exc}") from exc
+
+
+def _pairs(edges: np.ndarray):
+    """The rows of a (k, 2, d) edge array as (x, y) pairs of coordinate tuples (zip's grouper)."""
+    return zip(*[iter(map(tuple, edges.reshape(-1, edges.shape[2]).tolist()))] * 2)
 
 
 def _flat_ids(points, lo, shape) -> np.ndarray:
@@ -218,21 +239,24 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     spec.validate()
     lo, shape = (1 - spec.L,) * spec.d, (2 * spec.L - 1,) * spec.d
     ids = np.arange(int(np.prod(shape))).reshape(shape)
-    # base edges join each vertex to its successor along each axis
+    # base edges join each vertex to its successor along each axis: one block per axis
     edges = np.concatenate([np.stack([a[:-1].ravel(), a[1:].ravel()], axis=1)
                             for a in (np.moveaxis(ids, k, 0) for k in range(spec.d))])
     if spec.deletions:
-        cut = _flat_ids(list(spec.deletions), lo, shape)
-        edges = edges[~np.isin(edges @ (ids.size, 1), cut @ (ids.size, 1), assume_unique=True)]
+        # (x, x + e_k) is in block k at x's C-order position in moveaxis(ids, k, 0)[:-1],
+        # whose axes run k first and then the others in order: x's coordinates in k_first order
+        x, y = spec._edge_array[:, 0], spec._edge_array[:, 1]
+        k_first = np.argsort(np.argmax(y - x, axis=1)[:, None] != np.arange(spec.d), axis=1, kind="stable")
+        moved, block = np.take_along_axis(x, k_first, axis=1), (shape[0] - 1,) + shape[1:]
+        edges = np.delete(edges, k_first[:, 0] * np.prod(block) + _flat_ids(moved, lo, block), axis=0)
     if spec.additions:
-        edges = np.concatenate([edges, _flat_ids(list(spec.additions), lo, shape)])
+        edges = np.concatenate([edges, _flat_ids(spec._edge_array, lo, shape)])
     # count of base-lattice neighbours outside the box: one per box face the vertex lies on
     face = (np.abs(np.arange(1 - spec.L, spec.L)) == spec.L - 1).astype(np.float64)
     phantom = sum(face.reshape((-1,) + (1,) * k) for k in range(spec.d)).ravel()
     graph = Graph(lo, shape, edges, spec=spec, boundary=boundary, phantom=phantom)
     if spec.deletions and not is_connected(graph):
-        raise DisconnectedGraph(
-            f"deleting {len(spec.deletions)} edge(s) disconnected the box B_{spec.L}")
+        raise DisconnectedGraph(f"deleting {len(spec.deletions)} edge(s) disconnected the box B_{spec.L}")
     return graph
 
 
@@ -269,10 +293,10 @@ def is_connected(graph: Graph) -> bool:
 
 def ball_boundary_edges(d: int, R: int) -> list:
     """Base edges (y, z) with y inside B_R and z outside, canonically ordered."""
-    # z = y +- e_k leaves B_R exactly when its k-th coordinate reaches +-R
-    return sorted({canonical_edge(y, y[:k] + (y[k] + s,) + y[k + 1:])
-                   for y in box_vertices(d, R) for k in range(d) for s in (1, -1)
-                   if abs(y[k] + s) >= R})
+    ball, e = np.indices((2 * R - 1,) * d).reshape(d, -1).T - (R - 1), np.eye(d, dtype=int)
+    # (t, t + e_k) crosses the sphere exactly when t_k is R - 1 (t inside) or -R (t outside)
+    tails = [(k, t) for k in range(d) for t in (ball[ball[:, k] == R - 1], ball[ball[:, k] == 1 - R] - e[k])]
+    return sorted(_pairs(np.concatenate([np.stack([t, t + e[k]], axis=1) for k, t in tails])))
 
 
 def sphere_deletion_spec(d: int, R: int, L: int, kept_edge=None) -> GraphSpec:
@@ -291,8 +315,7 @@ def sphere_deletion_spec(d: int, R: int, L: int, kept_edge=None) -> GraphSpec:
     kept = canonical_edge(*(kept_edge(boundary) if callable(kept_edge) else kept_edge))
     if kept not in boundary:
         raise InvalidSpec(f"kept edge {kept} is not a boundary edge of B_{R}")
-    deletions = frozenset(e for e in boundary if e != kept)
-    return GraphSpec(d=d, L=L, deletions=deletions, R=R + 1)
+    return GraphSpec._from_array(d, L, R + 1, "deletions", np.array([e for e in boundary if e != kept]))
 
 
 def star_addition_spec(d: int, R: int, L: int) -> GraphSpec:
@@ -304,8 +327,10 @@ def star_addition_spec(d: int, R: int, L: int) -> GraphSpec:
     """
     if not (_is_int(d) and _is_int(R) and _is_int(L) and d >= 1 and 2 <= R < L):
         raise InvalidSpec(f"need integers d >= 1 and 2 <= R < L, got d={d!r}, R={R!r}, L={L!r}")
-    origin, ball = (0,) * d, box_vertices(d, R)
-    centres = [origin] + [origin[:k] + (s,) + origin[k + 1:] for k in range(d) for s in (1, -1)]
-    additions = {canonical_edge(c, y) for c in centres for y in ball
-                 if y != c and not is_base_edge(c, y)}
-    return GraphSpec(d=d, L=L, additions=frozenset(additions), R=R)
+    ball = np.indices((2 * R - 1,) * d).reshape(d, -1).T - (R - 1)
+    ids = np.flatnonzero(np.abs(ball).sum(axis=1) <= 1)  # the centres, by their ids in B_R
+    # pairs (c, y) at l1-distance >= 2, as ids in B_R's C order, which sorts like the points
+    far = np.abs(ball[ids, None] - ball).sum(axis=2) > 1
+    far[:, ids] &= ids[:, None] < ids  # a pair of centres once, from the smaller
+    i, y = np.nonzero(far)
+    return GraphSpec._from_array(d, L, R, "additions", ball[np.sort(np.stack([ids[i], y], axis=1))])

@@ -290,6 +290,24 @@ def test_E_properties_single_point_grid_is_vacuous():
     assert len(report.checks) == 1  # only the sign check; nothing to compare
 
 
+@pytest.mark.parametrize("grid", [[1.0, 1.0, 2.0], [2.0, 1.0, 1.0 + 5e-13], [1.0, 2.0, 1.0, 2.0]])
+def test_E_properties_solve_each_distinct_mass_once(monkeypatch, grid):
+    # [1.0, 1.0, 2.0] once ran three solves and listed E(2) <= E(1) + E(1) three times
+    solved, solve = [], analysis.minimize
+
+    def counting(graph, problem, cfg=None):
+        solved.append(problem.a)
+        return solve(graph, problem, cfg)
+
+    monkeypatch.setattr(analysis, "minimize", counting)
+    report = verify_E_properties(build_graph(GraphSpec(d=1, L=6)), 4.0, grid, solver_cfg=CFG)
+    assert solved == [1.0, 2.0]
+    assert sorted(report.values) == [1.0, 2.0]
+    assert [c.name for c in report.checks] == ["E(a=1) <= 0", "E(a=2) <= 0", "E(2) <= E(1)",
+                                              "E(2) <= E(1) + E(1)"]
+    assert report.all_passed, [c.name for c in report.failures()]
+
+
 def test_J_properties_homogeneity_small():
     g = build_graph(GraphSpec(d=3, L=4), boundary="dirichlet")
     report = verify_J_properties(g, 2.0, 6.0, [1.0, 8.0], solver_cfg=CFG, thetas=(2.0,))

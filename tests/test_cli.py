@@ -201,6 +201,7 @@ def test_non_boolean_flags_and_bad_radius_exit_2(tmp_path, capsys, change, messa
 GAP = {"d": 3, "p": 2.0, "R_list": [2], "L": 6}
 STAR = {"d": 1, "R": 4, "p": 4.0, "L_list": [7, 9], "a": 3.0}
 LINE = {"construction": "lattice", "d": 1, "L": 6}
+LINE_NO_L = {"construction": "lattice", "d": 1}  # its L comes from params.levels
 NLS_PROBLEM = {"a": 1.0, "p": 4.0}
 CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "boundary": "dirichlet"}
 
@@ -209,8 +210,8 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
     ("sobolev-gap", {"params": dict(GAP, d=3.9)}, "3.9"),
     ("sobolev-gap", {"params": dict(GAP, R_list=[2.7])}, "2.7"),
     ("sobolev-gap", {"params": dict(GAP, bracket_tl=9)}, "bracket_tl"),
-    ("threshold", {"graph": {"construction": "lattice", "d": 1, "L": 10},
-                   "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": [6.9]}}, "6.9"),
+    ("threshold", {"graph": LINE_NO_L, "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": [6.9]}},
+     "box radius L must be an integer >= 2, got 6.9"),
     ("star-probe", {"params": dict(STAR, L_list=[7.9])}, "7.9"),
     ("star-probe", {"params": dict(STAR, equality_tl=1)}, "equality_tl"),
     ("solve-nls", {"graph": dict(LINE, boundry="dirichlet"), "problem": NLS_PROBLEM}, "boundry"),
@@ -232,7 +233,8 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
      "max_probes"),
     ("solve-nls", {"graph": {"d": 1, "L": 6, "additions": [[[True], [-1]]]},
                    "problem": NLS_PROBLEM}, "True"),
-    ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": []}}, "levels"),
+    ("threshold", {"graph": LINE_NO_L, "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": []}},
+     "levels must list exactly one truncation radius L, got []"),
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5]}}, "a_range"),
     ("compare", {"graph": LINE, "problem": NLS_PROBLEM, "params": {"a_grid": []}}, "a_grid"),
     ("compare", {"graph": LINE, "problem": NLS_PROBLEM, "params": {"a_grid": [True]}}, "a_grid"),
@@ -243,7 +245,11 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, "x"]}}, "a_range"),
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [True, 2.0]}}, "a_range"),
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, float("inf")]}}, "a_range"),
-    ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": [8, 12]}}, "levels"),
+    ("threshold", {"graph": LINE_NO_L, "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": [8, 12]}},
+     "levels must list exactly one truncation radius L, got [8, 12]"),
+    ("threshold", {"graph": {"construction": "lattice", "d": 1, "L": 10},
+                   "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": [6]}},
+     "params.levels [6] is not [L] of the graph, L=10"),
     ("solve-nls", {"graph": dict(LINE, construction="torus"), "problem": NLS_PROBLEM}, "'torus'"),
     ("compare", {"graph": LINE, "problem": {"kind": "heat", "p": 4.0}, "params": {"a_grid": [1.0]}}, "'heat'"),
     ("compare", {"graph": CUT_DIRICHLET, "problem": {"p": 4.0},
@@ -255,7 +261,7 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
         "edge-coordinate-bool", "threshold-levels-empty", "threshold-a_range",
         "compare-a_grid-empty", "compare-a_grid-bool", "star-probe-L_list-empty", "sobolev-gap-R_list-empty",
         "threshold-a_range-int", "threshold-a_range-str", "threshold-a_range-entry-str",
-        "threshold-a_range-bool", "threshold-a_range-inf", "threshold-levels-two",
+        "threshold-a_range-bool", "threshold-a_range-inf", "threshold-levels-two", "threshold-levels-not-L",
         "unknown-construction", "compare-unknown-kind", "compare-base-boundary-mismatch"])
 def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload, named):
     if experiment != "verify-lemmas":  # the one experiment that runs no solver

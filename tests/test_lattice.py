@@ -174,6 +174,36 @@ def test_star_addition_d2_enumeration_oracle():
     assert canonical_edge((1, 0), (-1, 0)) in spec.additions
 
 
+@pytest.mark.parametrize("d,R", [(d, R) for d in (1, 2, 3) for R in (1, 2, 3, 4)])
+def test_factories_match_brute_force_comprehensions(d, R):
+    ball = box_vertices(d, R)
+    steps = [(k, s) for k in range(d) for s in (1, -1)]
+    crossing = {canonical_edge(y, y[:k] + (y[k] + s,) + y[k + 1:]) for y in ball for k, s in steps
+                if abs(y[k] + s) >= R}
+    assert ball_boundary_edges(d, R) == sorted(crossing)
+    kept = ((R - 1,) + (0,) * (d - 1), (R,) + (0,) * (d - 1))
+    assert sphere_deletion_spec(d, R, R + 1).deletions == crossing - {kept}
+    if R < 2:
+        return
+    origin = (0,) * d
+    centres = [origin] + [origin[:k] + (s,) + origin[k + 1:] for k, s in steps]
+    star = {canonical_edge(c, y) for c in centres for y in ball if y != c and not is_base_edge(c, y)}
+    spec = star_addition_spec(d, R, R + 1)
+    assert spec.additions == star and spec.R == R
+    # the edge array the factory keeps builds what the same tuples build through the constructor
+    for built, again in [(spec, GraphSpec(d=d, L=R + 1, additions=star, R=R)),
+                         (sphere_deletion_spec(d, R, R + 2), GraphSpec(d=d, L=R + 2, R=R + 1,
+                                                                       deletions=crossing - {kept}))]:
+        if d == 1 and built.deletions:
+            continue  # a cut line is disconnected
+        g, h = build_graph(built, boundary="dirichlet"), build_graph(again, boundary="dirichlet")
+        assert built == again
+        # the factory's array keeps _from_array's rule: distinct rows, each the canonical edge
+        rows = [tuple(map(tuple, e)) for e in built._edge_array.tolist()]
+        assert len(set(rows)) == len(rows) and set(rows) == again.deletions | again.additions
+        assert all(np.array_equal(getattr(g, a), getattr(h, a)) for a in ("tails", "heads", "phantom"))
+
+
 def test_star_addition_full_adjacency_of_ball():
     spec = star_addition_spec(2, 3, 5)
     g = build_graph(spec)
@@ -366,14 +396,59 @@ def test_spec_checks_name_their_cause(call, fragment):
         call()
 
 
+BIG = 2 ** 70  # beyond int64
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: GraphSpec(d=2, L=4, additions={((0,), (2,))}), "vertex (0,) has wrong dimension (expected 2)"),
+    (lambda: GraphSpec(d=2, L=4, additions={((0, 0), (2, 0)), ((0,), (2,))}),
+     "vertex (0,) has wrong dimension (expected 2)"),
+    (lambda: GraphSpec(d=1, L=3, R=1, deletions={((1,), (2,))}), "perturbed vertex (1,) lies outside B_1"),
+    (lambda: GraphSpec(d=2, L=5, R=2, additions={((0, 0), (2, 1))}), "perturbed vertex (2, 1) lies outside B_2"),
+    (lambda: GraphSpec(d=1, L=4, R=2, additions={((BIG,), (0,))}), f"perturbed vertex ({BIG},) lies outside B_2"),
+    (lambda: GraphSpec(d=1, L=4, additions={((-BIG,), (0,))}), f"perturbation ball B_{BIG + 1} exceeds the box B_4"),
+    (lambda: GraphSpec(d=1, L=3, deletions={((0,), (2,))}), "deletion ((0,), (2,)) is not a base lattice edge"),
+    (lambda: GraphSpec(d=2, L=3, deletions={((0, 0), (1, 1))}), "deletion ((0, 0), (1, 1)) is not a base lattice edge"),
+    (lambda: GraphSpec(d=1, L=3, additions={((1,), (0,))}), "addition ((0,), (1,)) is already a base lattice edge"),
+    (lambda: GraphSpec(d=1, L=3, deletions={((0,), (1,))}, additions={((-2,), (2,))}),
+     "deletions and additions cannot both be nonempty"),
+    (lambda: GraphSpec(d=1, L=6, additions=[[[True], [-1]]]),
+     "edge ([True], [-1]) needs integer coordinates: boolean coordinate True"),
+    (lambda: GraphSpec(d=2, L=6, additions=[((0, 1), (0, False))]),
+     "edge ((0, 1), (0, False)) needs integer coordinates: boolean coordinate False"),
+    (lambda: GraphSpec(d=1, L=6, additions=[((np.True_,), (-1,))]),
+     "needs integer coordinates: 'numpy.bool' object cannot be interpreted as an integer"),
+    (lambda: GraphSpec(d=1, L=6, additions=[[[-1.7], [1]]]),
+     "edge ([-1.7], [1]) needs integer coordinates: 'float' object cannot be interpreted as an integer"),
+    (lambda: GraphSpec(d=1, L=6, additions=[[["1"], [2]]]),
+     "needs integer coordinates: 'str' object cannot be interpreted as an integer"),
+    (lambda: GraphSpec(d=2, L=4, deletions=[((1, 0), (1, 0))]), "degenerate edge at (1, 0)"),
+], ids=["dimension", "mixed-dimensions", "outside-R", "outside-R-d2", "outside-R-beyond-int64",
+        "ball-beyond-int64", "deletion-not-base", "deletion-diagonal", "addition-base", "both-kinds",
+        "bool", "bool-False", "numpy-bool", "float", "str", "degenerate"])
+def test_each_spec_check_raises_its_message(make, message):
+    # coordinates are checked at construction, the rest by validate(), which build_graph calls first
+    with pytest.raises(InvalidSpec, match=re.escape(message)):
+        make().validate()
+    with pytest.raises(InvalidSpec, match=re.escape(message)):
+        build_graph(make())
+
+
 @pytest.mark.parametrize("edge", [((True,), (-1,)), ((1,), (False,)), ((0, True), (0, 2)),
                                   ((np.True_,), (-1,))])
 def test_boolean_edge_coordinates_are_invalid(edge):
     # operator.index reads True as 1; a boolean is no more a coordinate than a d or an L
     with pytest.raises(InvalidSpec, match="integer coordinates"):
         canonical_edge(*edge)
+    with pytest.raises(InvalidSpec, match="integer coordinates"):  # each coordinate is read once
+        canonical_edge(iter(edge[0]), iter(edge[1]))
     with pytest.raises(InvalidSpec):
         GraphSpec(d=len(edge[0]), L=6, additions=[edge])
+
+
+def test_the_first_bad_coordinate_is_named():
+    with pytest.raises(InvalidSpec, match="boolean coordinate True"):
+        canonical_edge((True,), (1.5,))
 
 
 def test_numpy_integer_sizes_build_the_same_graph():
@@ -427,8 +502,8 @@ def test_boundary_mode_validation():
 @given(st.data())
 def test_build_graph_matches_tuple_reference(data):
     """Random small specs against a tuple-and-set construction of the same graph."""
-    d = data.draw(st.integers(1, 3), label="d")
-    L = data.draw(st.integers(2, 5), label="L")
+    d = data.draw(st.integers(1, 4), label="d")
+    L = data.draw(st.integers(2, 5 if d < 4 else 3), label="L")
     R = data.draw(st.integers(1, L), label="R")
     verts = box_vertices(d, L)
     ball = box_vertices(d, R)
@@ -442,7 +517,11 @@ def test_build_graph_matches_tuple_reference(data):
         pairs = data.draw(st.lists(st.tuples(st.sampled_from(ball), st.sampled_from(ball)),
                                    max_size=8), label="pairs")
         additions = {canonical_edge(x, y) for x, y in pairs if x != y and not is_base_edge(x, y)}
-    spec = GraphSpec(d=d, L=L, deletions=deletions, additions=additions, R=R)
+    stated = data.draw(st.sampled_from([R, None]), label="stated R")
+    spec = GraphSpec(d=d, L=L, deletions=deletions, additions=additions, R=stated)
+    perturbed = [v for e in deletions | additions for v in e]
+    assert spec.perturbation_radius() == (
+        stated if stated is not None or not perturbed else max(max(map(abs, v)) for v in perturbed) + 1)
     edges = (base - spec.deletions) | spec.additions
     connected = bfs_oracle(verts, edges)
     if spec.deletions and not connected:

@@ -92,6 +92,17 @@ def test_constraint_feasibility():
     assert res3.energy == pytest.approx(dirichlet_energy(g3, res3.minimizer, 2), abs=1e-12)
 
 
+@pytest.mark.parametrize("problem", [ProblemSpec(kind="nls", a=1.0, p=4.0),
+                                     ProblemSpec(kind="sobolev", a=2.0, p=2.0, q=6.0)],
+                         ids=["nls", "sobolev"])
+def test_projecting_the_zero_field_is_invalid(problem):
+    # the zero field has no direction to rescale along; a nan field must not come back
+    with pytest.raises(InvalidSpec, match="cannot project the zero field onto a constraint sphere"):
+        solver._project(problem, np.zeros(7))
+    u = solver._project(problem, np.eye(1, 7, 3)[0])
+    assert u[3] == problem.a ** (1.0 / solver._power(problem)) and np.count_nonzero(u) == 1
+
+
 def test_energy_matches_functional_on_minimizer():
     g = build_graph(GraphSpec(d=1, L=10))
     res = minimize_nls(g, ProblemSpec(kind="nls", a=3.0, p=4), CFG)
