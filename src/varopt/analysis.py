@@ -282,12 +282,18 @@ def _solved_as(masses) -> dict:
     return solved_as
 
 
+def _distinct_masses(a_grid) -> list:
+    """The grid's masses in increasing order, each once: a mass within 1e-12 of a
+    smaller one is that mass."""
+    return list(dict.fromkeys(_solved_as(sorted(_mass_grid(a_grid))).values()))
+
+
 def verify_E_properties(graph: Graph, p, a_grid, solver_cfg=None,
                         zero_tol=1e-8, tol=1e-6) -> PropertyReport:
     """Check the ground-state energy curve over a mass grid: nonpositive,
     non-increasing, and subadditive on every pair that sums into the grid."""
     _check_tolerances(zero_tol=zero_tol, tol=tol)
-    a_grid = list(dict.fromkeys(_solved_as(sorted(_mass_grid(a_grid))).values()))  # each mass once
+    a_grid = _distinct_masses(a_grid)
     energies = {a: minimize(graph, ProblemSpec(kind=NLS, a=a, p=p), solver_cfg).energy for a in a_grid}
     checks = [CheckRecord(f"E(a={a:g}) <= 0", energies[a], 0.0, energies[a], energies[a] <= zero_tol)
               for a in a_grid]
@@ -313,7 +319,7 @@ def verify_J_properties(graph: Graph, p, q, a_grid, solver_cfg=None,
     the previous one (an exactly feasible point), plus fresh restarts.
     """
     _check_tolerances(rel_tol=rel_tol)
-    a_grid = sorted(_mass_grid(a_grid))
+    a_grid = _distinct_masses(a_grid)
     cfg = solver_cfg or SolverConfig()
     a0 = a_grid[0]
     solved_as = _solved_as(a_grid + [float(theta * a0) for theta in thetas])  # each mass the checks read
@@ -495,10 +501,11 @@ def star_nonattainment_probe(d, R, p, q, L_list, a, solver_cfg=None,
     For each L the problem is solved on the star graph and on the plain
     truncation. The witness bundle consists of (i) near-equal energies,
     (ii) a centre of mass drifting outward with L, and (iii) a multiplier
-    that stays far from the value an interior minimizer would force: for the
-    Schrodinger problem that value is u(0)^(p-2); for the Sobolev problem an
-    interior minimizer would force the multiplier itself to vanish, so the
-    reference value is zero.
+    compared with a reference value. For the Schrodinger problem the reference
+    is u(0)^(p-2), the value an interior minimizer would force. For the Sobolev
+    problem the reference is zero, and (iii) is only a consistency check:
+    pairing the Euler-Lagrange equation -Delta_p u = lambda u^(q-1) with u gives
+    lambda = D_p(u) / a > 0 at every critical point, on every graph.
 
     On a finite truncation the star infimum is not yet the lattice one: the
     minimizer escapes towards the box end, and its tail still reaches back

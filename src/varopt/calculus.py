@@ -134,19 +134,40 @@ def _minus_p_laplacian(graph: Graph, u: np.ndarray, p, eps, d=None):
     return out
 
 
-def _p_laplacian_diagonal(graph: Graph, u: np.ndarray, p, eps, d=None):
-    """Sum over the edges at each vertex of (d^2 + eps^2)^((p-2)/2), plus
-    phantom * (u^2 + eps^2)^((p-2)/2): the diagonal of the linearized
-    p-Laplacian up to the factor p - 1, with the weights regularized so that
-    they stay finite for p < 2 where an edge difference vanishes."""
+def _weighted_laplacian(graph: Graph, u: np.ndarray, p, eps, d=None):
+    """The linearized p-Laplacian at u up to the factor p - 1, as (apply, diagonal).
+
+    Its edge weights are (d^2 + eps^2)^((p-2)/2) and its phantom weights
+    phantom * (u^2 + eps^2)^((p-2)/2), regularized so that they stay finite for
+    p < 2 where a difference vanishes. apply(v) is the sum over the edges at
+    each vertex of w (v(x) - v(y)) plus the phantom weight times v(x); diagonal
+    holds each vertex's weight sum.
+    """
     d = _edge_diff(graph, u) if d is None else d
     h = 0.5 * p - 1.0
     w = (d * d + eps ** 2) ** h
-    out = (np.bincount(graph.heads, weights=w, minlength=graph.n)
-           + np.bincount(graph.tails, weights=w, minlength=graph.n))
-    if graph.boundary == "dirichlet":
-        out += graph.phantom * (u * u + eps ** 2) ** h
-    return out
+    diagonal = (np.bincount(graph.heads, weights=w, minlength=graph.n)
+                + np.bincount(graph.tails, weights=w, minlength=graph.n))
+    w_phantom = graph.phantom * (u * u + eps ** 2) ** h if graph.boundary == "dirichlet" else None
+    if w_phantom is not None:
+        diagonal += w_phantom
+
+    def apply(v):
+        wd = _edge_diff(graph, v)
+        wd *= w
+        out = (np.bincount(graph.heads, weights=wd, minlength=graph.n)
+               - np.bincount(graph.tails, weights=wd, minlength=graph.n))
+        if w_phantom is not None:
+            out += w_phantom * v
+        return out
+
+    return apply, diagonal
+
+
+def _p_laplacian_diagonal(graph: Graph, u: np.ndarray, p, eps, d=None):
+    """The diagonal of _weighted_laplacian: the Jacobi part of the linearized
+    p-Laplacian up to the factor p - 1."""
+    return _weighted_laplacian(graph, u, p, eps, d)[1]
 
 
 def box_inverse(graph: Graph):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (Field, _abs_pow, _dirichlet, _edge_diff, _kinetic, _minus_p_laplacian,
-                       _p_laplacian_diagonal, _signed_pow, box_inverse)
+                       _p_laplacian_diagonal, _signed_pow, _weighted_laplacian, box_inverse)
 from .errors import InvalidExponent, InvalidSpec, TooLarge
 from .lattice import Graph
 
@@ -315,23 +315,79 @@ def _constraint_normal(problem: ProblemSpec, u: np.ndarray) -> np.ndarray:
     return power * _signed_pow(u, power - 1.0)
 
 
+_CG_TOL = 3e-2      # relative accuracy of the p < 2 metric: ||L_w P v - v|| <= _CG_TOL ||v||
+_CG_MAX_ITERS = 50  # CG steps per solve at most
+
+
+def _cg(apply, precondition, v):
+    """x with apply(x) ~ v, by preconditioned conjugate gradients from zero. It stops
+    when ||r|| <= _CG_TOL ||v|| / sqrt(2), after _CG_MAX_ITERS steps, or at a search
+    direction without positive curvature. From a zero start every iterate has <v, x> > 0."""
+    x = np.zeros_like(v)
+    r = v.copy()
+    stop = _CG_TOL * math.sqrt(0.5 * np.dot(v, v))
+    direction = rz = None
+    for _ in range(_CG_MAX_ITERS):
+        if math.sqrt(np.dot(r, r)) <= stop:
+            break
+        z = precondition(r)
+        rz, rz_prev = np.dot(r, z), rz
+        direction = z if direction is None else z + (rz / rz_prev) * direction
+        a_dir = apply(direction)
+        curvature = np.dot(direction, a_dir)
+        if curvature <= 0:
+            break
+        alpha = rz / curvature
+        x += alpha * direction
+        r -= alpha * a_dir
+    return x
+
+
+def _newton_metric(graph: Graph, problem: ProblemSpec, solve_box):
+    """metric(u, d) -> P ~ L_w^{-1}, with L_w the weighted Laplacian of
+    calculus._weighted_laplacian at u: a Newton-CG metric (Huang, Li & Liu,
+    J. Sci. Comput. 32 (2007)). _cg solves L_w x = v with the preconditioner s B s,
+    B the box inverse and s = (2d / diagonal(L_w))^(1/2).
+
+    P solves v's part along the constraint normal n and the rest apart, and n's
+    solution once per point. Near a critical point the gradient is nearly parallel
+    to n, so one inexact solve of it would bury the residual under the solve's
+    error; solved apart, the tangent direction's error shrinks with the residual.
+    Each part is solved to _CG_TOL / sqrt(2), so that P meets _CG_TOL.
+    """
+    p = problem.p
+
+    def metric(u, d):
+        apply, diagonal = _weighted_laplacian(graph, u, p, _SMOOTHING_EPS, d)
+        s = np.sqrt((2.0 * graph.d) / diagonal)
+        solve = lambda v: _cg(apply, lambda r: s * solve_box(s * r), v)
+        normal = _constraint_normal(problem, u)
+        nn, x_n = np.dot(normal, normal), solve(normal)
+
+        def precondition(v):
+            c = np.dot(normal, v) / nn
+            return c * x_n + solve(v - c * normal)
+        return precondition
+    return metric
+
+
 def _preconditioner(graph: Graph, problem: ProblemSpec):
     """The metric of the descent direction, as metric(u, d) -> P for the point u
     with edge differences d; None (the identity everywhere) for the Schrodinger
     problem and for p > 2.
 
-    For p = 2 on a dirichlet-mode truncation, P is the box inverse at every
-    point: it inverts the 2-Dirichlet form up to the perturbation. For p < 2,
-    P is the inverse of the regularized diagonal of the linearized p-Laplacian
-    at u, the Jacobi metric of the weighted Laplacian
-    (|grad u|^2 + eps^2)^((p-2)/2).
+    On a dirichlet-mode build_graph truncation, P is the box inverse at every point
+    for p = 2, which inverts the 2-Dirichlet form up to the perturbation, and the
+    Newton-CG metric of _newton_metric for p < 2. Elsewhere, for p < 2, P is the
+    inverse of the regularized diagonal of the linearized p-Laplacian at u, the
+    Jacobi metric of the weighted Laplacian (|grad u|^2 + eps^2)^((p-2)/2).
     """
-    if problem.kind != SOBOLEV:
+    if problem.kind != SOBOLEV or problem.p > 2.0:
         return None
     p = problem.p
-    if p == 2.0 and graph.boundary == "dirichlet" and graph.spec is not None:
+    if graph.boundary == "dirichlet" and graph.spec is not None:
         solve = box_inverse(graph)
-        return lambda u, d: solve
+        return (lambda u, d: solve) if p == 2.0 else _newton_metric(graph, problem, solve)
     if p < 2.0:
         def metric(u, d):
             inverse = 1.0 / _p_laplacian_diagonal(graph, u, p, _SMOOTHING_EPS, d)

@@ -315,6 +315,25 @@ def test_J_properties_homogeneity_small():
     assert report.values[8.0] == pytest.approx(2.0 * report.values[1.0], rel=1e-4)
 
 
+@pytest.mark.parametrize("grid", [[1.0, 1.0, 2.0], [2.0, 1.0, 1.0 + 5e-13]])
+def test_J_properties_list_each_distinct_mass_once(monkeypatch, grid):
+    # [1.0, 1.0, 2.0] once listed the J(1) ratio twice and J(2) < J(1) + J(1) three times
+    solved, solve = [], analysis.minimize_sobolev
+
+    def counting(graph, problem, cfg=None):
+        solved.append(problem.a)
+        return solve(graph, problem, cfg)
+
+    monkeypatch.setattr(analysis, "minimize_sobolev", counting)
+    g = build_graph(GraphSpec(d=3, L=3), boundary="dirichlet")
+    report = verify_J_properties(g, 2.0, 6.0, grid, solver_cfg=CFG, thetas=())
+    assert solved == [1.0, 2.0]
+    assert sorted(report.values) == [1.0, 2.0]
+    assert [c.name for c in report.checks] == ["J(1)/a^(p/q) ratio vs a=1", "J(2)/a^(p/q) ratio vs a=1",
+                                              "J(2) < J(1) + J(1)"]
+    assert report.all_passed, [c.name for c in report.failures()]
+
+
 def test_J_properties_subadditivity_pairs():
     g = build_graph(GraphSpec(d=3, L=3), boundary="dirichlet")
     report = verify_J_properties(g, 2.0, 6.0, [1.0, 2.0, 3.0], solver_cfg=CFG, thetas=())
