@@ -284,12 +284,16 @@ def _functional(graph: Graph, problem: ProblemSpec):
             return 0.5 * kin - pot / p, (kin, pot), d
 
         def gradient(u, d=None):
-            return _minus_p_laplacian(graph, u, 2.0, 0.0, d) - _signed_pow(u, p - 1.0)
+            g = _minus_p_laplacian(graph, u, 2.0, 0.0, d)
+            g -= _signed_pow(u, p - 1.0)
+            return g
 
         def residual(u, g, parts):
             kin, pot = parts
             lam = (pot - kin) / problem.a
-            return lam, g + lam * u
+            res = lam * u
+            res += g
+            return lam, res
 
         return energy, gradient, residual
 
@@ -322,24 +326,32 @@ _CG_MAX_ITERS = 50  # CG steps per solve at most
 def _cg(apply, precondition, v):
     """x with apply(x) ~ v, by preconditioned conjugate gradients from zero. It stops
     when ||r|| <= _CG_TOL ||v|| / sqrt(2), after _CG_MAX_ITERS steps, or at a search
-    direction without positive curvature. From a zero start every iterate has <v, x> > 0."""
+    direction without positive curvature. From a zero start every iterate has <v, x> > 0.
+    It updates in place, so the first direction is a copy: precondition may return r itself."""
     x = np.zeros_like(v)
     r = v.copy()
+    scaled = np.empty_like(v)
     stop = _CG_TOL * math.sqrt(0.5 * np.dot(v, v))
     direction = rz = None
     for _ in range(_CG_MAX_ITERS):
         if math.sqrt(np.dot(r, r)) <= stop:
             break
         z = precondition(r)
-        rz, rz_prev = np.dot(r, z), rz
-        direction = z if direction is None else z + (rz / rz_prev) * direction
+        rz, rz_prev = float(np.dot(r, z)), rz
+        if rz == 0:
+            break  # a zero step, after which the next would divide by zero
+        if direction is None:
+            direction = z.copy()
+        else:
+            direction *= rz / rz_prev
+            direction += z
         a_dir = apply(direction)
-        curvature = np.dot(direction, a_dir)
+        curvature = float(np.dot(direction, a_dir))
         if curvature <= 0:
             break
         alpha = rz / curvature
-        x += alpha * direction
-        r -= alpha * a_dir
+        x += np.multiply(direction, alpha, out=scaled)
+        r -= np.multiply(a_dir, alpha, out=scaled)
     return x
 
 
@@ -400,8 +412,8 @@ def _tangent_direction(g, normal, precondition):
     """Pg - (<n, Pg>/<n, Pn>) Pn: the gradient in the metric of P^{-1}, tangent
     to the constraint sphere; with P the identity, the Euclidean projection."""
     pg, pn = (g, normal) if precondition is None else (precondition(g), precondition(normal))
-    npn = np.dot(normal, pn)
-    return pg - (np.dot(pg, normal) / npn) * pn if npn > 0 else pg
+    npn = float(np.dot(normal, pn))
+    return pg - (float(np.dot(pg, normal)) / npn) * pn if npn > 0 else pg
 
 
 _STAGNATION_LIMIT = 200
@@ -411,8 +423,8 @@ _TIE_ULPS = 4.0 * np.finfo(np.float64).eps  # near-tie width relative to max(1, 
 def _spectral_step(du, dg, step):
     """The Barzilai-Borwein step for the displacement du and the direction change
     dg, clamped; the persistent step while dg shows no curvature."""
-    denom = np.dot(du, dg)
-    return min(max(np.dot(du, du) / denom, 1e-12), _STEP_MAX) if denom > 0 else step
+    denom = float(np.dot(du, dg))
+    return min(max(float(np.dot(du, du)) / denom, 1e-12), _STEP_MAX) if denom > 0 else step
 
 
 def _descend(graph, problem, cfg, seed_values, label, metric, radius) -> SolveResult:
@@ -431,7 +443,7 @@ def _descent_path(graph, problem, cfg, seed_values, metric):
     def stationarity(u, parts, d):
         g = gradient(u, d)
         lam, res = residual(u, g, parts)
-        return g, lam, float(np.sqrt(np.dot(res, res)))
+        return g, lam, math.sqrt(np.dot(res, res))
 
     # each point is evaluated once: energy at the trial, stationarity at acceptance or
     # tie test; res_norm is None until the current point's is known
@@ -458,7 +470,7 @@ def _descent_path(graph, problem, cfg, seed_values, metric):
         direction = _tangent_direction(g, _constraint_normal(problem, u),
                                        None if metric is None else metric(u, d))
         g = d = None
-        if not direction.any():
+        if not np.count_nonzero(direction):
             break
         # spectral (Barzilai-Borwein) trial step, clamped, falling back to the
         # persistent step while no curvature information is available
@@ -469,7 +481,8 @@ def _descent_path(graph, problem, cfg, seed_values, metric):
         tie_tol = _TIE_ULPS * max(1.0, abs(E))
         while s > _STEP_MIN:
             d_v = None  # with d = None above: no old differences outlive a new trial's gather
-            v = _project(problem, np.abs(u - s * direction))
+            v = direction * s  # u - s direction and its abs in place; the projection replaces it
+            v = _project(problem, np.abs(np.subtract(u, v, out=v), out=v))
             Ev, parts_v, d_v = energy(v)
             if Ev < E:
                 improved, res_norm = True, None

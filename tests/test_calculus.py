@@ -200,13 +200,45 @@ def test_p_laplacian_diagonal_is_the_hessian_diagonal(boundary):
     assert np.all(np.isfinite(_p_laplacian_diagonal(g, np.zeros(g.n), 1.0, 1e-8)))
 
 
-@pytest.mark.parametrize("d,L", [(1, 2), (1, 5), (1, 12), (2, 3), (2, 10), (3, 2), (3, 4), (3, 8)])
+@pytest.mark.parametrize("d,L", [(1, 2), (1, 5), (1, 12), (2, 3), (2, 10), (3, 2), (3, 4), (3, 8), (3, 20)])
 def test_box_inverse_inverts_the_dirichlet_laplacian(d, L):
     g = build_graph(GraphSpec(d=d, L=L), boundary="dirichlet")
     solve = box_inverse(g)
     for _ in range(3):
         v = RNG.standard_normal(g.n)
         assert np.max(np.abs(-laplacian(g, solve(v)).values - v)) <= 1e-13
+
+
+def tensordot_box_inverse(g):
+    """The box inverse with each sine transform written as np.tensordot over the
+    leading axis, which appends the result axis."""
+    d, m = g.d, 2 * g.spec.L - 1
+    k = np.arange(1, m + 1)
+    S = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    eig = 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
+    inv_eig = 1.0 / sum(eig.reshape((m,) + (1,) * (d - 1 - axis)) for axis in range(d))
+
+    def solve(v):
+        x = v.reshape((m,) * d)
+        for _ in range(d):
+            x = np.tensordot(x, S, axes=(0, 0))
+        x = x * inv_eig
+        for _ in range(d):
+            x = np.tensordot(x, S, axes=(0, 0))
+        return x.ravel()
+    return solve
+
+
+@pytest.mark.parametrize("d,L", [(1, 2), (1, 12), (1, 30), (2, 3), (2, 12), (3, 2), (3, 5), (3, 8), (3, 20)])
+def test_box_inverse_is_the_tensordot_contraction_bit_for_bit(d, L):
+    # each pass is the GEMM that tensordot makes, without its transpose copy
+    g = build_graph(GraphSpec(d=d, L=L), boundary="dirichlet")
+    solve, reference = box_inverse(g), tensordot_box_inverse(g)
+    for _ in range(5):
+        v = RNG.standard_normal(g.n)
+        kept = v.copy()
+        assert np.array_equal(solve(v), reference(v))
+        assert np.array_equal(v, kept)
 
 
 def test_box_inverse_matches_a_dense_solve():

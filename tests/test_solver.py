@@ -781,6 +781,69 @@ def test_newton_metric_regression_guard(monkeypatch):
     assert len(iters) == 6 and max(iters) <= 150
 
 
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_cg_is_the_same_when_the_preconditioner_returns_its_argument(n):
+    # with the identity returning r itself, the first search direction was r, so each
+    # residual update rewrote it too: at n=20 all 50 steps to a relative residual of
+    # 2.3e-2, against 19 steps to 6.4e-3 with a copying identity
+    tridiag = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    v = np.random.default_rng(n).standard_normal(n)
+    kept = v.copy()
+    runs = []
+    for precondition in (lambda r: r, lambda r: r.copy()):
+        steps = [0]
+
+        def apply(x):
+            steps[0] += 1
+            return tridiag @ x
+        x = solver._cg(apply, precondition, v)
+        assert np.array_equal(v, kept)
+        assert np.linalg.norm(tridiag @ x - v) <= solver._CG_TOL * np.linalg.norm(v) / math.sqrt(2)
+        runs.append((steps[0], x))
+    (steps_same, x_same), (steps_copy, x_copy) = runs
+    assert steps_same == steps_copy < solver._CG_MAX_ITERS
+    assert np.array_equal(x_same, x_copy)
+
+
+def test_cg_stops_at_a_zero_step():
+    # <r, z> underflows to zero while ||r|| and the curvature do not: the step is zero,
+    # and the next would divide by zero
+    x = solver._cg(lambda x: 1e308 * x, lambda r: 1e-290 * r, np.full(4, 1e-20))
+    assert np.array_equal(x, np.zeros(4))
+
+
+def test_newton_metric_cg_solves_end_at_their_tolerance(monkeypatch):
+    # on the d=3 L=5 dirichlet box at p=1.5, q=3 no CG solve of the default solve reaches
+    # _CG_MAX_ITERS (the largest takes 15 steps); on the L=8 box 158 of 1,490 do
+    g = build_graph(GraphSpec(d=3, L=5), boundary="dirichlet")
+    real_cg, calls = solver._cg, []
+
+    def cg(apply, precondition, v):
+        curvatures, preconditioned = [], [0]
+
+        def counted_apply(x):
+            out = apply(x)
+            curvatures.append(np.dot(x, out))
+            return out
+
+        def counted_precondition(r):
+            preconditioned[0] += 1
+            return precondition(r)
+        x = real_cg(counted_apply, counted_precondition, v)
+        calls.append((len(curvatures), preconditioned[0], min(curvatures, default=1.0),
+                      np.linalg.norm(apply(x) - v) / np.linalg.norm(v) if v.any() else 0.0))
+        return x
+
+    monkeypatch.setattr(solver, "_cg", cg)
+    res = minimize_sobolev(g, ProblemSpec(kind="sobolev", a=1.0, p=1.5, q=3.0))
+    assert res.converged and len(calls) > 0
+    for steps, preconditioned, curvature, relative_residual in calls:
+        # not the cap, not a zero step, not a direction without curvature: the tolerance
+        assert steps < solver._CG_MAX_ITERS
+        assert preconditioned == steps and curvature > 0
+        assert relative_residual <= solver._CG_TOL
+
+
 def test_newton_metric_reaches_the_L8_minimum():
     # the delta restart on the d=3 L=8 dirichlet box at p=1.5, q=3: 545 iterations with
     # the Jacobi metric
