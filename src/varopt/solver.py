@@ -127,6 +127,8 @@ class SolveResult:
     multiplier: float
     el_residual: float
     converged: bool
+    # how the descent stopped: "converged", "zero direction", "no step", "stagnation" or "capped"
+    stop_reason: str
     localization: Localization
     problem: ProblemSpec
     n_iters: int
@@ -186,10 +188,11 @@ _SEED_FORMS = {"delta": "[@centre]", "gauss": "[@centre][:width]", "widegauss": 
 
 def _seed_recipe(graph: Graph, descriptor, power=1) -> tuple:
     """Read and check a seed descriptor against the graph, building no field, and return
-    (build, label), where build(rng) makes the raw field. A Gaussian's top value to the
-    constraint exponent power must be a normal number, and an explicit array's values to
-    that power must not all vanish, so that the field projects. minimize checks its plan
-    this way."""
+    (build, label, key), where build(rng) makes the raw field. Two descriptors with equal
+    keys build the same field on this graph; a random seed's key is None, equal to no
+    other. A Gaussian's top value to the constraint exponent power must be a normal
+    number, and an explicit array's values to that power must not all vanish, so that
+    the field projects. minimize checks its plan this way."""
     if isinstance(descriptor, (np.ndarray, list)):
         values = np.asarray(descriptor, dtype=np.float64)
         if values.shape != (graph.n,) or not np.all(np.isfinite(values)):
@@ -197,7 +200,7 @@ def _seed_recipe(graph: Graph, descriptor, power=1) -> tuple:
         if not _abs_pow(values, power).any():
             raise InvalidSpec(f"explicit seed vanishes at the constraint power {power:g}, "
                               "so it cannot be projected")
-        return lambda rng: np.abs(values), "explicit"
+        return lambda rng: np.abs(values), "explicit", ("explicit", np.abs(values).tobytes())
     name = str(descriptor)
     head, colon, width_part = name.partition(":")
     head, at, at_part = head.partition("@")
@@ -227,12 +230,14 @@ def _seed_recipe(graph: Graph, descriptor, power=1) -> tuple:
         raise InvalidSpec(f"seed {name!r} needs a centre inside the box {graph.lo} + [0, {graph.shape})")
     if head == "delta":
         build = lambda rng: np.eye(1, graph.n, graph.vertex_id(centre))[0]  # one 1.0 at the centre
+        key = ("delta", centre)
     elif head == "ball":  # it holds its centre, so it is never empty
         build = lambda rng: (graph.sup_distance(centre) < width).astype(np.float64)
+        key = ("ball", centre, width)
     elif head == "uniform":
-        build = lambda rng: np.ones(graph.n)
+        build, key = lambda rng: np.ones(graph.n), ("uniform",)
     elif head == "random":
-        build = lambda rng: np.abs(rng.standard_normal(graph.n))
+        build, key = lambda rng: np.abs(rng.standard_normal(graph.n)), None
     else:  # gauss, widegauss and the corners
         # the top value exp(-t) to the power must be a normal number (power * t < 708), no quotient
         # may overflow and width ** 2 must be finite: checked by products, before any division
@@ -243,13 +248,14 @@ def _seed_recipe(graph: Graph, descriptor, power=1) -> tuple:
             raise InvalidSpec(f"seed {name!r} has no usable values on this graph "
                               f"(width {width:g}, centre {centre}, constraint power {power:g})")
         build = lambda rng: np.exp(-0.5 * sum(o * o for o in graph.offsets(centre)).ravel() / width ** 2)
-    return build, name
+        key = ("gauss", centre, width)
+    return build, name, key
 
 
 def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.ndarray, str]:
     """Turn a seed descriptor (a head of _SEED_FORMS in its form, or an explicit
     array) into a raw (unnormalized) nonnegative field and its label."""
-    build, label = _seed_recipe(graph, descriptor)
+    build, label, _ = _seed_recipe(graph, descriptor)
     return build(rng), label
 
 
@@ -378,7 +384,9 @@ def _newton_metric(graph: Graph, problem: ProblemSpec, solve_box):
 
         def precondition(v):
             c = np.dot(normal, v) / nn
-            return c * x_n + solve(v - c * normal)
+            rest = v - c * normal
+            # zero for the normal itself, where c = 1 exactly; CG would return zero for it
+            return c * x_n + solve(rest) if rest.any() else c * x_n
         return precondition
     return metric
 
@@ -429,15 +437,16 @@ def _spectral_step(du, dg, step):
 
 def _descend(graph, problem, cfg, seed_values, label, metric, radius) -> SolveResult:
     # the path's arrays are gone by the time the localization builds its coordinates
-    u, E_u, lam, res_norm, converged, it, trace = _descent_path(graph, problem, cfg, seed_values, metric)
-    return SolveResult(Field(graph, u), float(E_u), float(lam), res_norm, converged,
+    u, E_u, lam, res_norm, stop, it, trace = _descent_path(graph, problem, cfg, seed_values, metric)
+    return SolveResult(Field(graph, u), float(E_u), float(lam), res_norm, stop == "converged", stop,
                        _localize(graph, _constraint_weight(problem, u), radius), problem, it, label,
                        trace=trace)
 
 
 def _descent_path(graph, problem, cfg, seed_values, metric):
     """Descend from the seed; return the last point, its energy, multiplier and
-    residual norm, whether it converged, the iteration count and the trace."""
+    residual norm, the stop reason (SolveResult.stop_reason), the iteration count
+    and the trace. A last point within tol_grad has converged, whichever exit fired."""
     energy, gradient, residual = _functional(graph, problem)
 
     def stationarity(u, parts, d):
@@ -453,7 +462,7 @@ def _descent_path(graph, problem, cfg, seed_values, metric):
     res_norm = None
     step = _STEP_INIT
     trace = [] if cfg.record_trace else None
-    converged = False
+    stop = None
     stagnation = 0
     prev_u = prev_dir = None
     it = 0
@@ -463,7 +472,6 @@ def _descent_path(graph, problem, cfg, seed_values, metric):
         if trace is not None:
             trace.append((it, E, res_norm, step))
         if res_norm <= cfg.tol_grad:
-            converged = True
             break
         # the metric only where the descent moves from; no trial reads the gradient,
         # the metric or the old differences, so none outlives the direction
@@ -471,6 +479,7 @@ def _descent_path(graph, problem, cfg, seed_values, metric):
                                        None if metric is None else metric(u, d))
         g = d = None
         if not np.count_nonzero(direction):
+            stop = "zero direction"
             break
         # spectral (Barzilai-Borwein) trial step, clamped, falling back to the
         # persistent step while no curvature information is available
@@ -495,7 +504,8 @@ def _descent_path(graph, problem, cfg, seed_values, metric):
                 g = None
             s *= 0.5
         else:
-            break  # no admissible step at machine precision
+            stop = "no step"  # no admissible step at machine precision
+            break
         u, E_u, parts, d = v, Ev, parts_v, d_v
         E = min(Ev, E)  # report the monotone envelope
         step = min(s * 1.3, _STEP_MAX)
@@ -504,40 +514,51 @@ def _descent_path(graph, problem, cfg, seed_values, metric):
         else:
             stagnation += 1
             if stagnation >= _STAGNATION_LIMIT:
+                stop = "stagnation"
                 break
     else:
-        it = cfg.max_iters
+        it, stop = cfg.max_iters, "capped"
     if res_norm is None:
         _, lam, res_norm = stationarity(u, parts, d)
-    converged = converged or res_norm <= cfg.tol_grad
+    if res_norm <= cfg.tol_grad:
+        stop = "converged"
     if trace is not None:
         trace.append((it, E_u, res_norm, step))
         trace = np.array(trace)
-    return u, E_u, lam, res_norm, converged, it, trace
+    return u, E_u, lam, res_norm, stop, it, trace
 
 
 def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None) -> SolveResult:
     """Minimize the problem's functional on its constraint sphere, multistart.
 
     Each seed is built just before its descent, and each restart is ranked as it
-    ends; only the winner's result and every restart's summary are kept.
+    ends; only the winner's result and every restart's summary are kept. A seed that
+    builds the same field as an earlier one (equal _seed_recipe keys) is not descended
+    again: the descent is deterministic, so its summary row is the earlier restart's
+    under its own label, and the earlier restart, ranked first, wins any tie.
     """
     cfg = cfg or SolverConfig()
     problem.validate_for(graph)
     cfg.validate()
     plan = list(cfg.seeds) if cfg.seeds else default_seed_plan(cfg.restarts)
 
-    for descriptor in plan:  # a bad descriptor anywhere in the plan fails before any descent
-        _seed_recipe(graph, descriptor, _power(problem))
+    # a bad descriptor anywhere in the plan fails before any descent
+    labelled = [_seed_recipe(graph, descriptor, _power(problem))[1:] for descriptor in plan]
 
     metric = _preconditioner(graph, problem)
     radius = _default_probe_radius(graph)
     best = best_key = None
     summary = []
-    for k, descriptor in enumerate(plan):
+    rows = {}  # seed key -> (energy, el_residual, converged) of the restart that descended from it
+    for k, (descriptor, (label, seed_key)) in enumerate(zip(plan, labelled)):
+        if seed_key in rows:
+            summary.append((label, *rows[seed_key]))
+            continue
         rng = np.random.default_rng([cfg.rng_seed, k])
         outcome = _descend(graph, problem, cfg, *make_seed(graph, descriptor, rng), metric, radius)
         summary.append((outcome.seed_label, outcome.energy, outcome.el_residual, outcome.converged))
+        if seed_key is not None:
+            rows[seed_key] = summary[-1][1:]
         key = (outcome.energy, outcome.el_residual, outcome.localization.center_of_mass)
         if best is None or key < best_key:  # strict: the first of equal restarts wins, as with min
             best, best_key = outcome, key

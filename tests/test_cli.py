@@ -72,6 +72,8 @@ def test_exit_code_3_when_not_converged(tmp_path):
         "output_dir": str(tmp_path),
     })
     assert run(cfg) == 3
+    # results.json says which exit the winning descent took; results.csv has no column for it
+    assert json.loads((tmp_path / "results.json").read_text())["stop_reason"] == "capped"
 
 
 def test_required_convergence_raises_not_converged(tmp_path, capsys):
@@ -483,18 +485,18 @@ GOLDEN_RUNS = {
                       "solver": {"restarts": 3, "record_trace": True}, "emit_field": True}, 0,
         {"minimizer.json": "431bc541760d67a006c7e958d40cb3c4235c75513f6faa8e16d84457b641951f",
          "results.csv": "d957fc2861f2b4287157cd66fe2769e73d38012e34c9236dee66f74e29472145",
-         "results.json": "3e7270b3ea9b8aa8a0123066664e54a243fe2b7d22636c18caeb93bbb95ecc73",
+         "results.json": "aa90d4517445e5be5cdd9fd61f029f51b0b64046cf9935fce87631934e34000f",
          "trace.csv": "1e4c8090c91ae9a4e863786339fe3a37211ba19d0dad78b29d68624f0600b7a0"}),
     "solve-nls-exit3": (
         "solve-nls", {"graph": {"d": 1, "L": 6}, "problem": {"a": 2.0, "p": 4.0},
                       "solver": {"restarts": 1, "seeds": ["random"], "max_iters": 2}}, 3,
         {"results.csv": "969a3b01f9e7ecf9b76009f4d6ad4a9cb9ed3e23837287e87178d088c47a17d5",
-         "results.json": "736839a60d4be4c9f554f062e9e78a219b7f5e903eb25bf43ab1443ac48e0237"}),
+         "results.json": "fe9bc0151e6ea3770b2e601afe7c452a870f66486a27daf2a1770aea603a1dfe"}),
     "solve-sobolev": (
         "solve-sobolev", {"graph": {"construction": "sphere_deletion", "d": 3, "R": 2, "L": 4},
                           "problem": {"p": 2.0, "q": 6.0}, "solver": {"restarts": 3, "tol_grad": 1e-7}}, 0,
         {"results.csv": "286454f37effbd96a5c19005e1ae76bd6fcc173aaca14c594cb4e2982a5ec15b",
-         "results.json": "6fa6618a55bf3af6a4e3edd23b76921fcba4284ae1670688ea369e8201fbc5b2"}),
+         "results.json": "73971afb570432c2216d789d203b3fb6a515970004026897d901e85288ade8a1"}),
     "threshold-all_negative": (
         "threshold", {"graph": {"d": 1, "L": 10}, "params": {"p": 4.0, "a_range": [0.5, 6.0]},
                       "solver": {"restarts": 3}}, 0,

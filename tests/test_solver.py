@@ -519,6 +519,7 @@ def test_returned_values_are_a_fresh_evaluation_at_the_minimizer(case):
     assert res.converged == (exit_ == "converged")
     assert (res.n_iters == cfg.max_iters) == (exit_ == "capped")
     assert descent_exit(res, cfg) == exit_
+    assert res.stop_reason == exit_
 
 
 @pytest.mark.parametrize("case", ["nls-drop-converged", "sobolev-dirichlet-stagnation"])
@@ -778,7 +779,89 @@ def test_newton_metric_regression_guard(monkeypatch):
     res = minimize_sobolev(g, ProblemSpec(kind="sobolev", a=1.0, p=1.5, q=3.0))
     assert res.converged and all(converged for *_, converged in res.restart_summary)
     assert abs(res.energy - 5.839032386416408) <= 1e-12
-    assert len(iters) == 6 and max(iters) <= 150
+    # widegauss is gauss:2.0 on this box, so six restarts take five descents
+    assert len(iters) == 5 and len(res.restart_summary) == 6 and max(iters) <= 150
+
+
+# the default solve on the d=3 L=5 dirichlet box at p=1.5, q=3: float.hex of the energy,
+# and each restart's (seed label, energy, el_residual, converged)
+P15_L5_ENERGY = "0x1.75b2b4e4fc5f2p+2"
+P15_L5_SUMMARY = [
+    ("delta", "0x1.75b2b4e4fc5f3p+2", "0x1.040f6a22e6bdap-29", True),
+    ("gauss:2.0", "0x1.75b2b4e4fc5f2p+2", "0x1.05554429981e5p-29", True),
+    ("widegauss", "0x1.75b2b4e4fc5f2p+2", "0x1.05554429981e5p-29", True),
+    ("corner+", "0x1.06b7c2c1fb10cp+3", "0x1.b22337b4a7083p-29", True),
+    ("corner-", "0x1.06b7c2c1fb10dp+3", "0x1.319f0c3e3c332p-27", True),
+    ("uniform", "0x1.75b2b4e4fc5f3p+2", "0x1.51c69abeb56f8p-29", True),
+]
+
+
+def hex_rows(summary):
+    return [(label, e.hex(), r.hex(), c) for label, e, r, c in summary]
+
+
+def test_newton_metric_solves_no_zero_vector(monkeypatch):
+    # the metric's answer for the constraint normal is its stored solve; CG of the zero
+    # vector that remains once the normal's part is taken out was 195 of 585 calls
+    g = build_graph(GraphSpec(d=3, L=5), boundary="dirichlet")
+    real_cg, zero, calls = solver._cg, [0], [0]
+
+    def cg(apply, precondition, v):
+        calls[0] += 1
+        zero[0] += not v.any()
+        return real_cg(apply, precondition, v)
+
+    monkeypatch.setattr(solver, "_cg", cg)
+    res = minimize_sobolev(g, ProblemSpec(kind="sobolev", a=1.0, p=1.5, q=3.0))
+    assert calls[0] > 0 and zero[0] == 0
+    assert (res.energy.hex(), res.seed_label, res.n_iters) == (P15_L5_ENERGY, "gauss:2.0", 34)
+    assert hex_rows(res.restart_summary) == P15_L5_SUMMARY
+
+
+@pytest.mark.parametrize("prob", [ProblemSpec(kind="sobolev", a=1.0, p=2.0, q=6.0), P15])
+def test_each_distinct_seed_field_is_descended_once(monkeypatch, prob):
+    # on the d=3 L=4 box widegauss has width max(2, extent/2) = 2, the field of gauss:2.0;
+    # an explicit array's field is its absolute values, however it is given
+    g = build_graph(GraphSpec(d=3, L=4), boundary="dirichlet")
+    values = np.linspace(0.5, 1.5, g.n)
+    plan = ["gauss:2.0", "widegauss", "delta", "gauss:2.0", values, list(-values)]
+    labels = []
+    descend = solver._descend
+
+    def counted(*args):
+        labels.append(args[4])
+        return descend(*args)
+
+    monkeypatch.setattr(solver, "_descend", counted)
+    res = minimize(g, prob, SolverConfig(seeds=plan))
+    assert labels == ["gauss:2.0", "delta", "explicit"]
+    monkeypatch.undo()
+
+    # each row is the seed's own solve, bit for bit
+    alone = [minimize(g, prob, SolverConfig(seeds=[seed])) for seed in plan]
+    assert hex_rows(res.restart_summary) == hex_rows([row for a in alone for row in a.restart_summary])
+    # the winner is the first restart of the best field, as if every seed had descended
+    first = min(range(len(plan)), key=lambda k: (alone[k].energy, alone[k].el_residual,
+                                                 alone[k].localization.center_of_mass))
+    assert res.seed_label == alone[first].seed_label
+    assert (res.energy.hex(), res.multiplier.hex(), res.el_residual.hex(), res.n_iters) == \
+        (alone[first].energy.hex(), alone[first].multiplier.hex(), alone[first].el_residual.hex(),
+         alone[first].n_iters)
+    assert np.array_equal(res.minimizer.values, alone[first].minimizer.values)
+
+
+def test_random_seeds_are_never_shared(monkeypatch):
+    # each random restart draws from its own generator, so two are two fields
+    calls = [0]
+    descend = solver._descend
+
+    def counted(*args):
+        calls[0] += 1
+        return descend(*args)
+
+    monkeypatch.setattr(solver, "_descend", counted)
+    res = minimize(path_graph(5), ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=["random", "random"]))
+    assert calls[0] == 2 and [r[0] for r in res.restart_summary] == ["random", "random"]
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])
