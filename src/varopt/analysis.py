@@ -396,7 +396,7 @@ class GapReport:
     margin: float | None
 
 
-def sobolev_critical_gap(d, p, R_list, L, solver_cfg=None, boundary="dirichlet") -> GapReport:
+def sobolev_critical_gap(d, p, R_list, L, solver_cfg=None) -> GapReport:
     """Find a cut-sphere radius whose flat-profile energy beats the
     unperturbed extremal estimate at the critical exponent q = dp/(d-p).
 
@@ -414,7 +414,7 @@ def sobolev_critical_gap(d, p, R_list, L, solver_cfg=None, boundary="dirichlet")
     if R_list[-1] >= L / 2:
         raise InvalidSpec(f"largest R={R_list[-1]} must stay below L/2={L / 2}")
     q = d * p / (d - p)
-    base = build_graph(GraphSpec(d=d, L=L), boundary=boundary)
+    base = build_graph(GraphSpec(d=d, L=L), boundary="dirichlet")
     cuts = [sphere_deletion_spec(d, R, L) for R in R_list]  # checks every R before the solve
     res = minimize_sobolev(base, ProblemSpec(kind=SOBOLEV, a=1.0, p=p, q=q), solver_cfg)
     if not res.converged:
@@ -424,7 +424,7 @@ def sobolev_critical_gap(d, p, R_list, L, solver_cfg=None, boundary="dirichlet")
     witness_R = None
     margin = None
     for R, spec in zip(R_list, cuts):
-        cut = build_graph(spec, boundary=boundary)
+        cut = build_graph(spec, boundary="dirichlet")
         f_R = ball_indicator_field(cut, R, q)
         evaluated = dirichlet_energy(cut, f_R, p)
         formula = float((2 * R - 1) ** d) ** (-p / q)

@@ -164,12 +164,6 @@ def _weighted_laplacian(graph: Graph, u: np.ndarray, p, eps, d=None):
     return apply, diagonal
 
 
-def _p_laplacian_diagonal(graph: Graph, u: np.ndarray, p, eps, d=None):
-    """The diagonal of _weighted_laplacian: the Jacobi part of the linearized
-    p-Laplacian up to the factor p - 1."""
-    return _weighted_laplacian(graph, u, p, eps, d)[1]
-
-
 def box_inverse(graph: Graph):
     """Return v -> A^{-1} v for A minus the dirichlet-mode Laplacian of the plain
     box that a build_graph truncation lives on, perturbations left out.

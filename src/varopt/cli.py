@@ -82,14 +82,14 @@ class ExperimentConfig:
 
 def build_graph_from_config(gcfg: dict, default_boundary: str = "drop") -> Graph:
     """The graph of a graph section: ``construction`` (default "lattice")
-    picks the builder and ``boundary`` the boundary mode; every other key
-    goes to the builder by name, so a missing or unknown key is an error
-    naming it. A lattice takes the ``GraphSpec`` fields."""
+    picks the builder and ``boundary`` the boundary mode of a box (a path
+    has none); every other key goes to the builder by name, so a missing or
+    unknown key is an error naming it. A lattice takes the ``GraphSpec`` fields."""
     rest = dict(gcfg)
     construction = rest.pop("construction", "lattice")
-    boundary = rest.pop("boundary", default_boundary)
     if construction == "path":
-        return path_graph(boundary=boundary, **rest)
+        return path_graph(**rest)
+    boundary = rest.pop("boundary", default_boundary)
     specs = {"lattice": GraphSpec,
              "sphere_deletion": lambda d, R, L: sphere_deletion_spec(d, R, L),  # no kept_edge
              "star_addition": lambda d, R, L: star_addition_spec(d, R, L)}

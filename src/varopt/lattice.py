@@ -260,17 +260,17 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     return graph
 
 
-def path_graph(n: int, boundary: str = "drop") -> Graph:
-    """A 1-d path on n consecutive integers, roughly centred at 0.
+def path_graph(n: int) -> Graph:
+    """A 1-d path on n consecutive integers, roughly centred at 0, in drop mode.
 
     Used for exhaustive-oracle cross checks on tiny graphs; it is not a box
-    truncation, so there are no phantom boundary edges in either mode.
+    truncation, so it has no phantom boundary edges.
     """
     if not (_is_int(n) and n >= 1):
         raise InvalidSpec(f"path graph needs an integer number of vertices n >= 1, got {n!r}")
     ids = np.arange(n)
     return Graph((-((n - 1) // 2),), (n,),
-                 np.stack([ids[:-1], ids[1:]], axis=1), boundary=boundary)
+                 np.stack([ids[:-1], ids[1:]], axis=1))
 
 
 def is_connected(graph: Graph) -> bool:

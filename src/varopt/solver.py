@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (Field, _abs_pow, _dirichlet, _edge_diff, _kinetic, _minus_p_laplacian,
-                       _p_laplacian_diagonal, _signed_pow, _weighted_laplacian, box_inverse)
+from .calculus import (Field, _abs_pow, _dirichlet, _edge_diff, _kinetic, _minus_p_laplacian, _signed_pow,
+                       _weighted_laplacian, box_inverse)
 from .errors import InvalidExponent, InvalidSpec, TooLarge
 from .lattice import Graph
 
@@ -42,8 +42,11 @@ class ProblemSpec:
 
     kind "nls": minimize the Schrodinger energy over ||u||_2^2 = a, p > 2.
     kind "sobolev": minimize the p-Dirichlet energy over ||u||_q^q = a;
-    admissible means 1 <= p < d and q >= d p / (d - p), relaxed by
-    ``allow_subcritical`` for exploratory runs on small or low-d graphs.
+    admissible means 1 <= p < d, q >= d p / (d - p) and a dirichlet-mode graph
+    with phantom edges, the only truncation whose energies are those of the
+    zero extension to the lattice: without phantom edges constants give J = 0.
+    ``allow_subcritical`` relaxes all three, for exploratory runs on small,
+    low-d or drop-mode graphs.
     """
 
     kind: str
@@ -82,6 +85,10 @@ class ProblemSpec:
                     raise InvalidSpec(
                         f"sobolev-admissible needs q >= dp/(d-p) = {critical}, got q={self.q} "
                         "(set allow_subcritical to explore)")
+                if graph.boundary != "dirichlet" or not graph.phantom.any():
+                    raise InvalidSpec(
+                        f"sobolev-admissible needs a dirichlet-mode graph with phantom edges, got "
+                        f"{graph!r}: without them constants give J = 0 (set allow_subcritical to explore)")
 
 
 @dataclass
@@ -393,27 +400,17 @@ def _newton_metric(graph: Graph, problem: ProblemSpec, solve_box):
 
 def _preconditioner(graph: Graph, problem: ProblemSpec):
     """The metric of the descent direction, as metric(u, d) -> P for the point u
-    with edge differences d; None (the identity everywhere) for the Schrodinger
-    problem and for p > 2.
+    with edge differences d; None (the identity everywhere) unless the problem is
+    Sobolev with p <= 2 on a dirichlet-mode build_graph truncation.
 
-    On a dirichlet-mode build_graph truncation, P is the box inverse at every point
-    for p = 2, which inverts the 2-Dirichlet form up to the perturbation, and the
-    Newton-CG metric of _newton_metric for p < 2. Elsewhere, for p < 2, P is the
-    inverse of the regularized diagonal of the linearized p-Laplacian at u, the
-    Jacobi metric of the weighted Laplacian (|grad u|^2 + eps^2)^((p-2)/2).
+    There P is the box inverse at every point for p = 2, which inverts the
+    2-Dirichlet form up to the perturbation, and the Newton-CG metric of
+    _newton_metric for p < 2.
     """
-    if problem.kind != SOBOLEV or problem.p > 2.0:
+    if problem.kind != SOBOLEV or problem.p > 2.0 or graph.boundary != "dirichlet" or graph.spec is None:
         return None
-    p = problem.p
-    if graph.boundary == "dirichlet" and graph.spec is not None:
-        solve = box_inverse(graph)
-        return (lambda u, d: solve) if p == 2.0 else _newton_metric(graph, problem, solve)
-    if p < 2.0:
-        def metric(u, d):
-            inverse = 1.0 / _p_laplacian_diagonal(graph, u, p, _SMOOTHING_EPS, d)
-            return lambda v: v * inverse
-        return metric
-    return None
+    solve = box_inverse(graph)
+    return (lambda u, d: solve) if problem.p == 2.0 else _newton_metric(graph, problem, solve)
 
 
 def _tangent_direction(g, normal, precondition):

@@ -1,5 +1,6 @@
 """Threshold bisection, comparisons, property suites, escape diagnostics."""
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ from varopt.analysis import (
     verify_J_properties,
     verify_lemma_suite,
 )
-from varopt import analysis
+from varopt import analysis, cli
 
 CFG = SolverConfig(restarts=6, tol_grad=1e-8, max_iters=30000)
 
@@ -383,6 +384,27 @@ def test_sobolev_critical_gap_validation():
         sobolev_critical_gap(3, 2.0, [4], 8, solver_cfg=CFG)  # R >= L/2
     with pytest.raises(InvalidSpec):
         sobolev_critical_gap(2, 2.0, [2], 8, solver_cfg=CFG)  # needs p < d
+
+
+def test_sobolev_problem_needs_phantom_edges(tmp_path, capsys):
+    # without phantom edges constants have zero p-Dirichlet energy, so J = 0; an
+    # admissible problem there is refused, whichever entry point it comes through
+    prob = ProblemSpec(kind="sobolev", a=1.0, p=2.0, q=6.0)
+    box = build_graph(GraphSpec(d=3, L=4))
+    for call in (lambda: analysis.minimize(box, prob, CFG),
+                 lambda: analysis.minimize(build_graph(sphere_deletion_spec(3, 2, 4)), prob, CFG),
+                 lambda: star_nonattainment_probe(3, 2, 2.0, 6.0, [4], 1.0, solver_cfg=CFG, boundary="drop"),
+                 lambda: compare_energies(box, box, prob, [1.0], solver_cfg=CFG)):
+        with pytest.raises(InvalidSpec, match="allow_subcritical"):
+            call()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"graph": {"d": 3, "L": 4, "boundary": "drop"},
+                                "problem": {"a": 1.0, "p": 2.0, "q": 6.0}}))
+    assert cli.main(["solve-sobolev", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "allow_subcritical" in json.loads(capsys.readouterr().err)["message"]
+    # allowed, the problem has the value 0, which the uniform seed attains
+    res = analysis.minimize(box, ProblemSpec(kind="sobolev", a=1.0, p=1.5, q=3.0, allow_subcritical=True))
+    assert res.energy == 0.0 and res.seed_label == "uniform"
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from varopt import (
     Field,
+    Graph,
     GraphSpec,
     InvalidExponent,
     InvalidSpec,
@@ -25,7 +26,7 @@ from varopt import (
     translate,
 )
 from varopt.analysis import ball_indicator_field
-from varopt.calculus import _abs_pow, _p_laplacian_diagonal, _signed_pow
+from varopt.calculus import _abs_pow, _signed_pow, _weighted_laplacian
 
 RNG = np.random.default_rng(421)
 
@@ -181,15 +182,16 @@ def test_p_laplacian_invalid_exponent():
 
 @pytest.mark.parametrize("boundary", ["drop", "dirichlet"])
 def test_p_laplacian_diagonal_is_the_hessian_diagonal(boundary):
+    # the diagonal of the linearized p-Laplacian, which scales the Newton-CG metric
     g = build_graph(sphere_deletion_spec(2, 2, 5), boundary=boundary)
     phantom = g.phantom if boundary == "dirichlet" else 0.0
     u = np.random.default_rng(7).standard_normal(g.n)
     # p = 2: every weight is 1, so the diagonal is the degree plus the phantom count
-    assert np.array_equal(_p_laplacian_diagonal(g, u, 2.0, 1e-8),
+    assert np.array_equal(_weighted_laplacian(g, u, 2.0, 1e-8)[1],
                           np.bincount(g.edges.ravel(), minlength=g.n) + phantom)
     # p = 1.5, eps = 0: p (p - 1) times the diagonal is that of the energy's Hessian
-    diagonal = _p_laplacian_diagonal(g, u, 1.5, 0.0)
-    assert np.array_equal(_p_laplacian_diagonal(g, u, 1.5, 0.0, u[g.heads] - u[g.tails]), diagonal)
+    diagonal = _weighted_laplacian(g, u, 1.5, 0.0)[1]
+    assert np.array_equal(_weighted_laplacian(g, u, 1.5, 0.0, u[g.heads] - u[g.tails])[1], diagonal)
     h = 1e-6
     for v in range(0, g.n, 5):
         step = np.zeros(g.n)
@@ -197,7 +199,7 @@ def test_p_laplacian_diagonal_is_the_hessian_diagonal(boundary):
         fd = (dirichlet_gradient(g, u + step, 1.5)[v] - dirichlet_gradient(g, u - step, 1.5)[v]) / (2 * h)
         assert fd == pytest.approx(0.75 * diagonal[v], rel=1e-6)
     # eps keeps the weights finite where a difference vanishes
-    assert np.all(np.isfinite(_p_laplacian_diagonal(g, np.zeros(g.n), 1.0, 1e-8)))
+    assert np.all(np.isfinite(_weighted_laplacian(g, np.zeros(g.n), 1.0, 1e-8)[1]))
 
 
 @pytest.mark.parametrize("d,L", [(1, 2), (1, 5), (1, 12), (2, 3), (2, 10), (3, 2), (3, 4), (3, 8), (3, 20)])
@@ -251,8 +253,9 @@ def test_box_inverse_matches_a_dense_solve():
 def test_box_inverse_needs_a_dirichlet_box():
     with pytest.raises(InvalidSpec):
         box_inverse(build_graph(GraphSpec(d=2, L=3)))
-    with pytest.raises(InvalidSpec):
-        box_inverse(path_graph(5, boundary="dirichlet"))
+    g = build_graph(GraphSpec(d=2, L=3), boundary="dirichlet")
+    with pytest.raises(InvalidSpec):  # the same box without its spec
+        box_inverse(Graph(g.lo, g.shape, g.edges, boundary="dirichlet", phantom=g.phantom))
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,9 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
     ("compare", {"graph": LINE, "problem": {"kind": "heat", "p": 4.0}, "params": {"a_grid": [1.0]}}, "'heat'"),
     ("compare", {"graph": CUT_DIRICHLET, "problem": {"p": 4.0},
                  "params": {"a_grid": [1.0], "base_graph": {"d": 2, "L": 5, "boundary": "drop"}}}, "boundary"),
+    ("sobolev-gap", {"params": dict(GAP, boundary="drop")}, "boundary"),
+    ("solve-sobolev", {"graph": {"construction": "path", "n": 5, "boundary": "dirichlet"},
+                       "problem": {"a": 1.0, "p": 2.0, "q": 2.0, "allow_subcritical": True}}, "boundary"),
 ], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
         "graph-unknown", "problem-unknown", "seed", "edge-coordinate", "p-bool", "kind-mismatch",
         "solve-params", "graph-list", "params-list", "compare-tol-bool", "compare-strict_margin",
@@ -264,7 +267,8 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
         "compare-a_grid-empty", "compare-a_grid-bool", "star-probe-L_list-empty", "sobolev-gap-R_list-empty",
         "threshold-a_range-int", "threshold-a_range-str", "threshold-a_range-entry-str",
         "threshold-a_range-bool", "threshold-a_range-inf", "threshold-levels-two", "threshold-levels-not-L",
-        "unknown-construction", "compare-unknown-kind", "compare-base-boundary-mismatch"])
+        "unknown-construction", "compare-unknown-kind", "compare-base-boundary-mismatch", "gap-boundary",
+        "path-boundary"])
 def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload, named):
     if experiment != "verify-lemmas":  # the one experiment that runs no solver
         payload = dict(payload, solver={"restarts": 1})
