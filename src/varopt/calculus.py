@@ -14,6 +14,7 @@ Conventions fixed here once and used everywhere:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,27 +96,121 @@ def _signed_pow(x, p):
 # Each differs edge values as d = u[head] - u[tail], or takes that array from
 # a caller that has gathered it already, and adds the phantom terms only in
 # dirichlet mode; their summation order is part of the solver's output.
+#
+# Two layouts hold d. The edge layout gathers it over the edge list, in edge
+# order, and scatters by bincount. The box layout, taken on a build_graph
+# truncation of at least _BOX_MIN_VERTICES vertices, holds per axis k the
+# differences U[x + e_k] - U[x] of the reshaped field U over every base-lattice
+# edge along k that meets the box: one slice difference for the edges inside,
+# and as first and last slab along k the phantom edges, whose outer end is 0.
+# Deleted edges, and the phantom slabs in drop mode, hold exactly 0. The added
+# edges' gathered differences follow the d axis arrays. So the phantom terms are
+# part of the per-axis sums, a scatter is two slice adds per axis plus a bincount
+# over the added edges, and every sum is an np.add.reduce, which no BLAS thread
+# count moves. The layout is a function of the graph alone, so every kernel and
+# the d a caller passes back agree on it.
+#
+# The cut-off sits at the measured crossover. Box over edge layout time on a
+# dirichlet box (2 CPUs, one BLAS thread, median of 21 interleaved runs) for the
+# p = 1.5 mix (_edge_diff, _dirichlet, _minus_p_laplacian, _weighted_laplacian
+# and one apply) and the NLS mix (_edge_diff, _kinetic, _minus_p_laplacian at 2):
+#
+#   d=1  n =   999: 0.60, 0.79   n = 1,999: 0.47, 0.62   n = 3,999: 0.41, 0.49
+#   d=2  n =   961: 1.03, 1.21   n = 1,521: 0.84, 1.07   n = 2,025: 0.75, 0.90
+#        n = 3,481: 0.70, 0.84
+#   d=3  n =   729: 1.57, 2.11   n = 1,331: 1.22, 1.47   n = 2,197: 0.96, 1.19
+#        n = 3,375: 0.82, 0.98
+#
+# d=3, where the Sobolev problem lives, decides: even at n = 2,197 (L=7) and
+# ahead from n = 3,375 (L=8) on.
+_BOX_MIN_VERTICES = 2500
 
-def _edge_diff(graph: Graph, u: np.ndarray) -> np.ndarray:
-    """The edge differences d = u[head] - u[tail], in edge order; subtracting in
-    place keeps two edge-length arrays alive instead of three."""
-    d = u[graph.heads]
-    d -= u[graph.tails]
-    return d
+
+@functools.cache
+def _axis_slices(d: int) -> tuple:
+    """Per axis k, the index tuples (head, tail, inner, first, last) that pick
+    x + e_k and x from a d-dimensional array, and the inner part and the first
+    and last slab along k of an array with one more entry along k."""
+    picks = (slice(1, None), slice(None, -1), slice(1, -1), slice(None, 1), slice(-1, None))
+    return tuple(tuple((slice(None),) * k + (i,) for i in picks) for k in range(d))
+
+
+def _zero_absent(graph: Graph, w: tuple) -> None:
+    """Set the box layout's slots of deleted edges, and of phantom edges in drop
+    mode, to exactly 0, axis by axis."""
+    for (_, _, inner, first, last), slots, w_axis in zip(_axis_slices(graph.d), graph.box.deleted, w):
+        if slots is not None:
+            w_axis[inner][slots] = 0.0
+        if graph.boundary == "drop":
+            w_axis[first] = w_axis[last] = 0.0
+
+
+def _edge_diff(graph: Graph, u: np.ndarray):
+    """The edge differences d = u[head] - u[tail] in the graph's layout: an array
+    in the edge layout, a tuple of arrays in the box layout. In the edge layout,
+    subtracting in place keeps two edge-length arrays alive instead of three."""
+    if graph.n < _BOX_MIN_VERTICES or graph.box is None:
+        d = u[graph.heads]
+        d -= u[graph.tails]
+        return d
+    field = u.reshape(graph.shape)
+    diffs = []
+    for k, (head, tail, inner, first, last) in enumerate(_axis_slices(graph.d)):
+        diff = np.empty(graph.shape[:k] + (graph.shape[k] + 1,) + graph.shape[k + 1:])
+        np.subtract(field[head], field[tail], out=diff[inner])
+        diff[first] = field[first]
+        np.negative(field[last], out=diff[last])
+        diffs.append(diff)
+    _zero_absent(graph, diffs)
+    if len(graph.box.heads):
+        added = u[graph.box.heads]
+        added -= u[graph.box.tails]
+        diffs.append(added)
+    return tuple(diffs)
+
+
+def _box_sum(terms) -> float:
+    """The sum of the box layout's per-edge terms, array by array in order."""
+    return sum(np.add.reduce(t, axis=None) for t in terms)
+
+
+def _box_scatter(graph: Graph, w: tuple, sign: float) -> np.ndarray:
+    """Per vertex, the box layout's edge values w summed over the edges it heads,
+    plus sign times their sum over the edges it tails."""
+    tail_op = np.subtract if sign < 0 else np.add
+    out = None
+    # along axis k, vertex i heads slot i and tails slot i + 1
+    for (head, tail, _, _, _), w_axis in zip(_axis_slices(graph.d), w):
+        if out is None:
+            out = tail_op(w_axis[tail], w_axis[head])
+        else:
+            out += w_axis[tail]
+            tail_op(out, w_axis[head], out=out)
+    out = out.reshape(-1)
+    if len(w) > graph.d:
+        out += np.bincount(graph.box.heads, weights=w[-1], minlength=graph.n)
+        tail_op(out, np.bincount(graph.box.tails, weights=w[-1], minlength=graph.n), out=out)
+    return out
 
 
 def _dirichlet(graph: Graph, u: np.ndarray, p, d=None):
     """Sum of |u(head) - u(tail)|^p over edges, plus phantom * |u|^p."""
-    e = np.add.reduce(_abs_pow(_edge_diff(graph, u) if d is None else d, p))
+    d = _edge_diff(graph, u) if d is None else d
+    if type(d) is tuple:
+        return _box_sum(_abs_pow(x, p) for x in d)
+    e = np.add.reduce(_abs_pow(d, p))
     if graph.boundary == "dirichlet":
         e += np.dot(graph.phantom, _abs_pow(u, p))
     return e
 
 
 def _kinetic(graph: Graph, u: np.ndarray, d=None):
-    """Twice the Schrodinger kinetic energy: the 2-Dirichlet sum taken by dot
-    products, which can differ from _dirichlet(graph, u, 2) in the last bits."""
+    """Twice the Schrodinger kinetic energy: the 2-Dirichlet sum, in the edge
+    layout taken by dot products, which can differ from _dirichlet(graph, u, 2)
+    in the last bits."""
     d = _edge_diff(graph, u) if d is None else d
+    if type(d) is tuple:
+        return _box_sum(x * x for x in d)
     e = np.dot(d, d)
     if graph.boundary == "dirichlet":
         e += np.dot(graph.phantom, u * u)
@@ -126,6 +221,9 @@ def _minus_p_laplacian(graph: Graph, u: np.ndarray, p, eps, d=None):
     """Minus the p-Laplacian; at p = 1 the weight sign(t) is smoothed to
     t / sqrt(t^2 + eps^2)."""
     d = _edge_diff(graph, u) if d is None else d
+    if type(d) is tuple:
+        return _box_scatter(graph, tuple(_signed_pow(x, p - 1.0) if p > 1 else x / np.sqrt(x * x + eps ** 2)
+                                         for x in d), -1.0)
     w = _signed_pow(d, p - 1.0) if p > 1 else d / np.sqrt(d * d + eps ** 2)
     out = (np.bincount(graph.heads, weights=w, minlength=graph.n)
            - np.bincount(graph.tails, weights=w, minlength=graph.n))
@@ -139,12 +237,24 @@ def _weighted_laplacian(graph: Graph, u: np.ndarray, p, eps, d=None):
 
     Its edge weights are (d^2 + eps^2)^((p-2)/2) and its phantom weights
     phantom * (u^2 + eps^2)^((p-2)/2), regularized so that they stay finite for
-    p < 2 where a difference vanishes. apply(v) is the sum over the edges at
-    each vertex of w (v(x) - v(y)) plus the phantom weight times v(x); diagonal
-    holds each vertex's weight sum.
+    p < 2 where a difference vanishes; an absent slot of the box layout weighs
+    exactly 0. apply(v) is the sum over the edges at each vertex of w (v(x) - v(y))
+    plus the phantom weight times v(x); diagonal holds each vertex's weight sum.
     """
     d = _edge_diff(graph, u) if d is None else d
     h = 0.5 * p - 1.0
+    if type(d) is tuple:
+        w = tuple((x * x + eps ** 2) ** h for x in d)
+        _zero_absent(graph, w)
+
+        def apply(v):
+            wd = _edge_diff(graph, v)
+            for x, w_axis in zip(wd, w):
+                x *= w_axis
+            return _box_scatter(graph, wd, -1.0)
+
+        return apply, _box_scatter(graph, w, 1.0)
+
     w = (d * d + eps ** 2) ** h
     diagonal = (np.bincount(graph.heads, weights=w, minlength=graph.n)
                 + np.bincount(graph.tails, weights=w, minlength=graph.n))

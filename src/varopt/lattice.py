@@ -16,6 +16,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,6 +155,19 @@ def _flat_ids(points, lo, shape) -> np.ndarray:
     return np.ravel_multi_index(tuple(np.moveaxis(offset, -1, 0)), shape)
 
 
+class BoxEdges(NamedTuple):
+    """A build_graph truncation's edges as the box's base edges minus deletions plus additions.
+
+    ``deleted[k]`` indexes the deleted edges (x, x + e_k) along axis k by their
+    tails' offsets x - lo, as a tuple of d index arrays, or is None when axis k
+    has none; ``tails`` and ``heads`` are the added edges' id pairs.
+    """
+
+    deleted: tuple
+    tails: np.ndarray
+    heads: np.ndarray
+
+
 class Graph:
     """Immutable truncation: the box lo + [0, shape), its edge list and its phantom counts.
 
@@ -166,15 +180,19 @@ class Graph:
     int64 rows of the id pairs i < j sorted by (i, j); ``edges`` is their (m, 2)
     transposed view. Degrees are ``np.bincount(edges.ravel(), minlength=n)``;
     ``phantom`` counts each vertex's base-lattice edges that leave the box
-    (dirichlet mode). Safe for concurrent reads; never mutated after construction.
+    (dirichlet mode). ``box`` is the same edge set as ``BoxEdges`` when
+    ``build_graph`` made the graph, else None; the calculus kernels difference a
+    large graph's field axis by axis from it. Safe for concurrent reads; never
+    mutated after construction.
     """
 
-    def __init__(self, lo, shape, edges, spec=None, boundary="drop", phantom=None):
+    def __init__(self, lo, shape, edges, spec=None, boundary="drop", phantom=None, box=None):
         """From the box's lower corner and shape and an (m, 2) integer array of
-        id pairs i < j, none repeated; raises InvalidSpec otherwise."""
+        id pairs i < j, none repeated; raises InvalidSpec otherwise. ``box``, if
+        given, must describe the same edges (build_graph passes it)."""
         if boundary not in BOUNDARY_MODES:
             raise InvalidSpec(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
-        self.spec, self.boundary = spec, boundary
+        self.spec, self.boundary, self.box = spec, boundary, box
         self.lo, self.shape = tuple(int(a) for a in lo), tuple(int(m) for m in shape)
         if len(self.lo) != len(self.shape) or min(self.shape, default=0) < 1:
             raise InvalidSpec(f"box needs lo and shape of one length and sides >= 1, got {lo}, {shape}")
@@ -242,6 +260,7 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     # base edges join each vertex to its successor along each axis: one block per axis
     edges = np.concatenate([np.stack([a[:-1].ravel(), a[1:].ravel()], axis=1)
                             for a in (np.moveaxis(ids, k, 0) for k in range(spec.d))])
+    deleted, added = [None] * spec.d, np.empty((0, 2), dtype=np.int64)
     if spec.deletions:
         # (x, x + e_k) is in block k at x's C-order position in moveaxis(ids, k, 0)[:-1],
         # whose axes run k first and then the others in order: x's coordinates in k_first order
@@ -249,12 +268,16 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
         k_first = np.argsort(np.argmax(y - x, axis=1)[:, None] != np.arange(spec.d), axis=1, kind="stable")
         moved, block = np.take_along_axis(x, k_first, axis=1), (shape[0] - 1,) + shape[1:]
         edges = np.delete(edges, k_first[:, 0] * np.prod(block) + _flat_ids(moved, lo, block), axis=0)
+        tails = [np.asarray(x[k_first[:, 0] == k], dtype=np.int64) - lo for k in range(spec.d)]
+        deleted = [tuple(t.T) if len(t) else None for t in tails]
     if spec.additions:
-        edges = np.concatenate([edges, _flat_ids(spec._edge_array, lo, shape)])
+        added = _flat_ids(spec._edge_array, lo, shape)
+        edges = np.concatenate([edges, added])
+    box = BoxEdges(tuple(deleted), *np.ascontiguousarray(added.T))
     # count of base-lattice neighbours outside the box: one per box face the vertex lies on
     face = (np.abs(np.arange(1 - spec.L, spec.L)) == spec.L - 1).astype(np.float64)
     phantom = sum(face.reshape((-1,) + (1,) * k) for k in range(spec.d)).ravel()
-    graph = Graph(lo, shape, edges, spec=spec, boundary=boundary, phantom=phantom)
+    graph = Graph(lo, shape, edges, spec=spec, boundary=boundary, phantom=phantom, box=box)
     if spec.deletions and not is_connected(graph):
         raise DisconnectedGraph(f"deleting {len(spec.deletions)} edge(s) disconnected the box B_{spec.L}")
     return graph

@@ -1,6 +1,9 @@
 """Norms, Laplacians, energies: examples, identities, and invariants."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,10 +26,12 @@ from varopt import (
     p_laplacian,
     path_graph,
     sphere_deletion_spec,
+    star_addition_spec,
     translate,
 )
+from varopt import calculus
 from varopt.analysis import ball_indicator_field
-from varopt.calculus import _abs_pow, _signed_pow, _weighted_laplacian
+from varopt.calculus import _abs_pow, _edge_diff, _kinetic, _signed_pow, _weighted_laplacian
 
 RNG = np.random.default_rng(421)
 
@@ -256,6 +261,108 @@ def test_box_inverse_needs_a_dirichlet_box():
     g = build_graph(GraphSpec(d=2, L=3), boundary="dirichlet")
     with pytest.raises(InvalidSpec):  # the same box without its spec
         box_inverse(Graph(g.lo, g.shape, g.edges, boundary="dirichlet", phantom=g.phantom))
+
+
+# ---------------------------------------------------------------------------
+# edge layouts: the box layout of large build_graph truncations against the edge list
+
+LAYOUT_GRAPHS = {
+    "box-d1": GraphSpec(d=1, L=30),
+    "box-d3": GraphSpec(d=3, L=6),
+    "sphere-deletion-d3": sphere_deletion_spec(3, 2, 6),
+    "star-d3": star_addition_spec(3, 2, 6),
+    "cut-d2": GraphSpec(d=2, L=12, deletions={((0, 0), (1, 0))}),
+}
+
+
+def both_layouts(monkeypatch, g, compute):
+    """compute() in the edge layout and in the box layout, which the cut-off picks."""
+    out = []
+    for cut_off, layout in ((g.n + 1, np.ndarray), (0, tuple)):
+        monkeypatch.setattr(calculus, "_BOX_MIN_VERTICES", cut_off)
+        assert type(_edge_diff(g, np.zeros(g.n))) is layout
+        out.append(compute())
+    return out
+
+
+@pytest.mark.parametrize("boundary", ["drop", "dirichlet"])
+@pytest.mark.parametrize("case", list(LAYOUT_GRAPHS))
+def test_box_layout_agrees_with_the_edge_layout(monkeypatch, case, boundary):
+    g = build_graph(LAYOUT_GRAPHS[case], boundary=boundary)
+    rng = np.random.default_rng(11)
+    u, v = rng.standard_normal(g.n), rng.standard_normal(g.n)
+
+    def kernels():
+        out = [dirichlet_energy(g, u, p) for p in (1.0, 1.5, 2.0, 3.0, 4.0)]
+        out += [_kinetic(g, u), nls_energy(g, u, 4.0), laplacian(g, u).values,
+                dirichlet_gradient(g, u, 1.0, 1e-8)]
+        out += [p_laplacian(g, u, p).values for p in (1.5, 2.0, 3.0, 4.0)]
+        for p in (1.0, 1.5, 2.0, 3.0):
+            apply, diagonal = _weighted_laplacian(g, u, p, 1e-8)
+            out += [apply(v), diagonal]
+        return out
+
+    for edge, box in zip(*both_layouts(monkeypatch, g, kernels)):
+        assert np.linalg.norm(np.subtract(box, edge)) <= 1e-14 * np.linalg.norm(edge)
+
+
+@pytest.mark.parametrize("boundary", ["drop", "dirichlet"])
+@pytest.mark.parametrize("case", list(LAYOUT_GRAPHS))
+def test_box_layout_weighs_absent_edges_zero(monkeypatch, case, boundary):
+    # at p = 2 every present edge weighs (d^2 + eps^2)^0 = 1, so a deleted edge, or a
+    # phantom slab in drop mode, weighing (0 + eps^2)^0 would show in the degree
+    g = build_graph(LAYOUT_GRAPHS[case], boundary=boundary)
+    u = np.random.default_rng(12).standard_normal(g.n)
+    degree = np.bincount(g.edges.ravel(), minlength=g.n) + (g.phantom if boundary == "dirichlet" else 0.0)
+    for diagonal in both_layouts(monkeypatch, g, lambda: _weighted_laplacian(g, u, 2.0, 1e-8)[1]):
+        assert np.array_equal(diagonal, degree)
+
+
+def test_kernels_pick_the_layout_by_vertex_count():
+    # the goldens and the benchmark's small graphs keep the edge layout, and its bits;
+    # the large truncations take the box layout
+    edge = [build_graph(GraphSpec(d=3, L=5), boundary="dirichlet"),  # 729
+            build_graph(sphere_deletion_spec(3, 2, 6), boundary="dirichlet"),  # 1,331
+            build_graph(GraphSpec(d=2, L=12, deletions={((0, 0), (1, 0))})),  # 529
+            build_graph(star_addition_spec(1, 3, 20)),
+            build_graph(GraphSpec(d=3, L=7), boundary="dirichlet"),  # 2,197
+            path_graph(5)]
+    box = [build_graph(GraphSpec(d=2, L=30, deletions={((0, 0), (1, 0))}), boundary="dirichlet"),  # 3,481
+           build_graph(sphere_deletion_spec(3, 2, 8), boundary="dirichlet"),  # 3,375
+           build_graph(GraphSpec(d=3, L=20), boundary="dirichlet"),  # 59,319
+           build_graph(sphere_deletion_spec(3, 6, 25), boundary="dirichlet")]  # 117,649
+    assert [g.n for g in box[2:]] == [59319, 117649]
+    for graphs, layout in ((edge, np.ndarray), (box, tuple)):
+        for g in graphs:
+            assert type(_edge_diff(g, np.zeros(g.n))) is layout, g
+    # a Graph built directly keeps the edge layout at any size
+    g = box[-1]
+    direct = Graph(g.lo, g.shape, g.edges, spec=g.spec, boundary=g.boundary, phantom=g.phantom)
+    assert direct.box is None and type(_edge_diff(direct, np.zeros(g.n))) is np.ndarray
+
+
+THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from varopt import GraphSpec, build_graph, dirichlet_energy, p_laplacian
+g = build_graph(GraphSpec(d=3, L=20), boundary="dirichlet")
+u = np.random.default_rng(3).standard_normal(g.n)
+print(dirichlet_energy(g, u, 1.5).hex(), hashlib.sha256(p_laplacian(g, u, 1.5).values.tobytes()).hexdigest())
+"""
+
+
+def test_large_graph_kernels_do_not_depend_on_the_blas_thread_count():
+    # the box layout sums by np.add.reduce only, so no BLAS thread split reorders a sum
+    src = os.path.dirname(os.path.dirname(calculus.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] and len(outputs[0].split()) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -970,14 +970,24 @@ GOLDEN = {  # float.hex of energy, multiplier and el_residual; n_iters; seed_lab
     "sobolev-p1-capped": ((GraphSpec(d=3, L=3), "dirichlet",
                            ProblemSpec(kind="sobolev", a=1.0, p=1.0, q=6.0, allow_subcritical=True)),
                           ("0x1.8000000000006p+2", "0x1.8000000000006p+2", "0x1.3988e09c0d6cbp+1", 19, "delta")),
+    # above calculus._BOX_MIN_VERTICES: these pin the box layout's summation order
+    "nls-cut-dirichlet-box-layout": ((GraphSpec(d=2, L=30, deletions={((0, 0), (1, 0))}), "dirichlet",
+                                      ProblemSpec(kind="nls", a=5.0, p=4.0)),
+                                     ("-0x1.1ec1ffd3f53a0p-3", "0x1.f7b71e2858d10p+0", "0x1.cb9e86386909fp-28", 25,
+                                      "delta")),
+    "sobolev-p1.5-sphere-box-layout": ((sphere_deletion_spec(3, 2, 8), "dirichlet",
+                                        ProblemSpec(kind="sobolev", a=1.0, p=1.5, q=3.0),
+                                        replace(GOLDEN_CFG, seeds=["uniform"])),
+                                       ("0x1.7ae2ce257a72cp-3", "0x1.7ae2ce257a72cp-3", "0x1.5779f906cee17p-27", 96,
+                                        "uniform")),
 }
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_golden_bits(case):
     # every graph has under 10^4 vertices, so the BLAS thread count cannot move these
-    (spec, boundary, prob), expected = GOLDEN[case]
-    res = minimize(build_graph(spec, boundary=boundary), prob, GOLDEN_CFG)
+    (spec, boundary, prob, *cfg), expected = GOLDEN[case]  # a case may name its own config
+    res = minimize(build_graph(spec, boundary=boundary), prob, cfg[0] if cfg else GOLDEN_CFG)
     got = (res.energy.hex(), res.multiplier.hex(), res.el_residual.hex(), res.n_iters, res.seed_label)
     assert got == expected
 
