@@ -566,6 +566,8 @@ def verify_lemma_suite(graph: Graph, p=4.0, q=6.0, n_fields=100, rng_seed=0) -> 
     1e-10)."""
     if not (_is_int(n_fields) and n_fields >= 1):
         raise InvalidSpec(f"n_fields must be a whole number >= 1, got {n_fields!r}")
+    if not all(_is_number(x) and math.isfinite(x) for x in (p, q)):  # inf makes NaN margins, which pass max
+        raise InvalidSpec(f"p and q must be finite numbers, not booleans, got p={p!r}, q={q!r}")
     rng = np.random.default_rng(rng_seed)
     worst = {"nesting": 0.0, "lower_bound": -np.inf, "brezis_lieb": 0.0, "parts": 0.0}
     exponent_pairs = [(1.0, 1.5), (1.0, 2.0), (2.0, 3.0), (2.0, q), (3.0, 17.0), (2.0, np.inf)]

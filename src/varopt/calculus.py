@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExponent, InvalidSpec
-from .lattice import Graph
+from .lattice import Graph, _is_int
 
 
 @dataclass
@@ -31,24 +31,22 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.graph.n,):
-            raise ValueError(
-                f"field has {self.values.shape} values for a graph with {self.graph.n} vertices")
+        self.values = as_values(self.graph, self.values)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
 
-def as_values(field) -> np.ndarray:
-    """Accept a Field or a plain array and return the value array."""
-    if isinstance(field, Field):
-        return field.values
-    return np.asarray(field, dtype=np.float64)
+def as_values(graph: Graph, field) -> np.ndarray:
+    """The value array of a Field or a plain array; ValueError unless it has one value per vertex."""
+    u = field.values if isinstance(field, Field) else np.asarray(field, dtype=np.float64)
+    if u.shape != (graph.n,):
+        raise ValueError(f"field has {u.shape} values for a graph with {graph.n} vertices")
+    return u
 
 
 def lp_norm(field, p) -> float:
     """l^p norm of the field values; sup norm for p = infinity."""
-    u = as_values(field)
+    u = field.values if isinstance(field, Field) else np.asarray(field, dtype=np.float64)
     if p == np.inf or p == float("inf"):
         return float(np.max(np.abs(u))) if u.size else 0.0
     if not p >= 1:
@@ -276,7 +274,7 @@ def _weighted_laplacian(graph: Graph, u: np.ndarray, p, eps, d=None):
 
 def box_inverse(graph: Graph):
     """Return v -> A^{-1} v for A minus the dirichlet-mode Laplacian of the plain
-    box that a build_graph truncation lives on, perturbations left out.
+    box that a build_graph truncation (a graph with BoxEdges) lives on, perturbations left out.
 
     A is the tensor sum over the d axes of tridiag(-1, 2, -1) of side
     m = 2L - 1; the orthonormal sine matrix S[j, k] = sqrt(2/(m+1))
@@ -285,9 +283,9 @@ def box_inverse(graph: Graph):
     by the summed eigenvalues and applies S again, each pass one GEMM that
     contracts the leading axis: O(n m d) work, O(n) temporaries.
     """
-    if graph.spec is None or graph.boundary != "dirichlet":
+    if graph.box is None or graph.boundary != "dirichlet":
         raise InvalidSpec("the box inverse needs a build_graph truncation in dirichlet mode")
-    d, m = graph.d, 2 * graph.spec.L - 1
+    d, m = graph.d, graph.shape[0]
     k = np.arange(1, m + 1)
     S = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
     eig = 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
@@ -311,12 +309,12 @@ def dirichlet_energy(graph: Graph, field, p) -> float:
     dirichlet mode); equals the integral of the gradient p-norm to the p."""
     if not p >= 1:
         raise InvalidExponent(f"Dirichlet energy needs p >= 1, got {p}")
-    return float(_dirichlet(graph, as_values(field), p))
+    return float(_dirichlet(graph, as_values(graph, field), p))
 
 
 def laplacian(graph: Graph, field) -> Field:
     """Graph Laplacian: (Lu)(x) = sum over neighbours y of u(y) - u(x)."""
-    return Field(graph, -_minus_p_laplacian(graph, as_values(field), 2.0, 0.0))
+    return Field(graph, -_minus_p_laplacian(graph, as_values(graph, field), 2.0, 0.0))
 
 
 def p_laplacian(graph: Graph, field, p) -> Field:
@@ -327,7 +325,7 @@ def p_laplacian(graph: Graph, field, p) -> Field:
     """
     if not p > 1:
         raise InvalidExponent(f"p-Laplacian needs p > 1, got {p}")
-    return Field(graph, -_minus_p_laplacian(graph, as_values(field), p, 0.0))
+    return Field(graph, -_minus_p_laplacian(graph, as_values(graph, field), p, 0.0))
 
 
 def nls_energy(graph: Graph, field, p) -> float:
@@ -335,7 +333,7 @@ def nls_energy(graph: Graph, field, p) -> float:
     l^p mass over p. Defined for p > 2."""
     if not p > 2:
         raise InvalidExponent(f"Schrodinger energy needs p > 2, got {p}")
-    u = as_values(field)
+    u = as_values(graph, field)
     return float(0.5 * _kinetic(graph, u) - np.sum(_abs_pow(u, p)) / p)
 
 
@@ -343,7 +341,7 @@ def nls_gradient(graph: Graph, field, p) -> np.ndarray:
     """Euclidean gradient of nls_energy: -Lu - |u|^(p-2) u."""
     if not p > 2:
         raise InvalidExponent(f"Schrodinger energy needs p > 2, got {p}")
-    u = as_values(field)
+    u = as_values(graph, field)
     return _minus_p_laplacian(graph, u, 2.0, 0.0) - _signed_pow(u, p - 1.0)
 
 
@@ -355,15 +353,14 @@ def dirichlet_gradient(graph: Graph, field, p, eps: float = 0.0) -> np.ndarray:
     """
     if not (p > 1 or (p == 1 and eps > 0)):
         raise InvalidExponent(f"gradient needs p > 1, or p = 1 with eps > 0; got p={p}, eps={eps}")
-    return p * _minus_p_laplacian(graph, as_values(field), p, eps)
+    return p * _minus_p_laplacian(graph, as_values(graph, field), p, eps)
 
 
 def translate(field: Field, shift) -> Field:
     """Shifted field v(x) = u(x + shift) with zero extension outside the box."""
-    graph = field.graph
-    shift = tuple(int(c) for c in shift)
-    if len(shift) != graph.d:
-        raise InvalidSpec(f"shift {shift} has wrong dimension (expected {graph.d})")
+    graph, shift = field.graph, tuple(shift)
+    if len(shift) != graph.d or not all(map(_is_int, shift)):
+        raise InvalidSpec(f"shift {shift} needs {graph.d} whole numbers")
     # per axis, v[a] = u[a + s] wherever both a and a + s lie in [0, m)
     dst = tuple(slice(max(0, -s), max(0, min(m, m - s))) for s, m in zip(shift, graph.shape))
     src = tuple(slice(max(0, s), max(0, min(m, m + s))) for s, m in zip(shift, graph.shape))

@@ -179,14 +179,15 @@ class Graph:
     distances are reduced without it. ``tails`` and ``heads`` are contiguous
     int64 rows of the id pairs i < j sorted by (i, j); ``edges`` is their (m, 2)
     transposed view. Degrees are ``np.bincount(edges.ravel(), minlength=n)``;
-    ``phantom`` counts each vertex's base-lattice edges that leave the box
-    (dirichlet mode). ``box`` is the same edge set as ``BoxEdges`` when
-    ``build_graph`` made the graph, else None; the calculus kernels difference a
-    large graph's field axis by axis from it. Safe for concurrent reads; never
+    ``phantom`` counts each vertex's base-lattice edges that leave the box (one
+    per box face it lies on), read in dirichlet mode only. ``box`` is the same
+    edge set as ``BoxEdges`` when ``build_graph`` made the graph, else None: the
+    one mark of a box truncation, which the kernels' box layout and the box
+    inverse read; ``spec`` is only a label. Safe for concurrent reads; never
     mutated after construction.
     """
 
-    def __init__(self, lo, shape, edges, spec=None, boundary="drop", phantom=None, box=None):
+    def __init__(self, lo, shape, edges, spec=None, boundary="drop", box=None):
         """From the box's lower corner and shape and an (m, 2) integer array of
         id pairs i < j, none repeated; raises InvalidSpec otherwise. ``box``, if
         given, must describe the same edges (build_graph passes it)."""
@@ -204,9 +205,9 @@ class Graph:
         edges = edges.astype(np.int64, copy=False)
         if np.any((edges[:, 0] < 0) | (edges[:, 0] >= edges[:, 1]) | (edges[:, 1] >= n)):
             raise InvalidSpec(f"every edge must be an id pair 0 <= i < j < {n}")
-        self.phantom = np.zeros(n) if phantom is None else np.asarray(phantom, dtype=np.float64)
-        if self.phantom.shape != (n,):
-            raise InvalidSpec(f"phantom needs shape ({n},), got {self.phantom.shape}")
+        # one phantom edge per box face: per axis, at offset 0 and at offset m - 1
+        self.phantom = sum(np.add(o == 0, o == m - 1, dtype=np.float64)
+                           for o, m in zip(np.ix_(*map(np.arange, self.shape)), self.shape)).ravel()
         ordered = np.sort(edges[:, 0] * n + edges[:, 1])  # i * n + j sorts like the pair (i, j)
         if np.any(ordered[1:] == ordered[:-1]):
             raise InvalidSpec("an edge is listed twice")
@@ -216,7 +217,7 @@ class Graph:
         self.n_edges = len(self.edges)
         # sup-norm extent of the vertex set; box semantics for localization
         self.extent = max(max(-a, a + m - 1) for a, m in zip(self.lo, self.shape))
-        self.L = spec.L if spec is not None else self.extent + 1
+        self.L = self.extent + 1
 
     @property
     def coords(self) -> np.ndarray:
@@ -249,7 +250,8 @@ class Graph:
 
 
 def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
-    """Build the truncation graph for a spec: base edges minus deletions plus additions.
+    """Build the truncation graph for a spec: base edges minus deletions plus additions,
+    handed over as BoxEdges too; the spec is the graph's label.
 
     Raises DisconnectedGraph when a deletion spec leaves the box disconnected,
     InvalidSpec when the spec itself is inconsistent.
@@ -274,10 +276,7 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
         added = _flat_ids(spec._edge_array, lo, shape)
         edges = np.concatenate([edges, added])
     box = BoxEdges(tuple(deleted), *np.ascontiguousarray(added.T))
-    # count of base-lattice neighbours outside the box: one per box face the vertex lies on
-    face = (np.abs(np.arange(1 - spec.L, spec.L)) == spec.L - 1).astype(np.float64)
-    phantom = sum(face.reshape((-1,) + (1,) * k) for k in range(spec.d)).ravel()
-    graph = Graph(lo, shape, edges, spec=spec, boundary=boundary, phantom=phantom, box=box)
+    graph = Graph(lo, shape, edges, spec=spec, boundary=boundary, box=box)
     if spec.deletions and not is_connected(graph):
         raise DisconnectedGraph(f"deleting {len(spec.deletions)} edge(s) disconnected the box B_{spec.L}")
     return graph
@@ -286,8 +285,8 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
 def path_graph(n: int) -> Graph:
     """A 1-d path on n consecutive integers, roughly centred at 0, in drop mode.
 
-    Used for exhaustive-oracle cross checks on tiny graphs; it is not a box
-    truncation, so it has no phantom boundary edges.
+    Used for exhaustive-oracle cross checks on tiny graphs. It has no BoxEdges,
+    and its ends' phantom counts go unread, since a path is always in drop mode.
     """
     if not (_is_int(n) and n >= 1):
         raise InvalidSpec(f"path graph needs an integer number of vertices n >= 1, got {n!r}")

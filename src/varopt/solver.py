@@ -12,6 +12,7 @@ wins by (energy, residual, lexicographic centre of mass).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -42,11 +43,10 @@ class ProblemSpec:
 
     kind "nls": minimize the Schrodinger energy over ||u||_2^2 = a, p > 2.
     kind "sobolev": minimize the p-Dirichlet energy over ||u||_q^q = a;
-    admissible means 1 <= p < d, q >= d p / (d - p) and a dirichlet-mode graph
-    with phantom edges, the only truncation whose energies are those of the
-    zero extension to the lattice: without phantom edges constants give J = 0.
-    ``allow_subcritical`` relaxes all three, for exploratory runs on small,
-    low-d or drop-mode graphs.
+    admissible means 1 <= p < d, q >= d p / (d - p) and a dirichlet-mode graph,
+    whose phantom edges make its energies those of the zero extension to the
+    lattice: in drop mode constants give J = 0. ``allow_subcritical`` relaxes
+    all three, for exploratory runs on small, low-d or drop-mode graphs.
     """
 
     kind: str
@@ -85,10 +85,10 @@ class ProblemSpec:
                     raise InvalidSpec(
                         f"sobolev-admissible needs q >= dp/(d-p) = {critical}, got q={self.q} "
                         "(set allow_subcritical to explore)")
-                if graph.boundary != "dirichlet" or not graph.phantom.any():
+                if graph.boundary != "dirichlet":
                     raise InvalidSpec(
-                        f"sobolev-admissible needs a dirichlet-mode graph with phantom edges, got "
-                        f"{graph!r}: without them constants give J = 0 (set allow_subcritical to explore)")
+                        f"sobolev-admissible needs a dirichlet-mode graph, got {graph!r}: in drop mode "
+                        "constants give J = 0 (set allow_subcritical to explore)")
 
 
 @dataclass
@@ -195,11 +195,10 @@ _SEED_FORMS = {"delta": "[@centre]", "gauss": "[@centre][:width]", "widegauss": 
 
 def _seed_recipe(graph: Graph, descriptor, power=1) -> tuple:
     """Read and check a seed descriptor against the graph, building no field, and return
-    (build, label, key), where build(rng) makes the raw field. Two descriptors with equal
-    keys build the same field on this graph; a random seed's key is None, equal to no
-    other. A Gaussian's top value to the constraint exponent power must be a normal
-    number, and an explicit array's values to that power must not all vanish, so that
-    the field projects. minimize checks its plan this way."""
+    (build, label), where build(rng) makes the raw field. A Gaussian's top value to the
+    constraint exponent power must be a normal number, and an explicit array's values to
+    that power must not all vanish, so that the field projects. minimize checks its plan
+    this way."""
     if isinstance(descriptor, (np.ndarray, list)):
         values = np.asarray(descriptor, dtype=np.float64)
         if values.shape != (graph.n,) or not np.all(np.isfinite(values)):
@@ -207,7 +206,7 @@ def _seed_recipe(graph: Graph, descriptor, power=1) -> tuple:
         if not _abs_pow(values, power).any():
             raise InvalidSpec(f"explicit seed vanishes at the constraint power {power:g}, "
                               "so it cannot be projected")
-        return lambda rng: np.abs(values), "explicit", ("explicit", np.abs(values).tobytes())
+        return lambda rng: np.abs(values), "explicit"
     name = str(descriptor)
     head, colon, width_part = name.partition(":")
     head, at, at_part = head.partition("@")
@@ -237,14 +236,12 @@ def _seed_recipe(graph: Graph, descriptor, power=1) -> tuple:
         raise InvalidSpec(f"seed {name!r} needs a centre inside the box {graph.lo} + [0, {graph.shape})")
     if head == "delta":
         build = lambda rng: np.eye(1, graph.n, graph.vertex_id(centre))[0]  # one 1.0 at the centre
-        key = ("delta", centre)
     elif head == "ball":  # it holds its centre, so it is never empty
         build = lambda rng: (graph.sup_distance(centre) < width).astype(np.float64)
-        key = ("ball", centre, width)
     elif head == "uniform":
-        build, key = lambda rng: np.ones(graph.n), ("uniform",)
+        build = lambda rng: np.ones(graph.n)
     elif head == "random":
-        build, key = lambda rng: np.abs(rng.standard_normal(graph.n)), None
+        build = lambda rng: np.abs(rng.standard_normal(graph.n))
     else:  # gauss, widegauss and the corners
         # the top value exp(-t) to the power must be a normal number (power * t < 708), no quotient
         # may overflow and width ** 2 must be finite: checked by products, before any division
@@ -255,14 +252,13 @@ def _seed_recipe(graph: Graph, descriptor, power=1) -> tuple:
             raise InvalidSpec(f"seed {name!r} has no usable values on this graph "
                               f"(width {width:g}, centre {centre}, constraint power {power:g})")
         build = lambda rng: np.exp(-0.5 * sum(o * o for o in graph.offsets(centre)).ravel() / width ** 2)
-        key = ("gauss", centre, width)
-    return build, name, key
+    return build, name
 
 
 def make_seed(graph: Graph, descriptor, rng: np.random.Generator) -> tuple[np.ndarray, str]:
     """Turn a seed descriptor (a head of _SEED_FORMS in its form, or an explicit
     array) into a raw (unnormalized) nonnegative field and its label."""
-    build, label, _ = _seed_recipe(graph, descriptor)
+    build, label = _seed_recipe(graph, descriptor)
     return build(rng), label
 
 
@@ -407,7 +403,7 @@ def _preconditioner(graph: Graph, problem: ProblemSpec):
     2-Dirichlet form up to the perturbation, and the Newton-CG metric of
     _newton_metric for p < 2.
     """
-    if problem.kind != SOBOLEV or problem.p > 2.0 or graph.boundary != "dirichlet" or graph.spec is None:
+    if problem.kind != SOBOLEV or problem.p > 2.0 or graph.boundary != "dirichlet" or graph.box is None:
         return None
     solve = box_inverse(graph)
     return (lambda u, d: solve) if problem.p == 2.0 else _newton_metric(graph, problem, solve)
@@ -529,10 +525,11 @@ def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None
     """Minimize the problem's functional on its constraint sphere, multistart.
 
     Each seed is built just before its descent, and each restart is ranked as it
-    ends; only the winner's result and every restart's summary are kept. A seed that
-    builds the same field as an earlier one (equal _seed_recipe keys) is not descended
-    again: the descent is deterministic, so its summary row is the earlier restart's
-    under its own label, and the earlier restart, ranked first, wins any tie.
+    ends; only the winner's result and every restart's summary are kept. A seed whose
+    field has the sha256 digest of an earlier restart's is not descended again: every
+    seed field is nonnegative and the descent, deterministic, reads only its absolute
+    values, so its summary row is the earlier restart's under its own label, and the
+    earlier restart, ranked first, wins any tie.
     """
     cfg = cfg or SolverConfig()
     problem.validate_for(graph)
@@ -540,26 +537,27 @@ def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None
     plan = list(cfg.seeds) if cfg.seeds else default_seed_plan(cfg.restarts)
 
     # a bad descriptor anywhere in the plan fails before any descent
-    labelled = [_seed_recipe(graph, descriptor, _power(problem))[1:] for descriptor in plan]
+    for descriptor in plan:
+        _seed_recipe(graph, descriptor, _power(problem))
 
     metric = _preconditioner(graph, problem)
     radius = _default_probe_radius(graph)
     best = best_key = None
     summary = []
-    rows = {}  # seed key -> (energy, el_residual, converged) of the restart that descended from it
-    for k, (descriptor, (label, seed_key)) in enumerate(zip(plan, labelled)):
-        if seed_key in rows:
-            summary.append((label, *rows[seed_key]))
+    rows = {}  # seed field digest -> (energy, el_residual, converged) of the restart that descended from it
+    for k, descriptor in enumerate(plan):
+        values, label = make_seed(graph, descriptor, np.random.default_rng([cfg.rng_seed, k]))
+        digest = hashlib.sha256(values).digest()
+        if digest in rows:
+            summary.append((label, *rows[digest]))
             continue
-        rng = np.random.default_rng([cfg.rng_seed, k])
-        outcome = _descend(graph, problem, cfg, *make_seed(graph, descriptor, rng), metric, radius)
+        outcome = _descend(graph, problem, cfg, values, label, metric, radius)
         summary.append((outcome.seed_label, outcome.energy, outcome.el_residual, outcome.converged))
-        if seed_key is not None:
-            rows[seed_key] = summary[-1][1:]
+        rows[digest] = summary[-1][1:]
         key = (outcome.energy, outcome.el_residual, outcome.localization.center_of_mass)
         if best is None or key < best_key:  # strict: the first of equal restarts wins, as with min
             best, best_key = outcome, key
-        del outcome  # a losing restart's arrays go before the next descent
+        del outcome, values  # a losing restart's arrays go before the next seed is built
     best.restart_summary = summary
     return best
 
@@ -659,17 +657,17 @@ def spectral_oracle(graph: Graph) -> float:
     """Smallest eigenvalue of minus the dirichlet-mode graph Laplacian.
 
     Exact value of the p = q = 2 Sobolev problem per unit mass: its minimum
-    over ||u||_2^2 = a is a times this. For the plain box of a build_graph
-    truncation it is the closed form d (2 - 2 cos(pi / 2L)); otherwise the
-    dense Laplacian is assembled from the edge list, without the solver or
-    the calculus module, and handed to numpy.linalg.eigvalsh, up to 3,000
-    vertices.
+    over ||u||_2^2 = a is a times this. For a build_graph truncation whose
+    BoxEdges delete and add no edge it is the closed form d (2 - 2 cos(pi / 2L));
+    otherwise the dense Laplacian is assembled from the edge list, without the
+    solver or the calculus module, and handed to numpy.linalg.eigvalsh, up to
+    3,000 vertices.
     """
     if graph.boundary != "dirichlet":
         raise InvalidSpec("the spectral oracle needs a graph in dirichlet mode")
-    spec = graph.spec
-    if spec is not None and not (spec.deletions or spec.additions):
-        return graph.d * (2.0 - 2.0 * np.cos(np.pi / (2 * spec.L)))
+    box = graph.box
+    if box is not None and all(slots is None for slots in box.deleted) and not len(box.heads):
+        return graph.d * (2.0 - 2.0 * np.cos(np.pi / (2 * graph.L)))
     n = graph.n
     if n > _SPECTRAL_DENSE_LIMIT:
         raise TooLarge(f"dense eigensolve; {n} vertices exceed the limit of {_SPECTRAL_DENSE_LIMIT}")

@@ -481,3 +481,15 @@ def test_lemma_suite_n_fields_must_be_a_whole_number(bad):
     # zero fields once reported all_passed with -inf margins
     with pytest.raises(InvalidSpec, match="n_fields"):
         verify_lemma_suite(build_graph(GraphSpec(d=1, L=6)), n_fields=bad)
+
+
+@pytest.mark.parametrize("name,bad", [("p", True), ("q", True), ("p", np.True_), ("p", math.inf),
+                                      ("q", math.inf), ("q", -math.inf), ("p", math.nan), ("q", "6")],
+                         ids=["p-bool", "q-bool", "p-numpy-bool", "p-inf", "q-inf", "q-minus-inf", "p-nan", "q-str"])
+def test_lemma_suite_exponents_must_be_finite_numbers(monkeypatch, name, bad):
+    # q = True once ran at q = 1 and failed; p or q = inf gave NaN margins that passed
+    drawn = []
+    monkeypatch.setattr(analysis, "_split_pair", lambda *args: drawn.append(args))
+    with pytest.raises(InvalidSpec, match=f"p and q must be finite numbers.*{name}={bad!r}"):
+        verify_lemma_suite(build_graph(GraphSpec(d=1, L=6)), n_fields=2, **{name: bad})
+    assert drawn == []

@@ -130,6 +130,21 @@ def test_dirichlet_gradient_invalid_exponent():
             dirichlet_gradient(g, u, p, eps)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g, u: dirichlet_energy(g, u, 2), laplacian, lambda g, u: p_laplacian(g, u, 3),
+    lambda g, u: nls_energy(g, u, 4), lambda g, u: nls_gradient(g, u, 4), lambda g, u: dirichlet_gradient(g, u, 2),
+], ids=["dirichlet_energy", "laplacian", "p_laplacian", "nls_energy", "nls_gradient", "dirichlet_gradient"])
+def test_calculus_functions_check_the_field_length(call):
+    # a long field once ran on its first n values (nls_energy counted the rest in its
+    # potential only, giving -640023.5 here), and a short one raised a bare IndexError
+    g = path_graph(3)
+    for values in ([1.0, 2.0, 3.0, 40.0], [1.0, 2.0], np.ones((3, 1))):
+        with pytest.raises(ValueError, match="for a graph with 3 vertices"):
+            call(g, values)
+    call(g, [1.0, 2.0, 3.0])
+    call(g, Field(g, [1.0, 2.0, 3.0]))
+
+
 # ---------------------------------------------------------------------------
 # laplacians
 
@@ -259,8 +274,10 @@ def test_box_inverse_needs_a_dirichlet_box():
     with pytest.raises(InvalidSpec):
         box_inverse(build_graph(GraphSpec(d=2, L=3)))
     g = build_graph(GraphSpec(d=2, L=3), boundary="dirichlet")
-    with pytest.raises(InvalidSpec):  # the same box without its spec
-        box_inverse(Graph(g.lo, g.shape, g.edges, boundary="dirichlet", phantom=g.phantom))
+    # the same box built directly, without BoxEdges: with or without its spec, which is a label
+    for spec in (None, g.spec):
+        with pytest.raises(InvalidSpec):
+            box_inverse(Graph(g.lo, g.shape, g.edges, spec=spec, boundary="dirichlet"))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +354,7 @@ def test_kernels_pick_the_layout_by_vertex_count():
             assert type(_edge_diff(g, np.zeros(g.n))) is layout, g
     # a Graph built directly keeps the edge layout at any size
     g = box[-1]
-    direct = Graph(g.lo, g.shape, g.edges, spec=g.spec, boundary=g.boundary, phantom=g.phantom)
+    direct = Graph(g.lo, g.shape, g.edges, spec=g.spec, boundary=g.boundary)
     assert direct.box is None and type(_edge_diff(direct, np.zeros(g.n))) is np.ndarray
 
 
@@ -437,6 +454,16 @@ def test_translate_rejects_shift_of_wrong_dimension():
     g = build_graph(GraphSpec(d=2, L=3))
     with pytest.raises(InvalidSpec):
         translate(Field(g, np.zeros(g.n)), (1,))
+
+
+@pytest.mark.parametrize("shift", [(1.9, 0), (True, 0), (1, 0.0), ("1", 0)], ids=["fraction", "bool", "float", "str"])
+def test_translate_rejects_a_shift_that_is_not_whole(shift):
+    # each entry was cast with int(), so (1.9, 0) and (True, 0) shifted by (1, 0) without a word
+    g = build_graph(GraphSpec(d=2, L=3))
+    with pytest.raises(InvalidSpec, match=r"shift \("):
+        translate(Field(g, np.ones(g.n)), shift)
+    u = Field(g, RNG.standard_normal(g.n))
+    assert np.array_equal(translate(u, (np.int64(1), np.int32(0))).values, translate(u, (1, 0)).values)
 
 
 def test_translate_by_zero_is_identity():

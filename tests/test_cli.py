@@ -231,6 +231,8 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
     ("compare", {"graph": LINE, "problem": NLS_PROBLEM,
                  "params": {"a_grid": [1.0], "strict_margin": -1}}, "strict_margin"),
     ("verify-lemmas", {"graph": LINE, "params": {"n_fields": 0}}, "n_fields"),
+    ("verify-lemmas", {"graph": LINE, "params": {"n_fields": 2, "q": True}}, "q=True"),
+    ("verify-lemmas", {"graph": LINE, "params": {"n_fields": 2, "p": float("inf")}}, "p=inf"),
     ("threshold", {"graph": LINE, "params": {"p": 4.0, "a_range": [0.5, 6.0], "max_probes": 2.5}},
      "max_probes"),
     ("solve-nls", {"graph": {"d": 1, "L": 6, "additions": [[[True], [-1]]]},
@@ -262,7 +264,7 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
 ], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
         "graph-unknown", "problem-unknown", "seed", "edge-coordinate", "p-bool", "kind-mismatch",
         "solve-params", "graph-list", "params-list", "compare-tol-bool", "compare-strict_margin",
-        "lemmas-n_fields", "threshold-max_probes",
+        "lemmas-n_fields", "lemmas-q-bool", "lemmas-p-inf", "threshold-max_probes",
         "edge-coordinate-bool", "threshold-levels-empty", "threshold-a_range",
         "compare-a_grid-empty", "compare-a_grid-bool", "star-probe-L_list-empty", "sobolev-gap-R_list-empty",
         "threshold-a_range-int", "threshold-a_range-str", "threshold-a_range-entry-str",

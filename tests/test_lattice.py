@@ -261,27 +261,24 @@ def test_fractional_coordinates_are_not_vertices():
     assert [box.vertex_id(x) for x in box.coords] == list(range(box.n))
 
 
-@pytest.mark.parametrize("lo,shape,edges,phantom", [
-    ((0,), (3,), [[0, 5]], None),                # id 5 would alias the edge (1, 2)
-    ((0,), (3,), [[-1, 1]], None),
-    ((0,), (3,), [[1, 1]], None),                # self-loop
-    ((0,), (3,), [[2, 1]], None),                # reversed pair
-    ((0,), (3,), [[0, 1], [1, 2], [0, 1]], None),  # repeated pair
-    ((0,), (3,), [[0.0, 1.0]], None),
-    ((0,), (3,), [[True, True]], None),
-    ((0,), (3,), [0, 1], None),
-    ((0,), (3,), [[0, 1, 2]], None),
-    ((0, 0), (3,), [[0, 1]], None),
-    ((0,), (0,), np.zeros((0, 2), dtype=np.int64), None),
-    ((), (), np.zeros((0, 2), dtype=np.int64), None),
-    ((0,), (3,), [[0, 1]], [0.0, 1.0]),
-    ((0,), (3,), [[0, 1]], np.zeros((3, 1))),
+@pytest.mark.parametrize("lo,shape,edges", [
+    ((0,), (3,), [[0, 5]]),          # id 5 would alias the edge (1, 2)
+    ((0,), (3,), [[-1, 1]]),
+    ((0,), (3,), [[1, 1]]),          # self-loop
+    ((0,), (3,), [[2, 1]]),          # reversed pair
+    ((0,), (3,), [[0, 1], [1, 2], [0, 1]]),  # repeated pair
+    ((0,), (3,), [[0.0, 1.0]]),
+    ((0,), (3,), [[True, True]]),
+    ((0,), (3,), [0, 1]),
+    ((0,), (3,), [[0, 1, 2]]),
+    ((0, 0), (3,), [[0, 1]]),
+    ((0,), (0,), np.zeros((0, 2), dtype=np.int64)),
+    ((), (), np.zeros((0, 2), dtype=np.int64)),
 ], ids=["aliasing-id", "negative-id", "self-loop", "reversed", "repeated", "float-ids",
-        "bool-ids", "flat", "triples", "lo-shape-mismatch", "empty-side", "no-axes",
-        "short-phantom", "phantom-2d"])
-def test_graph_rejects_malformed_box_or_edges(lo, shape, edges, phantom):
+        "bool-ids", "flat", "triples", "lo-shape-mismatch", "empty-side", "no-axes"])
+def test_graph_rejects_malformed_box_or_edges(lo, shape, edges):
     with pytest.raises(InvalidSpec):
-        Graph(lo, shape, np.asarray(edges), phantom=phantom)
+        Graph(lo, shape, np.asarray(edges))
 
 
 def test_graph_on_a_shifted_box():
@@ -491,6 +488,14 @@ def test_phantom_counts():
     g2 = build_graph(GraphSpec(d=2, L=2))
     assert g2.phantom[g2.vertex_id((1, 1))] == 2
     assert g2.phantom[g2.vertex_id((0, 0))] == 0
+    # a Graph derives its counts from its box alone: one per box face a vertex lies on
+    shifted = Graph((5, -1), (3, 4), np.zeros((0, 2), dtype=np.int64))
+    assert shifted.phantom.reshape(3, 4).tolist() == [[2, 1, 1, 2], [1, 0, 0, 1], [2, 1, 1, 2]]
+    assert path_graph(4).phantom.tolist() == [1, 0, 0, 1]
+    for spec in (GraphSpec(d=3, L=4), sphere_deletion_spec(2, 2, 5), star_addition_spec(2, 2, 4)):
+        g = build_graph(spec, boundary="dirichlet")
+        direct = Graph(g.lo, g.shape, g.edges, boundary="dirichlet")
+        assert direct.phantom.dtype == g.phantom.dtype and direct.phantom.tobytes() == g.phantom.tobytes()
 
 
 def test_boundary_mode_validation():

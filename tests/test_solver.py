@@ -682,11 +682,13 @@ def test_spectral_oracle_perturbed(spec):
 
 
 def test_spectral_oracle_dense_matches_closed_form_and_limits():
-    # the same plain box without its spec takes the dense eigvalsh path
+    # the same plain box built directly, without BoxEdges, takes the dense eigvalsh path,
+    # whether or not it carries its spec
     g = build_graph(GraphSpec(d=2, L=4), boundary="dirichlet")
     closed = spectral_oracle(g)
-    plain = Graph(g.lo, g.shape, g.edges, boundary="dirichlet", phantom=g.phantom)
-    assert abs(spectral_oracle(plain) - closed) <= 1e-13
+    for spec in (None, g.spec):
+        plain = Graph(g.lo, g.shape, g.edges, spec=spec, boundary="dirichlet")
+        assert abs(spectral_oracle(plain) - closed) <= 1e-13
     with pytest.raises(InvalidSpec):
         spectral_oracle(build_graph(GraphSpec(d=2, L=4)))
     with pytest.raises(TooLarge):
@@ -720,9 +722,10 @@ def test_preconditioner_picks_the_metric_per_problem():
             normal = _constraint_normal(sobolev(p), u)
             for v in (rng.standard_normal(g.n), normal, 3.0 * normal + 1e-6 * rng.standard_normal(g.n)):
                 assert np.linalg.norm(apply(metric(v)) - v) <= solver._CG_TOL * np.linalg.norm(v)
-    # p <= 2 elsewhere (drop mode, a box without its spec, a path): the identity
-    spec_less = Graph(box.lo, box.shape, box.edges, boundary="dirichlet", phantom=box.phantom)
-    for g in (build_graph(GraphSpec(d=2, L=4)), build_graph(sphere_deletion_spec(2, 2, 4)), spec_less, path_graph(5)):
+    # p <= 2 elsewhere (drop mode, the box built directly without BoxEdges, with or
+    # without its spec, a path): the identity
+    direct = [Graph(box.lo, box.shape, box.edges, spec=spec, boundary="dirichlet") for spec in (None, box.spec)]
+    for g in (build_graph(GraphSpec(d=2, L=4)), build_graph(sphere_deletion_spec(2, 2, 4)), *direct, path_graph(5)):
         for p in (1.0, 1.5, 2.0):
             assert _preconditioner(g, sobolev(p)) is None
     # the identity for p > 2 and the Schrodinger problem
@@ -843,6 +846,32 @@ def test_each_distinct_seed_field_is_descended_once(monkeypatch, prob):
         (alone[first].energy.hex(), alone[first].multiplier.hex(), alone[first].el_residual.hex(),
          alone[first].n_iters)
     assert np.array_equal(res.minimizer.values, alone[first].minimizer.values)
+
+
+def test_restarts_share_equal_seed_fields(monkeypatch):
+    # on the d=2 L=4 box ball:1 is delta, ball:4 covers the box and is uniform, and
+    # widegauss is gauss:2.0: three fields, which no per-head key model saw all of
+    g = build_graph(GraphSpec(d=2, L=4), boundary="dirichlet")
+    plan = ["delta", "ball:1", "uniform", "ball:4", "gauss:2.0", "widegauss"]
+    labels = []
+    descend = solver._descend
+
+    def counted(*args):
+        labels.append(args[4])
+        return descend(*args)
+
+    monkeypatch.setattr(solver, "_descend", counted)
+    res = minimize(g, sobolev(2.0), SolverConfig(seeds=plan))
+    assert labels == ["delta", "uniform", "gauss:2.0"]
+    monkeypatch.undo()
+
+    alone = [minimize(g, sobolev(2.0), SolverConfig(seeds=[seed])) for seed in plan]
+    assert hex_rows(res.restart_summary) == hex_rows([row for a in alone for row in a.restart_summary])
+    first = alone[plan.index("gauss:2.0")]
+    assert (res.seed_label, res.energy.hex()) == ("gauss:2.0", "0x1.fdf104255dceap+0")
+    assert (res.energy.hex(), res.multiplier.hex(), res.el_residual.hex(), res.n_iters) == \
+        (first.energy.hex(), first.multiplier.hex(), first.el_residual.hex(), first.n_iters)
+    assert np.array_equal(res.minimizer.values, first.minimizer.values)
 
 
 def test_random_seeds_are_never_shared(monkeypatch):
