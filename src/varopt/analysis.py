@@ -12,14 +12,14 @@ be recomputed from the record alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .calculus import Field, dirichlet_energy, lp_norm, nls_energy, p_laplacian, translate
 from .errors import InconclusiveProbe, InvalidRange, InvalidSpec, NotConverged
-from .lattice import Graph, GraphSpec, _is_int, build_graph, sphere_deletion_spec, star_addition_spec
+from .lattice import (Graph, GraphSpec, _is_finite, _is_int, _is_number, build_graph, sphere_deletion_spec,
+                      star_addition_spec)
 from .solver import (
     DEFAULT_BOUNDARY,
     NLS,
@@ -30,10 +30,6 @@ from .solver import (
     minimize,
     minimize_sobolev,
 )
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
 
 
 def _check_tolerances(**tolerances) -> None:
@@ -116,7 +112,7 @@ def estimate_threshold(graph_family, p, a_range, levels=(12,), bracket_tol=0.25,
     if not (isinstance(levels, (list, tuple)) and len(levels) == 1):
         raise InvalidSpec(f"levels must list exactly one truncation radius L, got {levels!r}")
     if not (isinstance(a_range, (list, tuple)) and len(a_range) == 2
-            and all(_is_number(a) and -math.inf < a < math.inf for a in a_range)):
+            and all(map(_is_finite, a_range))):
         raise InvalidRange(f"a_range must be a list or tuple of two finite numbers [a_min, a_max], "
                            f"got {a_range!r}")
     a_min, a_max = float(a_range[0]), float(a_range[1])
@@ -566,7 +562,7 @@ def verify_lemma_suite(graph: Graph, p=4.0, q=6.0, n_fields=100, rng_seed=0) -> 
     1e-10)."""
     if not (_is_int(n_fields) and n_fields >= 1):
         raise InvalidSpec(f"n_fields must be a whole number >= 1, got {n_fields!r}")
-    if not all(_is_number(x) and math.isfinite(x) for x in (p, q)):  # inf makes NaN margins, which pass max
+    if not all(map(_is_finite, (p, q))):  # inf makes NaN margins, which pass max
         raise InvalidSpec(f"p and q must be finite numbers, not booleans, got p={p!r}, q={q!r}")
     rng = np.random.default_rng(rng_seed)
     worst = {"nesting": 0.0, "lower_bound": -np.inf, "brezis_lieb": 0.0, "parts": 0.0}

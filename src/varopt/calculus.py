@@ -15,12 +15,13 @@ Conventions fixed here once and used everywhere:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidExponent, InvalidSpec
-from .lattice import Graph, _is_int
+from .lattice import Graph, _is_finite, _is_int
 
 
 @dataclass
@@ -36,6 +37,13 @@ class Field:
             raise ValueError("field contains non-finite values")
 
 
+def _finite_energy(e) -> float:
+    """e as a float; ValueError unless finite (a non-finite field value or an overflow)."""
+    if not math.isfinite(e):
+        raise ValueError(f"energy is {e}: the field has non-finite values or overflows")
+    return float(e)
+
+
 def as_values(graph: Graph, field) -> np.ndarray:
     """The value array of a Field or a plain array; ValueError unless it has one value per vertex."""
     u = field.values if isinstance(field, Field) else np.asarray(field, dtype=np.float64)
@@ -47,10 +55,10 @@ def as_values(graph: Graph, field) -> np.ndarray:
 def lp_norm(field, p) -> float:
     """l^p norm of the field values; sup norm for p = infinity."""
     u = field.values if isinstance(field, Field) else np.asarray(field, dtype=np.float64)
-    if p == np.inf or p == float("inf"):
+    if p == math.inf:
         return float(np.max(np.abs(u))) if u.size else 0.0
-    if not p >= 1:
-        raise InvalidExponent(f"l^p norm needs p >= 1, got {p}")
+    if not (_is_finite(p) and p >= 1):
+        raise InvalidExponent(f"l^p norm needs p = inf or a finite number p >= 1, not a boolean, got {p!r}")
     return float(np.sum(np.abs(u) ** p) ** (1.0 / p))
 
 
@@ -307,9 +315,9 @@ def box_inverse(graph: Graph):
 def dirichlet_energy(graph: Graph, field, p) -> float:
     """Sum of |u(x) - u(y)|^p over undirected edges (plus phantom terms in
     dirichlet mode); equals the integral of the gradient p-norm to the p."""
-    if not p >= 1:
-        raise InvalidExponent(f"Dirichlet energy needs p >= 1, got {p}")
-    return float(_dirichlet(graph, as_values(graph, field), p))
+    if not (_is_finite(p) and p >= 1):
+        raise InvalidExponent(f"Dirichlet energy needs a finite number p >= 1, not a boolean, got {p!r}")
+    return _finite_energy(_dirichlet(graph, as_values(graph, field), p))
 
 
 def laplacian(graph: Graph, field) -> Field:
@@ -323,26 +331,26 @@ def p_laplacian(graph: Graph, field, p) -> Field:
     Restricted to p > 1, where the edge weight |t|^(p-2) t extends
     continuously by 0 at t = 0; coincides with the Laplacian at p = 2.
     """
-    if not p > 1:
-        raise InvalidExponent(f"p-Laplacian needs p > 1, got {p}")
+    if not (_is_finite(p) and p > 1):
+        raise InvalidExponent(f"p-Laplacian needs a finite number p > 1, not a boolean, got {p!r}")
     return Field(graph, -_minus_p_laplacian(graph, as_values(graph, field), p, 0.0))
 
 
 def nls_energy(graph: Graph, field, p) -> float:
     """Focusing Schrodinger energy: half the 2-Dirichlet sum minus the
     l^p mass over p. Defined for p > 2."""
-    if not p > 2:
-        raise InvalidExponent(f"Schrodinger energy needs p > 2, got {p}")
+    if not (_is_finite(p) and p > 2):
+        raise InvalidExponent(f"Schrodinger energy needs a finite number p > 2, not a boolean, got {p!r}")
     u = as_values(graph, field)
-    return float(0.5 * _kinetic(graph, u) - np.sum(_abs_pow(u, p)) / p)
+    return _finite_energy(0.5 * _kinetic(graph, u) - np.sum(_abs_pow(u, p)) / p)
 
 
 def nls_gradient(graph: Graph, field, p) -> np.ndarray:
     """Euclidean gradient of nls_energy: -Lu - |u|^(p-2) u."""
-    if not p > 2:
-        raise InvalidExponent(f"Schrodinger energy needs p > 2, got {p}")
+    if not (_is_finite(p) and p > 2):
+        raise InvalidExponent(f"Schrodinger energy needs a finite number p > 2, not a boolean, got {p!r}")
     u = as_values(graph, field)
-    return _minus_p_laplacian(graph, u, 2.0, 0.0) - _signed_pow(u, p - 1.0)
+    return Field(graph, _minus_p_laplacian(graph, u, 2.0, 0.0) - _signed_pow(u, p - 1.0)).values
 
 
 def dirichlet_gradient(graph: Graph, field, p, eps: float = 0.0) -> np.ndarray:
@@ -351,9 +359,10 @@ def dirichlet_gradient(graph: Graph, field, p, eps: float = 0.0) -> np.ndarray:
     For p = 1 the energy is not differentiable; pass eps > 0 to use the
     smoothed weight t / sqrt(t^2 + eps^2) in place of sign(t).
     """
-    if not (p > 1 or (p == 1 and eps > 0)):
-        raise InvalidExponent(f"gradient needs p > 1, or p = 1 with eps > 0; got p={p}, eps={eps}")
-    return p * _minus_p_laplacian(graph, as_values(graph, field), p, eps)
+    if not (_is_finite(p) and _is_finite(eps) and (p > 1 or (p == 1 and eps > 0))):
+        raise InvalidExponent(f"gradient needs finite numbers, not booleans, p > 1 or p = 1 with eps > 0; "
+                              f"got p={p!r}, eps={eps!r}")
+    return Field(graph, p * _minus_p_laplacian(graph, as_values(graph, field), p, eps)).values
 
 
 def translate(field: Field, shift) -> Field:

@@ -12,6 +12,7 @@ zero-valued phantom endpoint (``boundary="dirichlet"``).
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -27,6 +28,15 @@ BOUNDARY_MODES = ("drop", "dirichlet")
 
 def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, (bool, np.bool_))
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
+
+
+def _is_finite(x) -> bool:
+    """True iff x is a finite real number that is not a boolean."""
+    return _is_number(x) and -math.inf < x < math.inf
 
 
 def _coordinate(c) -> int:
@@ -60,17 +70,15 @@ def box_vertices(d: int, L: int):
 class GraphSpec:
     """Recipe for a perturbed truncation: dimension, box radius, edge changes.
 
-    ``R`` is the radius of the ball containing every perturbed edge; if left
-    None it is inferred as the smallest such radius. Deletions and additions
-    are mutually exclusive (the two perturbation families are handled
-    separately).
+    Deletions and additions are mutually exclusive (the two perturbation
+    families are handled separately); the radius of the ball holding them is
+    derived, never stated (``perturbation_radius``).
     """
 
     d: int
     L: int
     deletions: frozenset = field(default_factory=frozenset)
     additions: frozenset = field(default_factory=frozenset)
-    R: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "deletions", frozenset(canonical_edge(*e) for e in self.deletions))
@@ -89,17 +97,17 @@ class GraphSpec:
             raise InvalidSpec(f"vertex {v} has wrong dimension (expected {self.d})") from None
 
     @classmethod
-    def _from_array(cls, d, L, R, kind: str, edges: np.ndarray) -> "GraphSpec":
+    def _from_array(cls, d, L, kind: str, edges: np.ndarray) -> "GraphSpec":
         """The spec whose ``kind`` are the rows of ``edges``, cached as given with no canonical_edge pass.
         Callers pass a (k, 2, d) int64 array of distinct rows, x < y as tuples: a repeat is built twice."""
-        spec = cls(d=d, L=L, R=R)
+        spec = cls(d=d, L=L)
         spec.__dict__.update({kind: frozenset(_pairs(edges)), "_edge_array": edges})
         return spec
 
     def perturbation_radius(self) -> int | None:
-        """R if set, else the smallest radius enclosing all perturbed edges."""
-        if self.R is not None or not (self.deletions or self.additions):
-            return self.R
+        """The smallest R whose ball B_R holds every perturbed edge; None with no perturbation."""
+        if not (self.deletions or self.additions):
+            return None
         return max(-int(self._edge_array.min()), int(self._edge_array.max())) + 1
 
     def validate(self) -> None:
@@ -107,20 +115,16 @@ class GraphSpec:
             raise InvalidSpec(f"dimension must be an integer >= 1, got {self.d!r}")
         if not _is_int(self.L) or self.L < 2:
             raise InvalidSpec(f"box radius L must be an integer >= 2, got {self.L!r}")
-        if self.R is not None and not (_is_int(self.R) and 1 <= self.R <= self.L):
-            raise InvalidSpec(f"perturbation radius R must be an integer in [1, L], got {self.R!r}")
         if self.deletions and self.additions:
             raise InvalidSpec("deletions and additions cannot both be nonempty")
         if not (self.deletions or self.additions):
             return
-        R_eff, edges = self.perturbation_radius(), self._edge_array
-        if R_eff > self.L:
-            raise InvalidSpec(f"perturbation ball B_{R_eff} exceeds the box B_{self.L}")
+        edges = self._edge_array
+        outside = edges[((edges <= -self.L) | (edges >= self.L)).any(axis=2)]
+        if len(outside):
+            raise InvalidSpec(f"perturbed vertex {tuple(outside[0].tolist())} lies outside the box B_{self.L}")
         if edges.shape[2] != self.d:
             raise InvalidSpec(f"vertex {tuple(edges[0, 0].tolist())} has wrong dimension (expected {self.d})")
-        outside = edges[((edges <= -R_eff) | (edges >= R_eff)).any(axis=2)]
-        if len(outside):  # R_eff <= L, so every other vertex lies in the box
-            raise InvalidSpec(f"perturbed vertex {tuple(outside[0].tolist())} lies outside B_{R_eff}")
         base = np.abs(edges[:, 0] - edges[:, 1]).sum(axis=1) == 1
         if self.deletions and not base.all():
             raise InvalidSpec(f"deletion {next(_pairs(edges[~base]))} is not a base lattice edge")
@@ -131,7 +135,6 @@ class GraphSpec:
         return {
             "d": int(self.d),
             "L": int(self.L),
-            "R": None if self.R is None else int(self.R),
             "deletions": [[list(x), list(y)] for x, y in sorted(self.deletions)],
             "additions": [[list(x), list(y)] for x, y in sorted(self.additions)],
         }
@@ -180,20 +183,19 @@ class Graph:
     int64 rows of the id pairs i < j sorted by (i, j); ``edges`` is their (m, 2)
     transposed view. Degrees are ``np.bincount(edges.ravel(), minlength=n)``;
     ``phantom`` counts each vertex's base-lattice edges that leave the box (one
-    per box face it lies on), read in dirichlet mode only. ``box`` is the same
-    edge set as ``BoxEdges`` when ``build_graph`` made the graph, else None: the
-    one mark of a box truncation, which the kernels' box layout and the box
-    inverse read; ``spec`` is only a label. Safe for concurrent reads; never
-    mutated after construction.
+    per box face it lies on), read in dirichlet mode only. ``box`` holds the
+    same edges as ``BoxEdges`` and ``spec`` labels them when ``build_graph``
+    made the graph, which sets both; else both are None. ``box`` is the one mark
+    of a box truncation, which the kernels' box layout and the box inverse read.
+    Safe for concurrent reads; never mutated once built.
     """
 
-    def __init__(self, lo, shape, edges, spec=None, boundary="drop", box=None):
+    def __init__(self, lo, shape, edges, boundary="drop"):
         """From the box's lower corner and shape and an (m, 2) integer array of
-        id pairs i < j, none repeated; raises InvalidSpec otherwise. ``box``, if
-        given, must describe the same edges (build_graph passes it)."""
+        id pairs i < j, none repeated; raises InvalidSpec otherwise."""
         if boundary not in BOUNDARY_MODES:
             raise InvalidSpec(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
-        self.spec, self.boundary, self.box = spec, boundary, box
+        self.boundary, self.spec, self.box = boundary, None, None
         self.lo, self.shape = tuple(int(a) for a in lo), tuple(int(m) for m in shape)
         if len(self.lo) != len(self.shape) or min(self.shape, default=0) < 1:
             raise InvalidSpec(f"box needs lo and shape of one length and sides >= 1, got {lo}, {shape}")
@@ -251,7 +253,7 @@ class Graph:
 
 def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     """Build the truncation graph for a spec: base edges minus deletions plus additions,
-    handed over as BoxEdges too; the spec is the graph's label.
+    labelled with the spec and holding the same edges as BoxEdges.
 
     Raises DisconnectedGraph when a deletion spec leaves the box disconnected,
     InvalidSpec when the spec itself is inconsistent.
@@ -275,8 +277,8 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     if spec.additions:
         added = _flat_ids(spec._edge_array, lo, shape)
         edges = np.concatenate([edges, added])
-    box = BoxEdges(tuple(deleted), *np.ascontiguousarray(added.T))
-    graph = Graph(lo, shape, edges, spec=spec, boundary=boundary, box=box)
+    graph = Graph(lo, shape, edges, boundary=boundary)
+    graph.spec, graph.box = spec, BoxEdges(tuple(deleted), *np.ascontiguousarray(added.T))
     if spec.deletions and not is_connected(graph):
         raise DisconnectedGraph(f"deleting {len(spec.deletions)} edge(s) disconnected the box B_{spec.L}")
     return graph
@@ -326,8 +328,8 @@ def sphere_deletion_spec(d: int, R: int, L: int, kept_edge=None) -> GraphSpec:
 
     The kept edge defaults to ((R-1, 0, ..., 0), (R, 0, ..., 0)); pass an
     explicit edge or a selector callable over the boundary edge list to
-    override. All deleted edges lie inside B_{R+1}, which is recorded as the
-    spec's perturbation radius.
+    override. All deleted edges lie inside B_{R+1}, so the spec's perturbation
+    radius is R + 1.
     """
     if not (_is_int(d) and _is_int(R) and _is_int(L) and d >= 1 and 1 <= R < L):
         raise InvalidSpec(f"need integers d >= 1 and 1 <= R < L, got d={d!r}, R={R!r}, L={L!r}")
@@ -337,7 +339,7 @@ def sphere_deletion_spec(d: int, R: int, L: int, kept_edge=None) -> GraphSpec:
     kept = canonical_edge(*(kept_edge(boundary) if callable(kept_edge) else kept_edge))
     if kept not in boundary:
         raise InvalidSpec(f"kept edge {kept} is not a boundary edge of B_{R}")
-    return GraphSpec._from_array(d, L, R + 1, "deletions", np.array([e for e in boundary if e != kept]))
+    return GraphSpec._from_array(d, L, "deletions", np.array([e for e in boundary if e != kept]))
 
 
 def star_addition_spec(d: int, R: int, L: int) -> GraphSpec:
@@ -355,4 +357,4 @@ def star_addition_spec(d: int, R: int, L: int) -> GraphSpec:
     far = np.abs(ball[ids, None] - ball).sum(axis=2) > 1
     far[:, ids] &= ids[:, None] < ids  # a pair of centres once, from the smaller
     i, y = np.nonzero(far)
-    return GraphSpec._from_array(d, L, R, "additions", ball[np.sort(np.stack([ids[i], y], axis=1))])
+    return GraphSpec._from_array(d, L, "additions", ball[np.sort(np.stack([ids[i], y], axis=1))])

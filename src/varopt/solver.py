@@ -22,7 +22,7 @@ import numpy as np
 from .calculus import (Field, _abs_pow, _dirichlet, _edge_diff, _kinetic, _minus_p_laplacian, _signed_pow,
                        _weighted_laplacian, box_inverse)
 from .errors import InvalidExponent, InvalidSpec, TooLarge
-from .lattice import Graph
+from .lattice import Graph, _is_finite
 
 NLS = "nls"
 SOBOLEV = "sobolev"
@@ -41,12 +41,12 @@ _SMOOTHING_EPS = 1e-8   # p = 1 Sobolev gradient smoothing; p < 2 metric regular
 class ProblemSpec:
     """Which functional to minimize and on which constraint sphere.
 
-    kind "nls": minimize the Schrodinger energy over ||u||_2^2 = a, p > 2.
+    kind "nls": minimize the Schrodinger energy over ||u||_2^2 = a, p > 2, q unset.
     kind "sobolev": minimize the p-Dirichlet energy over ||u||_q^q = a;
     admissible means 1 <= p < d, q >= d p / (d - p) and a dirichlet-mode graph,
     whose phantom edges make its energies those of the zero extension to the
     lattice: in drop mode constants give J = 0. ``allow_subcritical`` relaxes
-    all three, for exploratory runs on small, low-d or drop-mode graphs.
+    all three, for exploratory sobolev runs on small, low-d or drop-mode graphs.
     """
 
     kind: str
@@ -58,8 +58,7 @@ class ProblemSpec:
     def validate_for(self, graph: Graph) -> None:
         if self.kind not in (NLS, SOBOLEV):
             raise InvalidSpec(f"unknown problem kind {self.kind!r}")
-        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and np.isfinite(x)
-                   for x in (self.a, self.p, self.q) if x is not None):
+        if not all(_is_finite(x) for x in (self.a, self.p, self.q) if x is not None):
             raise InvalidSpec(f"a, p and q must be finite numbers, not booleans, got a={self.a!r}, "
                               f"p={self.p!r}, q={self.q!r}")
         if not (self.a > 0):
@@ -67,6 +66,9 @@ class ProblemSpec:
         if not isinstance(self.allow_subcritical, (bool, np.bool_)):
             raise InvalidSpec(f"allow_subcritical must be true or false, got {self.allow_subcritical!r}")
         if self.kind == NLS:
+            if self.q is not None or self.allow_subcritical:
+                name = "q" if self.q is not None else "allow_subcritical"
+                raise InvalidSpec(f"nls problem reads no {name}, got {name}={getattr(self, name)!r}")
             if self.p <= 2:
                 raise InvalidExponent(f"nls problem needs p > 2, got {self.p}")
         else:
@@ -178,10 +180,8 @@ def _localize(graph: Graph, weight: np.ndarray, probe_radius: int) -> Localizati
 
 
 def _default_probe_radius(graph: Graph) -> int:
-    spec = graph.spec
-    if spec is not None and spec.perturbation_radius() is not None:
-        return spec.perturbation_radius()
-    return max(1, (graph.extent + 1) // 2)
+    R = None if graph.spec is None else graph.spec.perturbation_radius()
+    return max(1, (graph.extent + 1) // 2) if R is None else R
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +612,10 @@ def brute_force_oracle(graph: Graph, problem: ProblemSpec, grid: dict | None = N
         raise TooLarge(f"oracle is exhaustive; {n} vertices exceed the limit of 4")
     if n < 2:
         raise InvalidSpec("oracle needs at least 2 vertices")
-    grid = grid or {}
-    res = float(grid.get("resolution", 1e-3))
+    grid = {} if grid is None else grid
+    res = grid.get("resolution", 1e-3) if isinstance(grid, dict) else None
+    if not (_is_finite(res) and res > 0 and set(grid) <= {"resolution"}):
+        raise InvalidSpec(f"grid must be None or {{'resolution': a finite number > 0}}, got {grid!r}")
     edges = graph.edges.tolist()
     phantom = graph.phantom if graph.boundary == "dirichlet" else None
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -145,6 +146,37 @@ def test_calculus_functions_check_the_field_length(call):
     call(g, Field(g, [1.0, 2.0, 3.0]))
 
 
+U3 = [1.0, 2.0, 4.0]
+NUMPY_WARNS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@pytest.mark.parametrize("call,error,fragment", [
+    (lambda g: dirichlet_energy(g, U3, True), InvalidExponent, "got True"),  # once computed as p = 1: 3.0
+    (lambda g: dirichlet_energy(g, U3, np.inf), InvalidExponent, "got inf"),  # once inf
+    (lambda g: nls_energy(g, U3, np.inf), InvalidExponent, "got inf"),  # once nan
+    (lambda g: nls_gradient(g, U3, np.inf), InvalidExponent, "got inf"),
+    (lambda g: p_laplacian(g, U3, np.inf), InvalidExponent, "got inf"),  # once "non-finite values"
+    (lambda g: dirichlet_gradient(g, U3, 1.0, True), InvalidExponent, "eps=True"),
+    (lambda g: dirichlet_gradient(g, U3, np.inf), InvalidExponent, "p=inf"),
+    (lambda g: lp_norm([3.0, 4.0], True), InvalidExponent, "got True"),  # once computed as p = 1: 7.0
+    (lambda g: dirichlet_energy(g, [np.nan, 0.0, 0.0], 2), ValueError, "energy is nan"),
+    # numpy warns of inf - inf and of the overflow before the energy's check raises
+    pytest.param(lambda g: nls_energy(g, [np.inf, 0.0, 0.0], 4), ValueError, "energy is nan",
+                 marks=NUMPY_WARNS),
+    pytest.param(lambda g: dirichlet_energy(g, [1e200, 0.0, 0.0], 2), ValueError, "energy is inf",
+                 marks=NUMPY_WARNS),
+    (lambda g: nls_gradient(g, [np.nan, 0.0, 0.0], 4), ValueError, "non-finite values"),
+    (lambda g: dirichlet_gradient(g, [np.nan, 0.0, 0.0], 2), ValueError, "non-finite values"),
+], ids=["energy-p-bool", "energy-p-inf", "nls-p-inf", "nls-gradient-p-inf", "p-laplacian-p-inf",
+        "gradient-eps-bool", "gradient-p-inf", "lp-norm-p-bool", "energy-nan-field", "nls-inf-field",
+        "energy-overflow", "nls-gradient-nan-field", "gradient-nan-field"])
+def test_calculus_functions_check_exponents_and_results(call, error, fragment):
+    # exponents are finite numbers that are not booleans, and no energy or gradient comes back
+    # non-finite (the gradients once returned [nan, nan, 0], the energies nan)
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(path_graph(3))
+
+
 # ---------------------------------------------------------------------------
 # laplacians
 
@@ -274,10 +306,9 @@ def test_box_inverse_needs_a_dirichlet_box():
     with pytest.raises(InvalidSpec):
         box_inverse(build_graph(GraphSpec(d=2, L=3)))
     g = build_graph(GraphSpec(d=2, L=3), boundary="dirichlet")
-    # the same box built directly, without BoxEdges: with or without its spec, which is a label
-    for spec in (None, g.spec):
-        with pytest.raises(InvalidSpec):
-            box_inverse(Graph(g.lo, g.shape, g.edges, spec=spec, boundary="dirichlet"))
+    # the same box built directly, without BoxEdges
+    with pytest.raises(InvalidSpec):
+        box_inverse(Graph(g.lo, g.shape, g.edges, boundary="dirichlet"))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +385,7 @@ def test_kernels_pick_the_layout_by_vertex_count():
             assert type(_edge_diff(g, np.zeros(g.n))) is layout, g
     # a Graph built directly keeps the edge layout at any size
     g = box[-1]
-    direct = Graph(g.lo, g.shape, g.edges, spec=g.spec, boundary=g.boundary)
+    direct = Graph(g.lo, g.shape, g.edges, boundary=g.boundary)
     assert direct.box is None and type(_edge_diff(direct, np.zeros(g.n))) is np.ndarray
 
 

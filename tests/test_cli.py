@@ -184,7 +184,7 @@ def test_removed_solver_keys_exit_2(tmp_path, capsys, solver):
     ({"emit_field": "false"}, "emit_field"),
     ({"solver": {"record_trace": "false"}}, "record_trace"),
     ({"problem": {"a": 1.0, "p": 4.0, "allow_subcritical": "false"}}, "allow_subcritical"),
-    ({"graph": {"construction": "lattice", "d": 1, "L": 6, "R": 0}}, "radius R"),
+    ({"graph": {"construction": "sphere_deletion", "d": 1, "R": 0, "L": 6}}, "R=0"),
 ], ids=["emit_field", "record_trace", "allow_subcritical", "R0"])
 def test_non_boolean_flags_and_bad_radius_exit_2(tmp_path, capsys, change, message):
     path = write_config(tmp_path, "cfg.json", {
@@ -261,6 +261,8 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
     ("sobolev-gap", {"params": dict(GAP, boundary="drop")}, "boundary"),
     ("solve-sobolev", {"graph": {"construction": "path", "n": 5, "boundary": "dirichlet"},
                        "problem": {"a": 1.0, "p": 2.0, "q": 2.0, "allow_subcritical": True}}, "boundary"),
+    ("solve-nls", {"graph": dict(LINE, R=2), "problem": NLS_PROBLEM}, "'R'"),
+    ("solve-nls", {"graph": LINE, "problem": dict(NLS_PROBLEM, q=3, allow_subcritical=True)}, "reads no q"),
 ], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
         "graph-unknown", "problem-unknown", "seed", "edge-coordinate", "p-bool", "kind-mismatch",
         "solve-params", "graph-list", "params-list", "compare-tol-bool", "compare-strict_margin",
@@ -270,7 +272,7 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
         "threshold-a_range-int", "threshold-a_range-str", "threshold-a_range-entry-str",
         "threshold-a_range-bool", "threshold-a_range-inf", "threshold-levels-two", "threshold-levels-not-L",
         "unknown-construction", "compare-unknown-kind", "compare-base-boundary-mismatch", "gap-boundary",
-        "path-boundary"])
+        "path-boundary", "lattice-R", "nls-q"])
 def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload, named):
     if experiment != "verify-lemmas":  # the one experiment that runs no solver
         payload = dict(payload, solver={"restarts": 1})
@@ -491,18 +493,18 @@ GOLDEN_RUNS = {
                       "solver": {"restarts": 3, "record_trace": True}, "emit_field": True}, 0,
         {"minimizer.json": "431bc541760d67a006c7e958d40cb3c4235c75513f6faa8e16d84457b641951f",
          "results.csv": "d957fc2861f2b4287157cd66fe2769e73d38012e34c9236dee66f74e29472145",
-         "results.json": "aa90d4517445e5be5cdd9fd61f029f51b0b64046cf9935fce87631934e34000f",
+         "results.json": "68e0ce4de190a5704b1c628d4236759e9298fed72590917c53c91163cea024ee",
          "trace.csv": "1e4c8090c91ae9a4e863786339fe3a37211ba19d0dad78b29d68624f0600b7a0"}),
     "solve-nls-exit3": (
         "solve-nls", {"graph": {"d": 1, "L": 6}, "problem": {"a": 2.0, "p": 4.0},
                       "solver": {"restarts": 1, "seeds": ["random"], "max_iters": 2}}, 3,
         {"results.csv": "969a3b01f9e7ecf9b76009f4d6ad4a9cb9ed3e23837287e87178d088c47a17d5",
-         "results.json": "fe9bc0151e6ea3770b2e601afe7c452a870f66486a27daf2a1770aea603a1dfe"}),
+         "results.json": "56c2f1c20225554b37ac4cca935dcd5502b14c9b84009551a8d58ee47fb4ef8f"}),
     "solve-sobolev": (
         "solve-sobolev", {"graph": {"construction": "sphere_deletion", "d": 3, "R": 2, "L": 4},
                           "problem": {"p": 2.0, "q": 6.0}, "solver": {"restarts": 3, "tol_grad": 1e-7}}, 0,
         {"results.csv": "286454f37effbd96a5c19005e1ae76bd6fcc173aaca14c594cb4e2982a5ec15b",
-         "results.json": "73971afb570432c2216d789d203b3fb6a515970004026897d901e85288ade8a1"}),
+         "results.json": "4acc3b6bfa4de891a48eeea9e145b651daaf45e65ebd95b2b328ca8e9a3e431f"}),
     "threshold-all_negative": (
         "threshold", {"graph": {"d": 1, "L": 10}, "params": {"p": 4.0, "a_range": [0.5, 6.0]},
                       "solver": {"restarts": 3}}, 0,
@@ -539,7 +541,7 @@ GOLDEN_RUNS = {
     "verify-lemmas": (
         "verify-lemmas", {"graph": {"d": 1, "L": 12}, "params": {"n_fields": 10}}, 0,
         {"results.csv": "ebc840bb368b6d8af5cd42997bef42eff930d99cbdd79ccd368c13520ee1fc47",
-         "results.json": "e1c11135eaf54068a9e8f93bee7d8155857eec64b29ac4f70d8525a2a7f872cb"}),
+         "results.json": "6070bb99ce4872183b7c6269c0e0d6a167d6e1cd2312cdc7d2dcc85b7ba210a7"}),
 }
 
 

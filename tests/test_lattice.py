@@ -189,11 +189,12 @@ def test_factories_match_brute_force_comprehensions(d, R):
     centres = [origin] + [origin[:k] + (s,) + origin[k + 1:] for k, s in steps]
     star = {canonical_edge(c, y) for c in centres for y in ball if y != c and not is_base_edge(c, y)}
     spec = star_addition_spec(d, R, R + 1)
-    assert spec.additions == star and spec.R == R
+    assert spec.additions == star and spec.perturbation_radius() == R
+    assert sphere_deletion_spec(d, R, R + 2).perturbation_radius() == R + 1
     # the edge array the factory keeps builds what the same tuples build through the constructor
-    for built, again in [(spec, GraphSpec(d=d, L=R + 1, additions=star, R=R)),
-                         (sphere_deletion_spec(d, R, R + 2), GraphSpec(d=d, L=R + 2, R=R + 1,
-                                                                       deletions=crossing - {kept}))]:
+    for built, again in [(spec, GraphSpec(d=d, L=R + 1, additions=star)),
+                         (sphere_deletion_spec(d, R, R + 2),
+                          GraphSpec(d=d, L=R + 2, deletions=crossing - {kept}))]:
         if d == 1 and built.deletions:
             continue  # a cut line is disconnected
         g, h = build_graph(built, boundary="dirichlet"), build_graph(again, boundary="dirichlet")
@@ -365,26 +366,19 @@ def test_spec_invariant_violations():
     with pytest.raises(InvalidSpec):
         GraphSpec(d=1, L=3, deletions={((0,), (2,))}).validate()  # not a base edge
     with pytest.raises(InvalidSpec):
-        GraphSpec(d=1, L=3, R=1, deletions={((1,), (2,))}).validate()  # outside B_R
-    with pytest.raises(InvalidSpec):
         GraphSpec(d=1, L=1).validate()
-    for bad in ({"d": True}, {"d": 0}, {"L": True}, {"R": 0}, {"R": -3}, {"R": 2.5},
-                {"R": True}, {"R": 6}):
+    for bad in ({"d": True}, {"d": 0}, {"L": True}):
         with pytest.raises(InvalidSpec):
             GraphSpec(**{"d": 2, "L": 5, **bad}).validate()
-    GraphSpec(d=2, L=5, R=5).validate()
     for edge in ([[-1.7], [1]], [["1"], [2]], [[-1], 1]):  # coordinates must be integers
         with pytest.raises(InvalidSpec):
             GraphSpec(d=1, L=6, additions=[edge])
     assert GraphSpec(d=1, L=6, additions=[[[np.int64(-1)], [1]]]).additions == {((-1,), (1,))}
-    with pytest.raises(InvalidSpec):
-        build_graph(GraphSpec(d=2, L=8, deletions={((0, 0), (0, 1)), ((0, 0), (0, 1))},
-                              additions=frozenset(), R=9))
 
 
 @pytest.mark.parametrize("call,fragment", [
     (lambda: canonical_edge((1, 0), (1, 0)), "degenerate edge at (1, 0)"),
-    (lambda: GraphSpec(d=1, L=3, additions={((0,), (5,))}).validate(), "B_6 exceeds the box B_3"),
+    (lambda: GraphSpec(d=1, L=3, additions={((0,), (5,))}).validate(), "vertex (5,) lies outside the box B_3"),
     (lambda: GraphSpec(d=2, L=4, additions={((0,), (2,))}).validate(), "wrong dimension (expected 2)"),
     (lambda: GraphSpec.from_json_dict({"d": 1, "L": 4, "radius": 2}), "malformed graph spec"),
 ], ids=["degenerate-edge", "ball-exceeds-box", "vertex-dimension", "json-unknown-key"])
@@ -400,10 +394,10 @@ BIG = 2 ** 70  # beyond int64
     (lambda: GraphSpec(d=2, L=4, additions={((0,), (2,))}), "vertex (0,) has wrong dimension (expected 2)"),
     (lambda: GraphSpec(d=2, L=4, additions={((0, 0), (2, 0)), ((0,), (2,))}),
      "vertex (0,) has wrong dimension (expected 2)"),
-    (lambda: GraphSpec(d=1, L=3, R=1, deletions={((1,), (2,))}), "perturbed vertex (1,) lies outside B_1"),
-    (lambda: GraphSpec(d=2, L=5, R=2, additions={((0, 0), (2, 1))}), "perturbed vertex (2, 1) lies outside B_2"),
-    (lambda: GraphSpec(d=1, L=4, R=2, additions={((BIG,), (0,))}), f"perturbed vertex ({BIG},) lies outside B_2"),
-    (lambda: GraphSpec(d=1, L=4, additions={((-BIG,), (0,))}), f"perturbation ball B_{BIG + 1} exceeds the box B_4"),
+    (lambda: GraphSpec(d=1, L=4, additions={((BIG,), (0,))}),
+     f"perturbed vertex ({BIG},) lies outside the box B_4"),
+    (lambda: GraphSpec(d=1, L=4, additions={((-BIG,), (0,))}),
+     f"perturbed vertex ({-BIG},) lies outside the box B_4"),
     (lambda: GraphSpec(d=1, L=3, deletions={((0,), (2,))}), "deletion ((0,), (2,)) is not a base lattice edge"),
     (lambda: GraphSpec(d=2, L=3, deletions={((0, 0), (1, 1))}), "deletion ((0, 0), (1, 1)) is not a base lattice edge"),
     (lambda: GraphSpec(d=1, L=3, additions={((1,), (0,))}), "addition ((0,), (1,)) is already a base lattice edge"),
@@ -420,8 +414,8 @@ BIG = 2 ** 70  # beyond int64
     (lambda: GraphSpec(d=1, L=6, additions=[[["1"], [2]]]),
      "needs integer coordinates: 'str' object cannot be interpreted as an integer"),
     (lambda: GraphSpec(d=2, L=4, deletions=[((1, 0), (1, 0))]), "degenerate edge at (1, 0)"),
-], ids=["dimension", "mixed-dimensions", "outside-R", "outside-R-d2", "outside-R-beyond-int64",
-        "ball-beyond-int64", "deletion-not-base", "deletion-diagonal", "addition-base", "both-kinds",
+], ids=["dimension", "mixed-dimensions", "outside-R-beyond-int64", "ball-beyond-int64",
+        "deletion-not-base", "deletion-diagonal", "addition-base", "both-kinds",
         "bool", "bool-False", "numpy-bool", "float", "str", "degenerate"])
 def test_each_spec_check_raises_its_message(make, message):
     # coordinates are checked at construction, the rest by validate(), which build_graph calls first
@@ -455,7 +449,7 @@ def test_numpy_integer_sizes_build_the_same_graph():
         assert np.array_equal(build_graph(numpy_spec).edges, build_graph(spec).edges)
         assert json.loads(json.dumps(numpy_spec.to_json_dict())) == spec.to_json_dict()
     assert vertex_tuples(path_graph(np.int64(3))) == vertex_tuples(path_graph(3))
-    for bad in ({"d": np.True_}, {"L": np.True_}, {"R": np.True_}):
+    for bad in ({"d": np.True_}, {"L": np.True_}):
         with pytest.raises(InvalidSpec):
             GraphSpec(**{"d": 2, "L": 5, **bad}).validate()
     with pytest.raises(InvalidSpec):
@@ -468,6 +462,53 @@ def test_spec_json_round_trip():
     assert GraphSpec.from_json_dict(data) == spec
     spec2 = star_addition_spec(3, 2, 4)
     assert GraphSpec.from_json_dict(spec2.to_json_dict()) == spec2
+
+
+def test_equal_perturbations_are_equal_specs():
+    # a spec is its dimension, box and edges: the radius is derived, so it cannot differ
+    cut = GraphSpec(d=2, L=5, deletions={((0, 0), (1, 0))})
+    assert cut == GraphSpec(d=2, L=5, deletions=[[[1, 0], [0, 0]]]) and cut.perturbation_radius() == 2
+    for spec in (sphere_deletion_spec(3, 2, 6), star_addition_spec(3, 2, 6)):
+        again = GraphSpec(d=3, L=6, deletions=spec.deletions, additions=spec.additions)
+        assert spec == again and hash(spec) == hash(again)
+        assert spec.perturbation_radius() == again.perturbation_radius()
+        assert _default_probe_radius(build_graph(spec)) == _default_probe_radius(build_graph(again))
+        assert "R" not in spec.to_json_dict() and GraphSpec.from_json_dict(spec.to_json_dict()) == spec
+    assert GraphSpec(d=2, L=5).perturbation_radius() is None
+    with pytest.raises(InvalidSpec, match="malformed graph spec"):  # a record that states a radius
+        GraphSpec.from_json_dict(dict(cut.to_json_dict(), R=4))
+
+
+def test_graph_takes_no_spec_or_box():
+    g = build_graph(sphere_deletion_spec(2, 2, 5), boundary="dirichlet")
+    for extra in ({"spec": g.spec}, {"box": g.box}):
+        with pytest.raises(TypeError):
+            Graph(g.lo, g.shape, g.edges, boundary="dirichlet", **extra)
+    direct = Graph(g.lo, g.shape, g.edges, "dirichlet")
+    assert direct.spec is None and direct.box is None and direct.boundary == "dirichlet"
+    assert path_graph(4).spec is None and path_graph(4).box is None
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(d=3, L=3), sphere_deletion_spec(2, 2, 5), star_addition_spec(2, 2, 4),
+                                  GraphSpec(d=3, L=4, deletions={((0, 0, 0), (0, 0, 1)), ((0, 0, 0), (1, 0, 0)),
+                                                                 ((-1, 2, 0), (-1, 3, 0))})],
+                         ids=["box", "sphere", "star", "cut-each-axis"])
+def test_build_graph_attaches_its_spec_and_box(spec):
+    g = build_graph(spec)
+    assert g.spec is spec
+    # the box's base edges, less the deleted slots, plus the added pairs, are the edge list
+    ids = np.arange(g.n).reshape(g.shape)
+    edges = []
+    for k, slots in enumerate(g.box.deleted):
+        tails, heads = (np.moveaxis(ids, k, 0)[s] for s in (slice(None, -1), slice(1, None)))
+        keep = np.ones(tails.shape, dtype=bool)
+        if slots is not None:
+            np.moveaxis(keep, 0, k)[slots] = False
+        edges += zip(tails[keep].tolist(), heads[keep].tolist())
+    edges += zip(g.box.tails.tolist(), g.box.heads.tolist())
+    assert sorted(edges) == list(map(tuple, g.edges.tolist()))
+    assert sum(0 if s is None else len(s[0]) for s in g.box.deleted) == len(spec.deletions)
+    assert len(g.box.heads) == len(spec.additions)
 
 
 def test_path_graph():
@@ -522,11 +563,10 @@ def test_build_graph_matches_tuple_reference(data):
         pairs = data.draw(st.lists(st.tuples(st.sampled_from(ball), st.sampled_from(ball)),
                                    max_size=8), label="pairs")
         additions = {canonical_edge(x, y) for x, y in pairs if x != y and not is_base_edge(x, y)}
-    stated = data.draw(st.sampled_from([R, None]), label="stated R")
-    spec = GraphSpec(d=d, L=L, deletions=deletions, additions=additions, R=stated)
+    spec = GraphSpec(d=d, L=L, deletions=deletions, additions=additions)
     perturbed = [v for e in deletions | additions for v in e]
-    assert spec.perturbation_radius() == (
-        stated if stated is not None or not perturbed else max(max(map(abs, v)) for v in perturbed) + 1)
+    # the radius is derived: the smallest whose ball holds every perturbed vertex
+    assert spec.perturbation_radius() == (max(max(map(abs, v)) for v in perturbed) + 1 if perturbed else None)
     edges = (base - spec.deletions) | spec.additions
     connected = bfs_oracle(verts, edges)
     if spec.deletions and not connected:

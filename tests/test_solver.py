@@ -82,6 +82,18 @@ def test_oracle_size_limit():
         brute_force_oracle(g, ProblemSpec(kind="nls", a=1.0, p=4))
 
 
+@pytest.mark.parametrize("grid", [{"resolution": -1}, {"resolution": 0}, {"resolution": math.nan},
+                                  {"resolution": math.inf}, {"resolution": True}, {"resolution": "0.1"},
+                                  {"res": 0.05}, {"resolution": 0.1, "res": 0.05}, [0.1]],
+                         ids=["negative", "zero", "nan", "inf", "bool", "str", "unknown-key", "extra-key", "list"])
+def test_oracle_refuses_a_grid_it_cannot_use(grid):
+    # a resolution of -1 once gave 0.25 against the minimum near -0.0833, and "res" went unread
+    problem = ProblemSpec(kind="nls", a=1.0, p=4.0)
+    with pytest.raises(InvalidSpec, match="grid must be None or"):
+        brute_force_oracle(path_graph(3), problem, grid)
+    assert brute_force_oracle(path_graph(3), problem, {"resolution": 0.01}) < -0.08
+
+
 def test_constraint_feasibility():
     g = build_graph(GraphSpec(d=1, L=8))
     res = minimize_nls(g, ProblemSpec(kind="nls", a=2.5, p=4), CFG)
@@ -246,6 +258,20 @@ def test_problem_validation():
                  (True, 2.0), (2.0, True), ("2", 2.0)]:
         with pytest.raises(InvalidSpec):
             minimize_sobolev(g, ProblemSpec(kind="sobolev", a=1.0, p=p, q=q, allow_subcritical=True), CFG)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"q": 3.0}, "reads no q, got q=3.0"), ({"q": 0}, "reads no q, got q=0"),
+    ({"allow_subcritical": True}, "reads no allow_subcritical, got allow_subcritical=True"),
+    ({"q": 3, "allow_subcritical": True}, "reads no q, got q=3"),
+], ids=["q", "q-zero", "allow_subcritical", "both"])
+def test_an_nls_problem_refuses_the_fields_it_never_reads(fields, message):
+    # the solve never reads q or allow_subcritical, which once went into results.csv unread
+    problem = ProblemSpec(kind="nls", a=1.0, p=4.0, **fields)
+    with pytest.raises(InvalidSpec, match=re.escape(f"nls problem {message}")):
+        minimize_nls(path_graph(3), problem, CFG)
+    with pytest.raises(InvalidSpec, match="allow_subcritical must be true or false"):  # the type check first
+        ProblemSpec(kind="nls", a=1.0, p=4.0, q=3.0, allow_subcritical="yes").validate_for(path_graph(3))
 
 
 def test_determinism_across_runs():
@@ -682,13 +708,10 @@ def test_spectral_oracle_perturbed(spec):
 
 
 def test_spectral_oracle_dense_matches_closed_form_and_limits():
-    # the same plain box built directly, without BoxEdges, takes the dense eigvalsh path,
-    # whether or not it carries its spec
+    # the same plain box built directly, without BoxEdges, takes the dense eigvalsh path
     g = build_graph(GraphSpec(d=2, L=4), boundary="dirichlet")
-    closed = spectral_oracle(g)
-    for spec in (None, g.spec):
-        plain = Graph(g.lo, g.shape, g.edges, spec=spec, boundary="dirichlet")
-        assert abs(spectral_oracle(plain) - closed) <= 1e-13
+    plain = Graph(g.lo, g.shape, g.edges, boundary="dirichlet")
+    assert abs(spectral_oracle(plain) - spectral_oracle(g)) <= 1e-13
     with pytest.raises(InvalidSpec):
         spectral_oracle(build_graph(GraphSpec(d=2, L=4)))
     with pytest.raises(TooLarge):
@@ -722,10 +745,9 @@ def test_preconditioner_picks_the_metric_per_problem():
             normal = _constraint_normal(sobolev(p), u)
             for v in (rng.standard_normal(g.n), normal, 3.0 * normal + 1e-6 * rng.standard_normal(g.n)):
                 assert np.linalg.norm(apply(metric(v)) - v) <= solver._CG_TOL * np.linalg.norm(v)
-    # p <= 2 elsewhere (drop mode, the box built directly without BoxEdges, with or
-    # without its spec, a path): the identity
-    direct = [Graph(box.lo, box.shape, box.edges, spec=spec, boundary="dirichlet") for spec in (None, box.spec)]
-    for g in (build_graph(GraphSpec(d=2, L=4)), build_graph(sphere_deletion_spec(2, 2, 4)), *direct, path_graph(5)):
+    # p <= 2 elsewhere (drop mode, the box built directly without BoxEdges, a path): the identity
+    direct = Graph(box.lo, box.shape, box.edges, boundary="dirichlet")
+    for g in (build_graph(GraphSpec(d=2, L=4)), build_graph(sphere_deletion_spec(2, 2, 4)), direct, path_graph(5)):
         for p in (1.0, 1.5, 2.0):
             assert _preconditioner(g, sobolev(p)) is None
     # the identity for p > 2 and the Schrodinger problem
