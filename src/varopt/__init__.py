@@ -47,7 +47,6 @@ from .solver import (
     brute_force_oracle,
     make_seed,
     minimize,
-    minimize_nls,
     minimize_sobolev,
     spectral_oracle,
 )

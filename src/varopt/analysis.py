@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .calculus import Field, dirichlet_energy, lp_norm, nls_energy, p_laplacian, translate
-from .errors import InconclusiveProbe, InvalidRange, InvalidSpec, NotConverged
+from .errors import InconclusiveProbe, InvalidExponent, InvalidRange, InvalidSpec, NotConverged
 from .lattice import (Graph, GraphSpec, _is_finite, _is_int, _is_number, build_graph, sphere_deletion_spec,
                       star_addition_spec)
 from .solver import (
@@ -45,6 +45,17 @@ def _mass_grid(a_grid) -> list:
     if not (a_grid and all(map(_is_number, a_grid))):
         raise InvalidSpec(f"a_grid must list at least one mass, all numbers, got {a_grid!r}")
     return [float(a) for a in a_grid]
+
+
+def _sorted_radii(radii, name: str, what: str) -> list:
+    """The radii in increasing order: at least one, and none twice, which would repeat a probe."""
+    radii = sorted(radii)
+    if not radii:
+        raise InvalidSpec(f"{name} must list at least one {what}")
+    twice = next((r for r, s in zip(radii, radii[1:]) if r == s), None)
+    if twice is not None:
+        raise InvalidSpec(f"{name} lists {twice!r} twice, got {radii!r}")
+    return radii
 
 
 def _graph_label(graph: Graph) -> str:
@@ -284,37 +295,32 @@ def _distinct_masses(a_grid) -> list:
     return list(dict.fromkeys(_solved_as(sorted(_mass_grid(a_grid))).values()))
 
 
-def verify_E_properties(graph: Graph, p, a_grid, solver_cfg=None,
-                        zero_tol=1e-8, tol=1e-6) -> PropertyReport:
-    """Check the ground-state energy curve over a mass grid: nonpositive,
-    non-increasing, and subadditive on every pair that sums into the grid."""
-    _check_tolerances(zero_tol=zero_tol, tol=tol)
+def verify_E_properties(graph: Graph, p, a_grid, solver_cfg=None) -> PropertyReport:
+    """Check the ground-state energy curve over a mass grid: nonpositive (to 1e-8),
+    non-increasing and subadditive on every pair that sums into the grid (both to 1e-6)."""
     a_grid = _distinct_masses(a_grid)
     energies = {a: minimize(graph, ProblemSpec(kind=NLS, a=a, p=p), solver_cfg).energy for a in a_grid}
-    checks = [CheckRecord(f"E(a={a:g}) <= 0", energies[a], 0.0, energies[a], energies[a] <= zero_tol)
+    checks = [CheckRecord(f"E(a={a:g}) <= 0", energies[a], 0.0, energies[a], energies[a] <= 1e-8)
               for a in a_grid]
     for lo, hi in zip(a_grid, a_grid[1:]):
         margin = energies[hi] - energies[lo]
         checks.append(CheckRecord(f"E({hi:g}) <= E({lo:g})", energies[hi], energies[lo],
-                                  margin, margin <= tol))
+                                  margin, margin <= 1e-6))
     for a, b, c in _grid_sums(a_grid):
         margin = energies[c] - (energies[a] + energies[b])
         checks.append(CheckRecord(f"E({c:g}) <= E({a:g}) + E({b:g})", energies[c],
-                                  energies[a] + energies[b], margin, margin <= tol))
+                                  energies[a] + energies[b], margin, margin <= 1e-6))
     return PropertyReport(checks, values=energies)
 
 
-def verify_J_properties(graph: Graph, p, q, a_grid, solver_cfg=None,
-                        rel_tol=1e-4, thetas=(2.0, 4.0),
-                        allow_subcritical=False) -> PropertyReport:
-    """Check the Sobolev value curve: exact mass-homogeneity J(a) = a^(p/q) J(1),
-    strict sublinearity J(theta a) < theta J(a), and strict subadditivity on
-    grid pairs that sum into the grid.
+def verify_J_properties(graph: Graph, p, q, a_grid, solver_cfg=None, thetas=(2.0, 4.0)) -> PropertyReport:
+    """Check the Sobolev value curve: mass-homogeneity J(a) = a^(p/q) J(1) to a
+    relative 1e-4, strict sublinearity J(theta a) < theta J(a), and strict
+    subadditivity on grid pairs that sum into the grid.
 
     Each solve after the first is seeded with the mass-rescaled minimizer of
     the previous one (an exactly feasible point), plus fresh restarts.
     """
-    _check_tolerances(rel_tol=rel_tol)
     a_grid = _distinct_masses(a_grid)
     cfg = solver_cfg or SolverConfig()
     a0 = a_grid[0]
@@ -326,8 +332,7 @@ def verify_J_properties(graph: Graph, p, q, a_grid, solver_cfg=None,
         if prev is not None:  # res is the solve at prev
             seed = res.minimizer.values * (a / prev) ** (1.0 / q)
             plan = replace(cfg, seeds=[seed] + list(cfg.seeds or ["gauss:2.0", "ball", "random"]))
-        res = minimize_sobolev(graph, ProblemSpec(kind=SOBOLEV, a=a, p=p, q=q,
-                                                  allow_subcritical=allow_subcritical), plan)
+        res = minimize_sobolev(graph, ProblemSpec(kind=SOBOLEV, a=a, p=p, q=q), plan)
         values[a] = res.energy
     j = {a: values[m] for a, m in solved_as.items()}
 
@@ -337,7 +342,7 @@ def verify_J_properties(graph: Graph, p, q, a_grid, solver_cfg=None,
         ratio = j[a] / a ** (p / q)
         rel = abs(ratio - r0) / max(abs(r0), 1e-300)
         checks.append(CheckRecord(f"J({a:g})/a^(p/q) ratio vs a={a0:g}", ratio, r0,
-                                  rel, rel <= rel_tol))
+                                  rel, rel <= 1e-4))
     for theta in thetas:
         lhs, rhs = j[float(theta * a0)], theta * j[a0]
         checks.append(CheckRecord(f"J({theta:g}*{a0:g}) < {theta:g} J({a0:g})",
@@ -351,13 +356,10 @@ def verify_J_properties(graph: Graph, p, q, a_grid, solver_cfg=None,
 # ---------------------------------------------------------------------------
 # Sobolev constants and the cut-sphere gap construction
 
-def estimate_sobolev_constant(graph: Graph, p, q, solver_cfg=None,
-                              allow_subcritical=False) -> float:
+def estimate_sobolev_constant(graph: Graph, p, q, solver_cfg=None) -> float:
     """Best constant of the discrete Sobolev inequality on this truncation,
     from the extremal problem at unit mass: S = J(1)^(1/p)."""
-    res = minimize_sobolev(graph, ProblemSpec(kind=SOBOLEV, a=1.0, p=p, q=q,
-                                              allow_subcritical=allow_subcritical),
-                           solver_cfg)
+    res = minimize_sobolev(graph, ProblemSpec(kind=SOBOLEV, a=1.0, p=p, q=q), solver_cfg)
     if not res.converged:
         raise NotConverged("Sobolev constant estimate did not converge", result=res)
     return res.energy ** (1.0 / p)
@@ -365,6 +367,10 @@ def estimate_sobolev_constant(graph: Graph, p, q, solver_cfg=None,
 
 def ball_indicator_field(graph: Graph, R: int, q) -> Field:
     """The unit-l^q normalized indicator of B_R: value |B_R|^(-1/q) inside."""
+    if not _is_int(R):  # a whole R < 1 leaves B_R empty, which is refused below
+        raise InvalidSpec(f"ball indicator needs a whole radius R, not a boolean, got {R!r}")
+    if not (_is_number(q) and q >= 1):
+        raise InvalidExponent(f"ball indicator needs q = inf or a number q >= 1, not a boolean, got {q!r}")
     inside = graph.sup_distance() < R
     count = int(np.sum(inside))
     if count == 0:
@@ -404,9 +410,7 @@ def sobolev_critical_gap(d, p, R_list, L, solver_cfg=None) -> GapReport:
     """
     if not (1 <= p < d):
         raise InvalidSpec(f"critical exponent needs 1 <= p < d, got p={p}, d={d}")
-    R_list = sorted(R_list)
-    if not R_list:
-        raise InvalidSpec("R_list must list at least one sphere radius R")
+    R_list = _sorted_radii(R_list, "R_list", "sphere radius R")
     if R_list[-1] >= L / 2:
         raise InvalidSpec(f"largest R={R_list[-1]} must stay below L/2={L / 2}")
     q = d * p / (d - p)
@@ -514,9 +518,7 @@ def star_nonattainment_probe(d, R, p, q, L_list, a, solver_cfg=None,
     kind = NLS if q is None else SOBOLEV
     boundary = DEFAULT_BOUNDARY[kind] if boundary is None else boundary
     cfg = solver_cfg or SolverConfig()
-    L_list = sorted(L_list)
-    if not L_list:
-        raise InvalidSpec("L_list must list at least one truncation radius L")
+    L_list = _sorted_radii(L_list, "L_list", "truncation radius L")
     records = []
     for L in L_list:
         star = build_graph(star_addition_spec(d, R, L), boundary=boundary)
@@ -564,6 +566,8 @@ def verify_lemma_suite(graph: Graph, p=4.0, q=6.0, n_fields=100, rng_seed=0) -> 
         raise InvalidSpec(f"n_fields must be a whole number >= 1, got {n_fields!r}")
     if not all(map(_is_finite, (p, q))):  # inf makes NaN margins, which pass max
         raise InvalidSpec(f"p and q must be finite numbers, not booleans, got p={p!r}, q={q!r}")
+    if not (_is_int(rng_seed) and rng_seed >= 0):
+        raise InvalidSpec(f"rng_seed must be a whole number >= 0, not a boolean, got {rng_seed!r}")
     rng = np.random.default_rng(rng_seed)
     worst = {"nesting": 0.0, "lower_bound": -np.inf, "brezis_lieb": 0.0, "parts": 0.0}
     exponent_pairs = [(1.0, 1.5), (1.0, 2.0), (2.0, 3.0), (2.0, q), (3.0, 17.0), (2.0, np.inf)]

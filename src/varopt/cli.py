@@ -90,9 +90,8 @@ def build_graph_from_config(gcfg: dict, default_boundary: str = "drop") -> Graph
     if construction == "path":
         return path_graph(**rest)
     boundary = rest.pop("boundary", default_boundary)
-    specs = {"lattice": GraphSpec,
-             "sphere_deletion": lambda d, R, L: sphere_deletion_spec(d, R, L),  # no kept_edge
-             "star_addition": lambda d, R, L: star_addition_spec(d, R, L)}
+    # looked up per call, so that a wrapper set on this module's names is the one called
+    specs = {"lattice": GraphSpec, "sphere_deletion": sphere_deletion_spec, "star_addition": star_addition_spec}
     if construction not in specs:
         raise InvalidSpec(f"unknown construction {construction!r}")
     return build_graph(specs[construction](**rest), boundary=boundary)

@@ -323,23 +323,15 @@ def ball_boundary_edges(d: int, R: int) -> list:
     return sorted(_pairs(np.concatenate([np.stack([t, t + e[k]], axis=1) for k, t in tails])))
 
 
-def sphere_deletion_spec(d: int, R: int, L: int, kept_edge=None) -> GraphSpec:
-    """Delete every edge crossing the sphere of B_R except one kept edge.
+def sphere_deletion_spec(d: int, R: int, L: int) -> GraphSpec:
+    """Delete every edge crossing the sphere of B_R except ((R-1, 0, ..., 0), (R, 0, ..., 0)).
 
-    The kept edge defaults to ((R-1, 0, ..., 0), (R, 0, ..., 0)); pass an
-    explicit edge or a selector callable over the boundary edge list to
-    override. All deleted edges lie inside B_{R+1}, so the spec's perturbation
-    radius is R + 1.
+    All deleted edges lie inside B_{R+1}, so the spec's perturbation radius is R + 1.
     """
     if not (_is_int(d) and _is_int(R) and _is_int(L) and d >= 1 and 1 <= R < L):
         raise InvalidSpec(f"need integers d >= 1 and 1 <= R < L, got d={d!r}, R={R!r}, L={L!r}")
-    boundary = ball_boundary_edges(d, R)
-    if kept_edge is None:
-        kept_edge = ((R - 1,) + (0,) * (d - 1), (R,) + (0,) * (d - 1))
-    kept = canonical_edge(*(kept_edge(boundary) if callable(kept_edge) else kept_edge))
-    if kept not in boundary:
-        raise InvalidSpec(f"kept edge {kept} is not a boundary edge of B_{R}")
-    return GraphSpec._from_array(d, L, "deletions", np.array([e for e in boundary if e != kept]))
+    kept = ((R - 1,) + (0,) * (d - 1), (R,) + (0,) * (d - 1))
+    return GraphSpec._from_array(d, L, "deletions", np.array([e for e in ball_boundary_edges(d, R) if e != kept]))
 
 
 def star_addition_spec(d: int, R: int, L: int) -> GraphSpec:

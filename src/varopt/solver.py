@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from .calculus import (Field, _abs_pow, _dirichlet, _edge_diff, _kinetic, _minus_p_laplacian, _signed_pow,
                        _weighted_laplacian, box_inverse)
 from .errors import InvalidExponent, InvalidSpec, TooLarge
-from .lattice import Graph, _is_finite
+from .lattice import Graph, _is_finite, _is_int
 
 NLS = "nls"
 SOBOLEV = "sobolev"
@@ -107,11 +106,13 @@ class SolverConfig:
         if any(isinstance(x, (bool, np.bool_)) for x in counts + (self.tol_grad,)):
             raise InvalidSpec(f"solver config takes numbers, not booleans: max_iters="
                               f"{self.max_iters}, restarts={self.restarts}, tol_grad={self.tol_grad}")
-        if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
+        if not all(_is_int(c) and c >= 1 for c in counts):
             raise InvalidSpec(f"solver config needs whole numbers max_iters >= 1 and restarts >= 1, "
                               f"got max_iters={self.max_iters}, restarts={self.restarts}")
-        if not (isinstance(self.tol_grad, numbers.Real) and 0 < self.tol_grad < np.inf):
+        if not (_is_finite(self.tol_grad) and self.tol_grad > 0):
             raise InvalidSpec(f"solver config needs a finite tol_grad > 0, got {self.tol_grad}")
+        if not (_is_int(self.rng_seed) and self.rng_seed >= 0):
+            raise InvalidSpec(f"rng_seed must be a whole number >= 0, not a boolean, got {self.rng_seed!r}")
         if not isinstance(self.record_trace, (bool, np.bool_)):
             raise InvalidSpec(f"record_trace must be true or false, got {self.record_trace!r}")
         if self.seeds is not None and not (isinstance(self.seeds, (list, tuple)) and self.seeds):
@@ -562,13 +563,6 @@ def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None
     return best
 
 
-def minimize_nls(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None) -> SolveResult:
-    """Ground state of the Schrodinger energy on the mass sphere ||u||_2^2 = a."""
-    if problem.kind != NLS:
-        raise InvalidSpec(f"minimize_nls got a problem of kind {problem.kind!r}")
-    return minimize(graph, problem, cfg)
-
-
 def minimize_sobolev(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None) -> SolveResult:
     """Best p-Dirichlet energy on the sphere ||u||_q^q = a (Sobolev extremal)."""
     if problem.kind != SOBOLEV:
@@ -596,7 +590,7 @@ def _leading_directions(cos_axes: list[np.ndarray], sin_axes: list[np.ndarray]):
     return cols, sin_prod
 
 
-def brute_force_oracle(graph: Graph, problem: ProblemSpec, grid: dict | None = None) -> float:
+def brute_force_oracle(graph: Graph, problem: ProblemSpec, resolution=1e-3) -> float:
     """Exhaustive minimum of the functional over an angle grid on the sphere.
 
     Independent verification path: parametrizes the constraint sphere by
@@ -612,10 +606,8 @@ def brute_force_oracle(graph: Graph, problem: ProblemSpec, grid: dict | None = N
         raise TooLarge(f"oracle is exhaustive; {n} vertices exceed the limit of 4")
     if n < 2:
         raise InvalidSpec("oracle needs at least 2 vertices")
-    grid = {} if grid is None else grid
-    res = grid.get("resolution", 1e-3) if isinstance(grid, dict) else None
-    if not (_is_finite(res) and res > 0 and set(grid) <= {"resolution"}):
-        raise InvalidSpec(f"grid must be None or {{'resolution': a finite number > 0}}, got {grid!r}")
+    if not (_is_finite(resolution) and resolution > 0):
+        raise InvalidSpec(f"resolution must be a finite number > 0, not a boolean, got {resolution!r}")
     edges = graph.edges.tolist()
     phantom = graph.phantom if graph.boundary == "dirichlet" else None
 
@@ -623,7 +615,7 @@ def brute_force_oracle(graph: Graph, problem: ProblemSpec, grid: dict | None = N
     sin_axes = []
     for k in range(n - 1):
         top = 2 * np.pi if k == n - 2 else np.pi
-        axis = np.linspace(0.0, top, max(2, int(np.ceil(top / res)) + 1))
+        axis = np.linspace(0.0, top, max(2, int(np.ceil(top / resolution)) + 1))
         cos_axes.append(np.cos(axis))
         sin_axes.append(np.sin(axis))
     cols, sin_prod = _leading_directions(cos_axes[:-1], sin_axes[:-1])

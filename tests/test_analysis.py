@@ -9,6 +9,7 @@ import pytest
 
 from varopt import (
     GraphSpec,
+    InvalidExponent,
     InvalidSpec,
     ProblemSpec,
     SolverConfig,
@@ -28,7 +29,7 @@ from varopt.analysis import (
     verify_J_properties,
     verify_lemma_suite,
 )
-from varopt import analysis, cli
+from varopt import analysis, cli, solver
 
 CFG = SolverConfig(restarts=6, tol_grad=1e-8, max_iters=30000)
 
@@ -106,19 +107,13 @@ def test_threshold_a_range_must_be_finite_before_any_solve(monkeypatch):
 
 
 def test_property_suites_check_their_inputs():
-    # tol=True once meant 1, zero_tol=nan failed every check silently, and an
-    # empty grid passed vacuously (E) or raised a bare IndexError (J)
+    # an empty grid passed vacuously (E) or raised a bare IndexError (J)
     g = build_graph(GraphSpec(d=1, L=4))
-    for name, bad in (("tol", True), ("zero_tol", math.nan), ("tol", -1.0), ("zero_tol", "0")):
-        with pytest.raises(InvalidSpec, match=f"^{name} must"):
-            verify_E_properties(g, 4.0, [1.0], solver_cfg=CFG, **{name: bad})
-    for bad in (True, math.inf, -1e-4):
-        with pytest.raises(InvalidSpec, match="^rel_tol must"):
-            verify_J_properties(g, 2.0, 6.0, [1.0], solver_cfg=CFG, rel_tol=bad, allow_subcritical=True)
     with pytest.raises(InvalidSpec, match="a_grid"):
         verify_E_properties(g, 4.0, [], solver_cfg=CFG)
     with pytest.raises(InvalidSpec, match="a_grid"):
-        verify_J_properties(g, 2.0, 6.0, [], solver_cfg=CFG, allow_subcritical=True)
+        verify_J_properties(build_graph(GraphSpec(d=3, L=3), boundary="dirichlet"), 2.0, 6.0, [],
+                            solver_cfg=CFG)
     for bad in ([True, 1.0], ["2"]):  # True once ran as the mass 1.0
         with pytest.raises(InvalidSpec, match="a_grid"):
             verify_E_properties(g, 4.0, bad, solver_cfg=CFG)
@@ -202,12 +197,11 @@ def test_threshold_endpoints_in_the_wrong_order_are_inconclusive(monkeypatch, tm
 
 def test_threshold_probe_consistent_with_subpath_oracle():
     # the box energy sits below any value attainable on a 3-site subpath
-    from varopt import brute_force_oracle, minimize_nls, path_graph
+    from varopt import brute_force_oracle, minimize, path_graph
     a, p = 0.01, 7.0
-    upper = brute_force_oracle(path_graph(3), ProblemSpec(kind="nls", a=a, p=p),
-                               {"resolution": 2e-3})
+    upper = brute_force_oracle(path_graph(3), ProblemSpec(kind="nls", a=a, p=p), 2e-3)
     g = build_graph(GraphSpec(d=1, L=20))
-    probe = minimize_nls(g, ProblemSpec(kind="nls", a=a, p=p), CFG)
+    probe = minimize(g, ProblemSpec(kind="nls", a=a, p=p), CFG)
     assert probe.energy <= upper + 1e-9
 
 
@@ -242,6 +236,36 @@ def test_empty_grids_are_rejected_before_any_solve():
         star_nonattainment_probe(1, 4, 4.0, None, [], 3.0, solver_cfg=CFG)
     with pytest.raises(InvalidSpec, match="R_list"):
         sobolev_critical_gap(3, 2.0, [], 6, solver_cfg=CFG)
+
+
+def test_repeated_radii_are_rejected_before_any_build_or_solve(monkeypatch):
+    # [8, 8] once wrote two identical rows, and escape_trend_ok held on the repeat
+    calls = []
+    monkeypatch.setattr(analysis, "build_graph", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(analysis, "minimize", lambda *args: calls.append(args))
+    with pytest.raises(InvalidSpec, match=r"^L_list lists 8 twice, got \[7, 8, 8\]"):
+        star_nonattainment_probe(1, 4, 4.0, None, [8, 7, 8], 3.0, solver_cfg=CFG)
+    with pytest.raises(InvalidSpec, match=r"^R_list lists 2 twice, got \[2, 2\]"):
+        sobolev_critical_gap(3, 2.0, [2, 2], 6, solver_cfg=CFG)
+    assert calls == []
+
+
+def test_seeds_numpy_cannot_take_are_refused(monkeypatch):
+    # -1 once raised numpy's "expected non-negative integer", 1.5 its TypeError at the
+    # first seed, and True ran as seed 1
+    g = build_graph(GraphSpec(d=1, L=4))
+    descents = []
+    monkeypatch.setattr(solver, "_descend", lambda *args: descents.append(args))
+    for bad in (-1, 1.5, True, np.True_, "0", None):
+        with pytest.raises(InvalidSpec, match="^rng_seed must be a whole number >= 0"):
+            SolverConfig(rng_seed=bad).validate()
+        with pytest.raises(InvalidSpec, match="^rng_seed must be a whole number >= 0"):
+            solver.minimize(g, ProblemSpec(kind="nls", a=1.0, p=4.0), SolverConfig(rng_seed=bad))
+        with pytest.raises(InvalidSpec, match="^rng_seed must be a whole number >= 0"):
+            verify_lemma_suite(g, n_fields=1, rng_seed=bad)
+    assert descents == []
+    SolverConfig(rng_seed=np.int64(3)).validate()
+    assert verify_lemma_suite(g, n_fields=1, rng_seed=2**70).all_passed
 
 
 def test_compare_keeps_the_callers_grid_order():
@@ -367,6 +391,22 @@ def test_ball_indicator_field_normalization():
         ball_indicator_field(g, 0, 6.0)
 
 
+def test_ball_indicator_field_checks_radius_and_exponent():
+    # q=0 once raised ZeroDivisionError, q=-1 gave values of 3.0, True ran as 1 (R and q),
+    # and R=1.5 gave B_2
+    g = build_graph(GraphSpec(d=1, L=4))
+    for R in (1.5, True, np.True_, "2"):
+        with pytest.raises(InvalidSpec, match="^ball indicator needs a whole radius R"):
+            ball_indicator_field(g, R, 3.0)
+    with pytest.raises(InvalidSpec, match="B_-1 contains no vertices"):
+        ball_indicator_field(g, -1, 3.0)
+    for q in (0, -1.0, 0.5, True, np.True_, math.nan, "3"):
+        with pytest.raises(InvalidExponent, match="^ball indicator needs q = inf or a number q >= 1"):
+            ball_indicator_field(g, 2, q)
+    assert ball_indicator_field(g, np.int64(2), math.inf).values.tolist() == [0, 0, 1, 1, 1, 0, 0]
+    assert ball_indicator_field(g, 1, 1).values.tolist() == [0, 0, 0, 1, 0, 0, 0]
+
+
 def test_sobolev_critical_gap_witness():
     report = sobolev_critical_gap(3, 2.0, [2, 3], 8, solver_cfg=CFG)
     assert report.q == 6.0
@@ -427,8 +467,8 @@ def test_star_probe_base_graph_control():
     # the same masses on the unperturbed graph: interior seed stays put
     g = build_graph(GraphSpec(d=1, L=10))
     cfg = SolverConfig(restarts=1, seeds=["delta"], tol_grad=1e-9, max_iters=20000)
-    from varopt import minimize_nls
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=4.0, p=4), cfg)
+    from varopt import minimize
+    res = minimize(g, ProblemSpec(kind="nls", a=4.0, p=4), cfg)
     assert abs(res.localization.center_of_mass[0]) <= 1e-6
 
 

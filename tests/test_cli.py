@@ -263,6 +263,10 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
                        "problem": {"a": 1.0, "p": 2.0, "q": 2.0, "allow_subcritical": True}}, "boundary"),
     ("solve-nls", {"graph": dict(LINE, R=2), "problem": NLS_PROBLEM}, "'R'"),
     ("solve-nls", {"graph": LINE, "problem": dict(NLS_PROBLEM, q=3, allow_subcritical=True)}, "reads no q"),
+    ("solve-nls", {"graph": LINE, "problem": NLS_PROBLEM, "seed": -1}, "rng_seed must be a whole number >= 0"),
+    ("verify-lemmas", {"graph": LINE, "params": {"n_fields": 2}, "seed": -1}, "rng_seed must be a whole number >= 0"),
+    ("star-probe", {"params": dict(STAR, L_list=[8, 8])}, "L_list lists 8 twice"),
+    ("sobolev-gap", {"params": dict(GAP, R_list=[2, 2])}, "R_list lists 2 twice"),
 ], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
         "graph-unknown", "problem-unknown", "seed", "edge-coordinate", "p-bool", "kind-mismatch",
         "solve-params", "graph-list", "params-list", "compare-tol-bool", "compare-strict_margin",
@@ -272,7 +276,8 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
         "threshold-a_range-int", "threshold-a_range-str", "threshold-a_range-entry-str",
         "threshold-a_range-bool", "threshold-a_range-inf", "threshold-levels-two", "threshold-levels-not-L",
         "unknown-construction", "compare-unknown-kind", "compare-base-boundary-mismatch", "gap-boundary",
-        "path-boundary", "lattice-R", "nls-q"])
+        "path-boundary", "lattice-R", "nls-q", "seed-negative", "lemmas-seed-negative",
+        "star-probe-L_list-repeated", "sobolev-gap-R_list-repeated"])
 def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload, named):
     if experiment != "verify-lemmas":  # the one experiment that runs no solver
         payload = dict(payload, solver={"restarts": 1})

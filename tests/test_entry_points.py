@@ -1,9 +1,11 @@
 """The names perfbench/worker.py and perfbench/workloads.py wrap or call.
 
 The benchmark harness is kept fixed between changes so that its timings stay
-comparable, so an API cut that drops one of these names must fail here
-rather than break the harness.
+comparable, so an API cut that drops one of these names, or a parameter the
+harness passes, must fail here rather than break the harness.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -27,6 +29,41 @@ ENTRY_POINTS = {
 def test_benchmark_entry_points_exist(module):
     missing = [name for name in ENTRY_POINTS[module] if not callable(getattr(module, name, None))]
     assert not missing, f"{module.__name__} lacks {missing}"
+
+
+# every call shape of the harness, as (function, args, kwargs); nothing runs, so any object stands in
+G, CFG, PROB, SPEC, U = "graph", "solver_cfg", "problem", "spec", "u"
+CALL_SHAPES = {
+    "estimate_threshold": (analysis.estimate_threshold, ("family", 5.0, (0.01, 20.0)),
+                           {"levels": (12,), "bracket_tol": 0.01, "solver_cfg": CFG}),
+    "compare_energies": (analysis.compare_energies, (G, G, PROB, [1.0]),
+                         {"solver_cfg": CFG, "raise_on_nonconverged": False}),
+    "star_nonattainment_probe": (analysis.star_nonattainment_probe, (1, 11, 4.0, None, [15, 20], 5.0),
+                                 {"solver_cfg": CFG, "raise_on_nonconverged": False}),
+    "verify_E_properties": (analysis.verify_E_properties, (G, 4.0, [0.5, 1.0]), {"solver_cfg": CFG}),
+    "sphere_deletion_spec": (lattice.sphere_deletion_spec, (3, 2, 6), {}),
+    "star_addition_spec": (lattice.star_addition_spec, (3, 6, 25), {}),
+    "GraphSpec": (lattice.GraphSpec, (), {"d": 2, "L": 12, "deletions": set()}),
+    "build_graph": (lattice.build_graph, (SPEC,), {"boundary": "dirichlet"}),
+    "ball_indicator_field": (analysis.ball_indicator_field, (G, 3, 3.0), {}),
+    "minimize_sobolev": (solver.minimize_sobolev, (G, PROB, CFG), {}),
+    "ProblemSpec": (solver.ProblemSpec, (), {"kind": "sobolev", "a": 1.0, "p": 2.0, "q": 6.0}),
+    "SolverConfig-restarts": (solver.SolverConfig, (), {"restarts": 6, "tol_grad": 1e-8}),
+    "SolverConfig-seeds": (solver.SolverConfig, (), {"seeds": ["delta"]}),
+    "default_seed_plan": (solver.default_seed_plan, (6,), {}),
+    "from_dict": (cli.ExperimentConfig.from_dict, ({},), {}),
+    "run": (cli.run, ("config",), {}),
+    "laplacian": (calculus.laplacian, (G, U), {}),
+    **{name: (getattr(calculus, name), (G, U, 2.0), {})
+       for name in ("dirichlet_energy", "p_laplacian", "nls_energy", "nls_gradient")},
+}
+
+
+@pytest.mark.parametrize("shape", CALL_SHAPES)
+def test_benchmark_calls_bind_to_the_signatures(shape):
+    # a cut keyword or reordered parameter would break the harness without failing a solve here
+    fn, args, kwargs = CALL_SHAPES[shape]
+    inspect.signature(fn).bind(*args, **kwargs)
 
 
 def test_benchmark_reads_of_results_and_graphs():

@@ -137,16 +137,6 @@ def test_sphere_deletion_connectivity_matrix(d, R):
     assert is_connected(g)
 
 
-def test_sphere_deletion_kept_edge_override():
-    kept = ((-2,), (-1,))
-    spec = sphere_deletion_spec(1, 2, 4, kept_edge=kept)
-    assert spec.deletions == frozenset({((1,), (2,))})
-    spec2 = sphere_deletion_spec(1, 2, 4, kept_edge=lambda edges: edges[0])
-    assert len(spec2.deletions) == 1
-    with pytest.raises(InvalidSpec):
-        sphere_deletion_spec(1, 2, 4, kept_edge=((0,), (1,)))
-
-
 def test_sphere_deletion_d1_truncation_disconnects():
     # cutting the line anywhere separates the box; the builder must refuse
     with pytest.raises(DisconnectedGraph):

@@ -26,7 +26,6 @@ from varopt import (
     dirichlet_gradient,
     lp_norm,
     minimize,
-    minimize_nls,
     minimize_sobolev,
     nls_energy,
     nls_gradient,
@@ -45,7 +44,7 @@ CFG = SolverConfig(restarts=4, tol_grad=1e-9, max_iters=30000)
 
 def test_two_vertex_closed_form():
     g = path_graph(2)
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=1.0, p=4), CFG)
+    res = minimize(g, ProblemSpec(kind="nls", a=1.0, p=4), CFG)
     assert res.converged
     assert res.energy == pytest.approx(-0.125, abs=1e-9)
     assert np.allclose(np.sort(res.minimizer.values), math.sqrt(0.5), atol=1e-5)
@@ -55,10 +54,10 @@ def test_two_vertex_closed_form():
 
 def test_oracle_two_vertex():
     g = path_graph(2)
-    val = brute_force_oracle(g, ProblemSpec(kind="nls", a=1.0, p=4), {"resolution": 1e-4})
+    val = brute_force_oracle(g, ProblemSpec(kind="nls", a=1.0, p=4), 1e-4)
     assert val == pytest.approx(-0.125, abs=1e-6)
     sob = brute_force_oracle(g, ProblemSpec(kind="sobolev", a=1.0, p=2, q=6,
-                                            allow_subcritical=True), {"resolution": 1e-3})
+                                            allow_subcritical=True), 1e-3)
     assert sob == pytest.approx(0.0, abs=1e-5)
 
 
@@ -68,12 +67,12 @@ def test_oracle_matches_solver_three_vertices(a, p):
     box = build_graph(GraphSpec(d=1, L=2), boundary="dirichlet")
     for g in (path_graph(3), box):
         prob = ProblemSpec(kind="nls", a=a, p=p)
-        oracle = brute_force_oracle(g, prob, {"resolution": 1e-3})
-        res = minimize_nls(g, prob, CFG)
+        oracle = brute_force_oracle(g, prob, 1e-3)
+        res = minimize(g, prob, CFG)
         assert abs(oracle - res.energy) <= 1e-5
     # p = q = 2 has the exact value a * lambda_min
     sob = ProblemSpec(kind="sobolev", a=a, p=2.0, q=2.0, allow_subcritical=True)
-    assert abs(brute_force_oracle(box, sob, {"resolution": 1e-3}) - a * spectral_oracle(box)) <= 1e-5
+    assert abs(brute_force_oracle(box, sob, 1e-3) - a * spectral_oracle(box)) <= 1e-5
 
 
 def test_oracle_size_limit():
@@ -82,21 +81,19 @@ def test_oracle_size_limit():
         brute_force_oracle(g, ProblemSpec(kind="nls", a=1.0, p=4))
 
 
-@pytest.mark.parametrize("grid", [{"resolution": -1}, {"resolution": 0}, {"resolution": math.nan},
-                                  {"resolution": math.inf}, {"resolution": True}, {"resolution": "0.1"},
-                                  {"res": 0.05}, {"resolution": 0.1, "res": 0.05}, [0.1]],
-                         ids=["negative", "zero", "nan", "inf", "bool", "str", "unknown-key", "extra-key", "list"])
-def test_oracle_refuses_a_grid_it_cannot_use(grid):
-    # a resolution of -1 once gave 0.25 against the minimum near -0.0833, and "res" went unread
+@pytest.mark.parametrize("resolution", [-1, 0, math.nan, math.inf, True, "0.1", [0.1]],
+                         ids=["negative", "zero", "nan", "inf", "bool", "str", "list"])
+def test_oracle_refuses_a_grid_it_cannot_use(resolution):
+    # a resolution of -1 once gave 0.25 against the minimum near -0.0833
     problem = ProblemSpec(kind="nls", a=1.0, p=4.0)
-    with pytest.raises(InvalidSpec, match="grid must be None or"):
-        brute_force_oracle(path_graph(3), problem, grid)
-    assert brute_force_oracle(path_graph(3), problem, {"resolution": 0.01}) < -0.08
+    with pytest.raises(InvalidSpec, match="resolution must be a finite number > 0"):
+        brute_force_oracle(path_graph(3), problem, resolution)
+    assert brute_force_oracle(path_graph(3), problem, 0.01) < -0.08
 
 
 def test_constraint_feasibility():
     g = build_graph(GraphSpec(d=1, L=8))
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=2.5, p=4), CFG)
+    res = minimize(g, ProblemSpec(kind="nls", a=2.5, p=4), CFG)
     assert lp_norm(res.minimizer, 2) ** 2 == pytest.approx(2.5, rel=1e-10)
     g3 = build_graph(GraphSpec(d=3, L=3), boundary="dirichlet")
     res3 = minimize_sobolev(g3, ProblemSpec(kind="sobolev", a=4.0, p=2, q=6), CFG)
@@ -117,7 +114,7 @@ def test_projecting_the_zero_field_is_invalid(problem):
 
 def test_energy_matches_functional_on_minimizer():
     g = build_graph(GraphSpec(d=1, L=10))
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=3.0, p=4), CFG)
+    res = minimize(g, ProblemSpec(kind="nls", a=3.0, p=4), CFG)
     assert res.energy == pytest.approx(nls_energy(g, res.minimizer, 4), abs=1e-12)
 
 
@@ -125,14 +122,14 @@ def test_descent_is_monotone():
     g = build_graph(GraphSpec(d=1, L=10))
     cfg = SolverConfig(restarts=1, seeds=["random"], tol_grad=1e-9,
                        max_iters=5000, record_trace=True)
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=2.0, p=4), cfg)
+    res = minimize(g, ProblemSpec(kind="nls", a=2.0, p=4), cfg)
     energies = res.trace[:, 1]
     assert np.all(np.diff(energies) <= 0.0)
 
 
 def test_minimizer_nonnegative_and_positive_when_converged():
     g = build_graph(star_addition_spec(1, 3, 10))
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=4.0, p=4), CFG)
+    res = minimize(g, ProblemSpec(kind="nls", a=4.0, p=4), CFG)
     u = res.minimizer.values
     assert np.all(u >= 0)
     assert res.converged
@@ -147,7 +144,7 @@ def test_minimizer_nonnegative_and_positive_when_converged():
 def test_multiplier_identity_nls():
     g = build_graph(GraphSpec(d=2, L=5))
     a = 3.0
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=a, p=4), CFG)
+    res = minimize(g, ProblemSpec(kind="nls", a=a, p=4), CFG)
     u = res.minimizer
     identity = dirichlet_energy(g, u, 2) + res.multiplier * a - lp_norm(u, 4) ** 4
     assert abs(identity) <= 1e-8
@@ -162,7 +159,7 @@ def test_multiplier_identity_sobolev():
 
 def test_delta_upper_bound_large_mass():
     g = build_graph(GraphSpec(d=1, L=15))
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=5.0, p=4), CFG)
+    res = minimize(g, ProblemSpec(kind="nls", a=5.0, p=4), CFG)
     assert res.energy <= 1 * 5.0 - 5.0 ** 2 / 4 + 1e-12  # feasible delta bound -1.25
 
 
@@ -170,7 +167,7 @@ def test_delta_seed_respects_feasible_bound():
     g = build_graph(GraphSpec(d=2, L=6))
     a, p = 2.0, 4.0
     cfg = SolverConfig(restarts=1, seeds=["delta"], tol_grad=1e-9, max_iters=20000)
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=a, p=p), cfg)
+    res = minimize(g, ProblemSpec(kind="nls", a=a, p=p), cfg)
     assert res.energy <= 2 * a - a ** (p / 2) / p + 1e-12
 
 
@@ -186,7 +183,7 @@ def test_truncation_monotonicity_nls():
     energies = []
     for L in (8, 10, 12):
         g = build_graph(GraphSpec(d=1, L=L))
-        energies.append(minimize_nls(g, ProblemSpec(kind="nls", a=3.0, p=4), CFG).energy)
+        energies.append(minimize(g, ProblemSpec(kind="nls", a=3.0, p=4), CFG).energy)
     assert energies[1] <= energies[0] + 1e-9
     assert energies[2] <= energies[1] + 1e-9
 
@@ -204,7 +201,7 @@ def test_truncation_monotonicity_sobolev():
 def test_localization_center_and_boundary():
     g = build_graph(GraphSpec(d=1, L=8))
     cfg = SolverConfig(restarts=1, seeds=["delta"], tol_grad=1e-9, max_iters=20000)
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=4.0, p=4), cfg)
+    res = minimize(g, ProblemSpec(kind="nls", a=4.0, p=4), cfg)
     assert abs(res.localization.center_of_mass[0]) <= 1e-6
     assert res.localization.boundary_mass_fraction <= 1e-6
     # a delta parked two sites from the wall counts as pure boundary mass
@@ -231,29 +228,29 @@ def test_localization_probe_mass():
 def test_not_converged_flag():
     g = build_graph(GraphSpec(d=1, L=10))
     cfg = SolverConfig(restarts=1, seeds=["random"], tol_grad=1e-14, max_iters=3)
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=2.0, p=4), cfg)
+    res = minimize(g, ProblemSpec(kind="nls", a=2.0, p=4), cfg)
     assert not res.converged
 
 
 def test_problem_validation():
     g = path_graph(3)
     with pytest.raises(InvalidSpec):
-        minimize_nls(g, ProblemSpec(kind="sobolev", a=1.0, p=2, q=6), CFG)
+        minimize(g, ProblemSpec(kind="sobolev", a=1.0, p=2, q=6), CFG)
     with pytest.raises(InvalidExponent):
-        minimize_nls(g, ProblemSpec(kind="nls", a=1.0, p=2.0), CFG)
+        minimize(g, ProblemSpec(kind="nls", a=1.0, p=2.0), CFG)
     with pytest.raises(InvalidSpec):
         minimize_sobolev(g, ProblemSpec(kind="sobolev", a=1.0, p=2, q=6), CFG)  # d=1 < p
     with pytest.raises(InvalidSpec):
         minimize_sobolev(g, ProblemSpec(kind="sobolev", a=1.0, p=2, q=None,
                                         allow_subcritical=True), CFG)
     with pytest.raises(InvalidSpec):
-        minimize_nls(g, ProblemSpec(kind="nls", a=-1.0, p=4), CFG)
+        minimize(g, ProblemSpec(kind="nls", a=-1.0, p=4), CFG)
     with pytest.raises(InvalidSpec):
         ProblemSpec(kind="sobolev", a=1.0, p=2, q=4).validate_for(build_graph(GraphSpec(d=3, L=2)))
     for a, p in [(1.0, math.nan), (1.0, math.inf), (math.inf, 4.0), (math.nan, 4.0),
                  (True, 4.0), (1.0, True)]:
         with pytest.raises(InvalidSpec):
-            minimize_nls(g, ProblemSpec(kind="nls", a=a, p=p), CFG)
+            minimize(g, ProblemSpec(kind="nls", a=a, p=p), CFG)
     for p, q in [(2.0, math.nan), (2.0, math.inf), (math.nan, 6.0), (math.inf, 6.0),
                  (True, 2.0), (2.0, True), ("2", 2.0)]:
         with pytest.raises(InvalidSpec):
@@ -269,7 +266,7 @@ def test_an_nls_problem_refuses_the_fields_it_never_reads(fields, message):
     # the solve never reads q or allow_subcritical, which once went into results.csv unread
     problem = ProblemSpec(kind="nls", a=1.0, p=4.0, **fields)
     with pytest.raises(InvalidSpec, match=re.escape(f"nls problem {message}")):
-        minimize_nls(path_graph(3), problem, CFG)
+        minimize(path_graph(3), problem, CFG)
     with pytest.raises(InvalidSpec, match="allow_subcritical must be true or false"):  # the type check first
         ProblemSpec(kind="nls", a=1.0, p=4.0, q=3.0, allow_subcritical="yes").validate_for(path_graph(3))
 
@@ -278,8 +275,8 @@ def test_determinism_across_runs():
     g = build_graph(GraphSpec(d=1, L=8))
     prob = ProblemSpec(kind="nls", a=2.0, p=4)
     cfg1 = SolverConfig(restarts=8, tol_grad=1e-9, max_iters=20000, rng_seed=11)
-    res_a = minimize_nls(g, prob, cfg1)
-    res_b = minimize_nls(g, prob, cfg1)
+    res_a = minimize(g, prob, cfg1)
+    res_b = minimize(g, prob, cfg1)
     assert res_a.energy == res_b.energy
     assert np.array_equal(res_a.minimizer.values, res_b.minimizer.values)
 
@@ -315,8 +312,8 @@ def test_seeds_must_be_a_list_or_tuple():
             SolverConfig(seeds=bad).validate()
     g = path_graph(3)
     with pytest.raises(InvalidSpec, match="seeds"):
-        minimize_nls(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds="delta"))
-    res = minimize_nls(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=("delta", [1.0, 2.0, 1.0])))
+        minimize(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds="delta"))
+    res = minimize(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=("delta", [1.0, 2.0, 1.0])))
     assert [r[0] for r in res.restart_summary] == ["delta", "explicit"]
 
 
@@ -350,7 +347,7 @@ def test_explicit_seed_must_match_the_graph():
         with pytest.raises(InvalidSpec):
             make_seed(g, bad, rng)
     with pytest.raises(InvalidSpec):
-        minimize_nls(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=[np.ones(2)]))
+        minimize(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=[np.ones(2)]))
 
 
 def test_seed_descriptor_must_fit_the_graph():
@@ -364,7 +361,7 @@ def test_seed_descriptor_must_fit_the_graph():
         with pytest.raises(InvalidSpec):
             make_seed(g2, bad, rng)
     with pytest.raises(InvalidSpec):
-        minimize_nls(g2, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=["gauss:0", "delta"]))
+        minimize(g2, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=["gauss:0", "delta"]))
 
 
 @pytest.mark.parametrize("bad", ["nonsense", "gauss:1e-300", "gauss@60,60"])
