@@ -315,13 +315,15 @@ def verify_E_properties(graph: Graph, p, a_grid, solver_cfg=None) -> PropertyRep
 
 def verify_J_properties(graph: Graph, p, q, a_grid, solver_cfg=None, thetas=(2.0, 4.0)) -> PropertyReport:
     """Check the Sobolev value curve: mass-homogeneity J(a) = a^(p/q) J(1) to a
-    relative 1e-4, strict sublinearity J(theta a) < theta J(a), and strict
-    subadditivity on grid pairs that sum into the grid.
+    relative 1e-4, strict sublinearity J(theta a) < theta J(a) for thetas > 1,
+    and strict subadditivity on grid pairs that sum into the grid.
 
     Each solve after the first is seeded with the mass-rescaled minimizer of
     the previous one (an exactly feasible point), plus fresh restarts.
     """
     a_grid = _distinct_masses(a_grid)
+    if not all(_is_finite(theta) and theta > 1 for theta in thetas):  # theta <= 1 states a false inequality
+        raise InvalidSpec(f"thetas must be finite numbers > 1, not booleans, got {thetas!r}")
     cfg = solver_cfg or SolverConfig()
     a0 = a_grid[0]
     solved_as = _solved_as(a_grid + [float(theta * a0) for theta in thetas])  # each mass the checks read

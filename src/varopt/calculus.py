@@ -103,18 +103,19 @@ def _signed_pow(x, p):
 # a caller that has gathered it already, and adds the phantom terms only in
 # dirichlet mode; their summation order is part of the solver's output.
 #
-# Two layouts hold d. The edge layout gathers it over the edge list, in edge
-# order, and scatters by bincount. The box layout, taken on a build_graph
-# truncation of at least _BOX_MIN_VERTICES vertices, holds per axis k the
-# differences U[x + e_k] - U[x] of the reshaped field U over every base-lattice
-# edge along k that meets the box: one slice difference for the edges inside,
-# and as first and last slab along k the phantom edges, whose outer end is 0.
-# Deleted edges, and the phantom slabs in drop mode, hold exactly 0. The added
-# edges' gathered differences follow the d axis arrays. So the phantom terms are
-# part of the per-axis sums, a scatter is two slice adds per axis plus a bincount
-# over the added edges, and every sum is an np.add.reduce, which no BLAS thread
-# count moves. The layout is a function of the graph alone, so every kernel and
-# the d a caller passes back agree on it.
+# Two layouts hold d, and _scatter, the per-vertex sum over incident edges,
+# takes both. The edge layout gathers d over the edge list, in edge order, and
+# _scatter sums it by bincount. The box layout, taken on a build_graph truncation
+# of at least _BOX_MIN_VERTICES vertices, holds per axis k the differences
+# U[x + e_k] - U[x] of the reshaped field U over every base-lattice edge along k
+# that meets the box: one slice difference for the edges inside, and as first
+# and last slab along k the phantom edges, whose outer end is 0. Deleted edges,
+# and the phantom slabs in drop mode, hold exactly 0; the added edges' gathered
+# differences follow the d axis arrays. So the phantom terms are part of the
+# per-axis sums (the edge layout adds them apart), _scatter is two slice adds per
+# axis plus a bincount over the added edges, and every sum is an np.add.reduce,
+# which no BLAS thread count moves. The layout is a function of the graph alone,
+# so every kernel and the d a caller passes back agree on it.
 #
 # The cut-off sits at the measured crossover. Box over edge layout time on a
 # dirichlet box (2 CPUs, one BLAS thread, median of 21 interleaved runs) for the
@@ -175,15 +176,13 @@ def _edge_diff(graph: Graph, u: np.ndarray):
     return tuple(diffs)
 
 
-def _box_sum(terms) -> float:
-    """The sum of the box layout's per-edge terms, array by array in order."""
-    return sum(np.add.reduce(t, axis=None) for t in terms)
-
-
-def _box_scatter(graph: Graph, w: tuple, sign: float) -> np.ndarray:
-    """Per vertex, the box layout's edge values w summed over the edges it heads,
-    plus sign times their sum over the edges it tails."""
+def _scatter(graph: Graph, w, sign: float) -> np.ndarray:
+    """Per vertex, the edge values w (in the graph's layout) summed over the edges
+    it heads, plus sign times their sum over the edges it tails."""
     tail_op = np.subtract if sign < 0 else np.add
+    if type(w) is not tuple:
+        return tail_op(np.bincount(graph.heads, weights=w, minlength=graph.n),
+                       np.bincount(graph.tails, weights=w, minlength=graph.n))
     out = None
     # along axis k, vertex i heads slot i and tails slot i + 1
     for (head, tail, _, _, _), w_axis in zip(_axis_slices(graph.d), w):
@@ -203,7 +202,7 @@ def _dirichlet(graph: Graph, u: np.ndarray, p, d=None):
     """Sum of |u(head) - u(tail)|^p over edges, plus phantom * |u|^p."""
     d = _edge_diff(graph, u) if d is None else d
     if type(d) is tuple:
-        return _box_sum(_abs_pow(x, p) for x in d)
+        return sum(np.add.reduce(_abs_pow(x, p), axis=None) for x in d)
     e = np.add.reduce(_abs_pow(d, p))
     if graph.boundary == "dirichlet":
         e += np.dot(graph.phantom, _abs_pow(u, p))
@@ -211,30 +210,29 @@ def _dirichlet(graph: Graph, u: np.ndarray, p, d=None):
 
 
 def _kinetic(graph: Graph, u: np.ndarray, d=None):
-    """Twice the Schrodinger kinetic energy: the 2-Dirichlet sum, in the edge
-    layout taken by dot products, which can differ from _dirichlet(graph, u, 2)
-    in the last bits."""
+    """Twice the Schrodinger kinetic energy: the 2-Dirichlet sum, in the edge layout
+    taken by dot products, which can differ from _dirichlet(graph, u, 2) in the last bits."""
     d = _edge_diff(graph, u) if d is None else d
     if type(d) is tuple:
-        return _box_sum(x * x for x in d)
+        return _dirichlet(graph, u, 2.0, d)
     e = np.dot(d, d)
     if graph.boundary == "dirichlet":
         e += np.dot(graph.phantom, u * u)
     return e
 
 
+def _p_weight(x, p, eps):
+    """The p-Laplacian's weight sign(x) |x|^(p-1); at p = 1, x / sqrt(x^2 + eps^2)."""
+    return _signed_pow(x, p - 1.0) if p > 1 else x / np.sqrt(x * x + eps ** 2)
+
+
 def _minus_p_laplacian(graph: Graph, u: np.ndarray, p, eps, d=None):
-    """Minus the p-Laplacian; at p = 1 the weight sign(t) is smoothed to
-    t / sqrt(t^2 + eps^2)."""
+    """Minus the p-Laplacian: _scatter of the edge weights _p_weight(d)."""
     d = _edge_diff(graph, u) if d is None else d
-    if type(d) is tuple:
-        return _box_scatter(graph, tuple(_signed_pow(x, p - 1.0) if p > 1 else x / np.sqrt(x * x + eps ** 2)
-                                         for x in d), -1.0)
-    w = _signed_pow(d, p - 1.0) if p > 1 else d / np.sqrt(d * d + eps ** 2)
-    out = (np.bincount(graph.heads, weights=w, minlength=graph.n)
-           - np.bincount(graph.tails, weights=w, minlength=graph.n))
-    if graph.boundary == "dirichlet":
-        out += graph.phantom * (_signed_pow(u, p - 1.0) if p > 1 else u / np.sqrt(u * u + eps ** 2))
+    w = tuple(_p_weight(x, p, eps) for x in d) if type(d) is tuple else _p_weight(d, p, eps)
+    out = _scatter(graph, w, -1.0)
+    if type(d) is not tuple and graph.boundary == "dirichlet":
+        out += graph.phantom * _p_weight(u, p, eps)
     return out
 
 
@@ -249,30 +247,20 @@ def _weighted_laplacian(graph: Graph, u: np.ndarray, p, eps, d=None):
     """
     d = _edge_diff(graph, u) if d is None else d
     h = 0.5 * p - 1.0
-    if type(d) is tuple:
-        w = tuple((x * x + eps ** 2) ** h for x in d)
+    box = type(d) is tuple
+    w = tuple((x * x + eps ** 2) ** h for x in d) if box else (d * d + eps ** 2) ** h
+    if box:
         _zero_absent(graph, w)
-
-        def apply(v):
-            wd = _edge_diff(graph, v)
-            for x, w_axis in zip(wd, w):
-                x *= w_axis
-            return _box_scatter(graph, wd, -1.0)
-
-        return apply, _box_scatter(graph, w, 1.0)
-
-    w = (d * d + eps ** 2) ** h
-    diagonal = (np.bincount(graph.heads, weights=w, minlength=graph.n)
-                + np.bincount(graph.tails, weights=w, minlength=graph.n))
-    w_phantom = graph.phantom * (u * u + eps ** 2) ** h if graph.boundary == "dirichlet" else None
+    w_phantom = graph.phantom * (u * u + eps ** 2) ** h if not box and graph.boundary == "dirichlet" else None
+    diagonal = _scatter(graph, w, 1.0)
     if w_phantom is not None:
         diagonal += w_phantom
 
     def apply(v):
         wd = _edge_diff(graph, v)
-        wd *= w
-        out = (np.bincount(graph.heads, weights=wd, minlength=graph.n)
-               - np.bincount(graph.tails, weights=wd, minlength=graph.n))
+        for x, w_x in zip(wd, w) if box else ((wd, w),):
+            x *= w_x
+        out = _scatter(graph, wd, -1.0)
         if w_phantom is not None:
             out += w_phantom * v
         return out

@@ -75,8 +75,8 @@ class ExperimentConfig:
                 raise InvalidSpec(f"{name} must be a JSON object, got {data[name]!r}")
         if not isinstance(data.get("emit_field", False), bool):
             raise InvalidSpec(f"emit_field must be true or false, got {data['emit_field']!r}")
-        if not _is_int(data.get("seed", 0)):
-            raise InvalidSpec(f"seed must be an integer, got {data['seed']!r}")
+        if not (_is_int(data.get("seed", 0)) and data.get("seed", 0) >= 0):
+            raise InvalidSpec(f"seed must be a whole number >= 0, not a boolean, got {data['seed']!r}")
         return cls(**data)
 
 
@@ -324,16 +324,15 @@ def main(argv=None) -> int:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidSpec(f"cannot read config {args.config}: {exc}") from exc
-        if isinstance(data, dict):  # from_dict names anything else
+        if isinstance(data, dict):  # from_dict names anything else, and checks the flags with the file
             data["experiment"] = args.experiment
-        config = ExperimentConfig.from_dict(data)
-        if args.out:
-            config.output_dir = args.out
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.emit_field:
-            config.emit_field = True
-        return run(config)
+            if args.out:
+                data["output_dir"] = args.out
+            if args.seed is not None:
+                data["seed"] = args.seed
+            if args.emit_field:
+                data["emit_field"] = True
+        return run(ExperimentConfig.from_dict(data))
     except (VaroptError, KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 3 if isinstance(exc, (NotConverged, InconclusiveProbe)) else 2

@@ -14,6 +14,7 @@ from varopt import (
     ProblemSpec,
     SolverConfig,
     build_graph,
+    path_graph,
     sphere_deletion_spec,
     star_addition_spec,
 )
@@ -178,6 +179,17 @@ def test_threshold_unsettled_midpoint_is_inconclusive(monkeypatch):
     assert fake.masses == [1.0, 5.0, mid, mid + 0.02 * 4.0, mid - 0.02 * 4.0, mid + 0.05 * 4.0]
     assert [pr.a for pr in result.probes] == fake.masses
     assert (result.status, result.alpha_lo, result.alpha_hi) == ("inconclusive", 1.0, 5.0)
+
+
+@pytest.mark.parametrize("family, label", [
+    (path_graph, "graph-n5"),
+    (lambda L: build_graph(sphere_deletion_spec(2, 1, L)), "del3-d2-L5"),
+    (lambda L: build_graph(star_addition_spec(1, 2, L)), "add1-d1-L5"),
+], ids=["path", "deletion", "addition"])
+def test_threshold_graph_id_names_the_family(monkeypatch, family, label):
+    # a graph with no spec is named by its size; a perturbed one by its perturbation count
+    monkeypatch.setattr(analysis, "minimize", scripted_minimize(converged=lambda a: True, negative=lambda a: True))
+    assert estimate_threshold(family, 4.0, (1.0, 5.0), levels=(5,)).graph_id == label
 
 
 def test_threshold_endpoints_in_the_wrong_order_are_inconclusive(monkeypatch, tmp_path):
@@ -357,6 +369,18 @@ def test_J_properties_list_each_distinct_mass_once(monkeypatch, grid):
     assert [c.name for c in report.checks] == ["J(1)/a^(p/q) ratio vs a=1", "J(2)/a^(p/q) ratio vs a=1",
                                               "J(2) < J(1) + J(1)"]
     assert report.all_passed, [c.name for c in report.failures()]
+
+
+def test_J_properties_refuse_thetas_not_above_one_before_any_solve(monkeypatch):
+    # theta <= 1 (True ran as 1) made a sublinearity check no J can pass, and nan
+    # failed only after a solve, with a message about the mass a=nan
+    solves = []
+    monkeypatch.setattr(analysis, "minimize_sobolev", lambda *args: solves.append(args))
+    g = build_graph(GraphSpec(d=3, L=3), boundary="dirichlet")
+    for bad in [(True,), (np.True_,), (0.5,), (1.0,), (2.0, 1), (math.nan,), (math.inf,), ("3",)]:
+        with pytest.raises(InvalidSpec, match="thetas"):
+            verify_J_properties(g, 2.0, 6.0, [1.0], solver_cfg=CFG, thetas=bad)
+    assert solves == []
 
 
 def test_J_properties_subadditivity_pairs():

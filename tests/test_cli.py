@@ -263,8 +263,8 @@ CUT_DIRICHLET = {"construction": "sphere_deletion", "d": 2, "R": 2, "L": 5, "bou
                        "problem": {"a": 1.0, "p": 2.0, "q": 2.0, "allow_subcritical": True}}, "boundary"),
     ("solve-nls", {"graph": dict(LINE, R=2), "problem": NLS_PROBLEM}, "'R'"),
     ("solve-nls", {"graph": LINE, "problem": dict(NLS_PROBLEM, q=3, allow_subcritical=True)}, "reads no q"),
-    ("solve-nls", {"graph": LINE, "problem": NLS_PROBLEM, "seed": -1}, "rng_seed must be a whole number >= 0"),
-    ("verify-lemmas", {"graph": LINE, "params": {"n_fields": 2}, "seed": -1}, "rng_seed must be a whole number >= 0"),
+    ("solve-nls", {"graph": LINE, "problem": NLS_PROBLEM, "seed": -1}, "seed must be a whole number >= 0"),
+    ("verify-lemmas", {"graph": LINE, "params": {"n_fields": 2}, "seed": -1}, "seed must be a whole number >= 0"),
     ("star-probe", {"params": dict(STAR, L_list=[8, 8])}, "L_list lists 8 twice"),
     ("sobolev-gap", {"params": dict(GAP, R_list=[2, 2])}, "R_list lists 2 twice"),
 ], ids=["gap-d", "gap-R_list", "gap-unknown", "threshold-levels", "star-L_list", "star-unknown",
@@ -285,6 +285,20 @@ def test_config_values_reach_their_checks(tmp_path, capsys, experiment, payload,
     assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert named in err["message"], err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment, payload", [
+    ("solve-nls", {"graph": LINE, "problem": NLS_PROBLEM, "solver": {"restarts": 1}}),
+    ("verify-lemmas", {"graph": LINE, "params": {"n_fields": 2}}),
+])
+def test_negative_seed_flag_names_seed(tmp_path, capsys, experiment, payload):
+    # --seed was once set after from_dict's checks, so -1 was refused as rng_seed,
+    # a key the solver section does not take
+    path = write_config(tmp_path, "cfg.json", payload)
+    assert main([experiment, "--config", path, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InvalidSpec", "message": "seed must be a whole number >= 0, not a boolean, got -1"}
     assert not (tmp_path / "o").exists()
 
 

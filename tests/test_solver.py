@@ -938,6 +938,17 @@ def test_cg_stops_at_a_zero_step():
     assert np.array_equal(x, np.zeros(4))
 
 
+def test_cg_stops_at_a_direction_without_positive_curvature():
+    # a negative-definite operator: the first direction has curvature < 0, so no step is taken
+    calls = [0]
+
+    def apply(x):
+        calls[0] += 1
+        return -2.0 * x
+    x = solver._cg(apply, lambda r: r.copy(), np.arange(1.0, 5.0))
+    assert calls[0] == 1 and np.array_equal(x, np.zeros(4))
+
+
 def test_newton_metric_cg_solves_end_at_their_tolerance(monkeypatch):
     # on the d=3 L=5 dirichlet box at p=1.5, q=3 no CG solve of the default solve reaches
     # _CG_MAX_ITERS (the largest takes 15 steps); on the L=8 box 158 of 1,490 do
