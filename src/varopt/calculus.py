@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExponent, InvalidSpec
-from .lattice import Graph, _is_finite, _is_int
+from .lattice import _BOX_MIN_VERTICES, Graph, _is_finite, _is_int
 
 
 @dataclass
@@ -129,8 +129,8 @@ def _signed_pow(x, p):
 #        n = 3,375: 0.82, 0.98
 #
 # d=3, where the Sobolev problem lives, decides: even at n = 2,197 (L=7) and
-# ahead from n = 3,375 (L=8) on.
-_BOX_MIN_VERTICES = 2500
+# ahead from n = 3,375 (L=8) on. So _BOX_MIN_VERTICES (lattice.py) is 2,500,
+# and build_graph keeps no edge list from there on.
 
 
 @functools.cache

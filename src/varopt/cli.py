@@ -9,7 +9,8 @@ writes results.json (summary) and results.csv (one row per probe / grid
 point) into the output directory; identical (config, seed) pairs produce
 bit-identical CSV files. Config sections go by name to the library calls
 that own them, which hold every default and check. Exit codes: 0 success,
-2 config or validation error, 3 a required probe failed to converge.
+2 config or validation error or a file that cannot be read or written,
+3 a required probe failed to converge.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ class ExperimentConfig:
             raise InvalidSpec(f"emit_field must be true or false, got {data['emit_field']!r}")
         if not (_is_int(data.get("seed", 0)) and data.get("seed", 0) >= 0):
             raise InvalidSpec(f"seed must be a whole number >= 0, not a boolean, got {data['seed']!r}")
+        if not (isinstance(data.get("output_dir", "."), str) and data.get("output_dir", ".")):
+            raise InvalidSpec(f"output_dir must be a nonempty string, got {data['output_dir']!r}")
         return cls(**data)
 
 
@@ -333,7 +336,7 @@ def main(argv=None) -> int:
             if args.emit_field:
                 data["emit_field"] = True
         return run(ExperimentConfig.from_dict(data))
-    except (VaroptError, KeyError, TypeError, ValueError) as exc:
+    except (VaroptError, KeyError, TypeError, ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 3 if isinstance(exc, (NotConverged, InconclusiveProbe)) else 2
 

@@ -24,6 +24,9 @@ import numpy as np
 from .errors import DisconnectedGraph, InvalidSpec, OutOfBox
 
 BOUNDARY_MODES = ("drop", "dirichlet")
+# From this many vertices on, a build_graph truncation keeps no edge list and the
+# calculus kernels take the box layout (the crossover table is in calculus.py).
+_BOX_MIN_VERTICES = 2500
 
 
 def _is_int(x) -> bool:
@@ -181,7 +184,10 @@ class Graph:
     the per-axis offsets x_k - c_k as broadcasting ranges, from which radii and
     distances are reduced without it. ``tails`` and ``heads`` are contiguous
     int64 rows of the id pairs i < j sorted by (i, j); ``edges`` is their (m, 2)
-    transposed view. Degrees are ``np.bincount(edges.ravel(), minlength=n)``;
+    transposed view. A ``build_graph`` truncation from ``_BOX_MIN_VERTICES`` on,
+    whose kernels read the box layout, stores none of them and rebuilds them from
+    its box on each access, as ``coords`` does (10–20 ms at n = 117,649); every
+    other graph stores them. Degrees are ``np.bincount(edges.ravel(), minlength=n)``;
     ``phantom`` counts each vertex's base-lattice edges that leave the box (one
     per box face it lies on), read in dirichlet mode only. ``box`` holds the
     same edges as ``BoxEdges`` and ``spec`` labels them when ``build_graph``
@@ -251,36 +257,70 @@ class Graph:
         return f"Graph(d={self.d}, n={self.n}, edges={self.n_edges}, boundary={self.boundary!r})"
 
 
+class _BoxTruncation(Graph):
+    """A build_graph truncation from _BOX_MIN_VERTICES vertices on, whose kernels read
+    the box layout. It stores no edge list; each read of tails, heads or edges
+    rebuilds the rows from the box. They are properties only here: on Graph, a
+    property or __getattr__ slowed every attribute read of the small graphs' kernels."""
+
+    tails = property(lambda self: self._stored().tails)
+    heads = property(lambda self: self._stored().heads)
+    edges = property(lambda self: self._stored().edges)
+
+    def _stored(self) -> Graph:
+        """The same box as a new Graph that stores its edge list."""
+        return Graph(self.lo, self.shape, _box_edge_pairs(np.arange(self.n).reshape(self.shape), self.box))
+
+
+def _box_edge_pairs(ids: np.ndarray, box: BoxEdges) -> np.ndarray:
+    """The (m, 2) id pairs of the base edges of the cube whose C-order ids are ``ids``,
+    minus box.deleted, plus box's added edges: one block per axis, then the added edges."""
+    shape = ids.shape
+    # base edges join each vertex to its successor along each axis: one block per axis
+    edges = np.concatenate([np.stack([a[:-1].ravel(), a[1:].ravel()], axis=1)
+                            for a in (np.moveaxis(ids, k, 0) for k in range(len(shape)))])
+    if any(slots is not None for slots in box.deleted):
+        # (x, x + e_k) is in block k at x's C-order position in moveaxis(ids, k, 0)[:-1],
+        # whose axes run k first and then the others in order
+        block = (shape[0] - 1,) + shape[1:]
+        edges = np.delete(edges, np.concatenate([
+            k * np.prod(block) + np.ravel_multi_index((t[k],) + t[:k] + t[k + 1:], block)
+            for k, t in enumerate(box.deleted) if t is not None]), axis=0)
+    if len(box.heads):
+        edges = np.concatenate([edges, np.stack([box.tails, box.heads], axis=1)])
+    return edges
+
+
 def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     """Build the truncation graph for a spec: base edges minus deletions plus additions,
-    labelled with the spec and holding the same edges as BoxEdges.
+    labelled with the spec and holding the same edges as BoxEdges. From _BOX_MIN_VERTICES
+    vertices on, the graph keeps no edge list once its connectivity is checked.
 
     Raises DisconnectedGraph when a deletion spec leaves the box disconnected,
     InvalidSpec when the spec itself is inconsistent.
     """
     spec.validate()
     lo, shape = (1 - spec.L,) * spec.d, (2 * spec.L - 1,) * spec.d
-    ids = np.arange(int(np.prod(shape))).reshape(shape)
-    # base edges join each vertex to its successor along each axis: one block per axis
-    edges = np.concatenate([np.stack([a[:-1].ravel(), a[1:].ravel()], axis=1)
-                            for a in (np.moveaxis(ids, k, 0) for k in range(spec.d))])
     deleted, added = [None] * spec.d, np.empty((0, 2), dtype=np.int64)
     if spec.deletions:
-        # (x, x + e_k) is in block k at x's C-order position in moveaxis(ids, k, 0)[:-1],
-        # whose axes run k first and then the others in order: x's coordinates in k_first order
         x, y = spec._edge_array[:, 0], spec._edge_array[:, 1]
-        k_first = np.argsort(np.argmax(y - x, axis=1)[:, None] != np.arange(spec.d), axis=1, kind="stable")
-        moved, block = np.take_along_axis(x, k_first, axis=1), (shape[0] - 1,) + shape[1:]
-        edges = np.delete(edges, k_first[:, 0] * np.prod(block) + _flat_ids(moved, lo, block), axis=0)
-        tails = [np.asarray(x[k_first[:, 0] == k], dtype=np.int64) - lo for k in range(spec.d)]
+        tails = [np.asarray(x[np.argmax(y - x, axis=1) == k], dtype=np.int64) - lo for k in range(spec.d)]
         deleted = [tuple(t.T) if len(t) else None for t in tails]
     if spec.additions:
         added = _flat_ids(spec._edge_array, lo, shape)
-        edges = np.concatenate([edges, added])
+    box = BoxEdges(tuple(deleted), *np.ascontiguousarray(added.T))
+    # ids and the unsorted edges live until the return: the heap a build leaves decides
+    # the kernels' page faults, and with ids freed before Graph() each later
+    # perturbed-d3-L25 pass faulted 17k pages (69 MB) back in
+    ids = np.arange(int(np.prod(shape))).reshape(shape)
+    edges = _box_edge_pairs(ids, box)
     graph = Graph(lo, shape, edges, boundary=boundary)
-    graph.spec, graph.box = spec, BoxEdges(tuple(deleted), *np.ascontiguousarray(added.T))
+    graph.spec, graph.box = spec, box
     if spec.deletions and not is_connected(graph):
         raise DisconnectedGraph(f"deleting {len(spec.deletions)} edge(s) disconnected the box B_{spec.L}")
+    if graph.n >= _BOX_MIN_VERTICES:  # the kernels read the box layout; keep no edge list
+        del graph.tails, graph.heads, graph.edges
+        graph.__class__ = _BoxTruncation
     return graph
 
 
@@ -307,8 +347,8 @@ def is_connected(graph: Graph) -> bool:
     is hooked onto, or hooks onto them next round: every tree merges within
     two rounds, so O(log n) rounds suffice. A lattice-ordered box needs one.
     """
-    parent = np.arange(graph.n)
-    while not np.array_equal(a := parent[graph.tails], b := parent[graph.heads]):
+    parent, (tails, heads) = np.arange(graph.n), graph.edges.T
+    while not np.array_equal(a := parent[tails], b := parent[heads]):
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while not np.array_equal(jumped := parent[parent], parent):
             parent = jumped

@@ -302,6 +302,32 @@ def test_negative_seed_flag_names_seed(tmp_path, capsys, experiment, payload):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("output_dir", [5, "", None, True, ["o"]], ids=["int", "empty", "null", "bool", "list"])
+def test_output_dir_that_is_not_a_nonempty_string_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                                          output_dir):
+    # an int once ran the whole experiment and then failed in os.makedirs without naming the key
+    monkeypatch.setattr("varopt.cli.minimize", lambda *a, **k: pytest.fail("solved before the config check"))
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, "cfg.json", {"graph": LINE, "problem": NLS_PROBLEM,
+                                               "solver": {"restarts": 1}, "output_dir": output_dir})
+    assert main(["solve-nls", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InvalidSpec",
+                   "message": f"output_dir must be a nonempty string, got {output_dir!r}"}
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_file_errors_exit_2_with_a_json_line(tmp_path, capsys):
+    assert main(["plot-data", "--results", str(tmp_path / "missing.csv"), "--kind", "energy-vs-a"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FileNotFoundError" and "missing.csv" in err["message"]
+    (tmp_path / "file").write_text("")
+    path = write_config(tmp_path, "cfg.json", {"graph": LINE, "problem": NLS_PROBLEM, "solver": {"restarts": 1}})
+    assert main(["solve-nls", "--config", path, "--out", str(tmp_path / "file" / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] in ("NotADirectoryError", "FileExistsError") and "file" in err["message"]
+
+
 def test_string_seeds_exit_2(tmp_path, capsys):
     # "delta" was once split into the descriptors "d", "e", ...
     path = write_config(tmp_path, "cfg.json", {"graph": LINE, "problem": NLS_PROBLEM,

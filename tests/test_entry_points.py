@@ -79,6 +79,10 @@ def test_benchmark_reads_of_results_and_graphs():
     assert calculus.p_laplacian(g, np.ones(g.n), 3.0).values.shape == (g.n,)
     assert solver.default_seed_plan(2) == ["delta", "gauss:2.0"]
     assert callable(cli.ExperimentConfig.from_dict)
+    # the kernel probe's reads on a box-layout graph, which keeps no edge list (the
+    # smoke run's toy perturbed-d3-L25 graphs have 3,375 vertices)
+    box = lattice.build_graph(lattice.sphere_deletion_spec(3, 2, 8), boundary="dirichlet")
+    assert (box.n, box.n_edges, box.edges.nbytes, box.phantom.nbytes) == (3375, 9397, 16 * 9397, 8 * 3375)
 
 
 def test_build_graph_checks_connectivity_through_the_module_global(monkeypatch):

@@ -27,6 +27,7 @@ from varopt import (
     sphere_deletion_spec,
     star_addition_spec,
 )
+from varopt import lattice
 from varopt.analysis import ball_indicator_field
 from varopt.solver import _default_probe_radius, _localize, default_seed_plan, make_seed
 
@@ -88,6 +89,52 @@ def test_deletion_reduces_degree():
     assert degree(g, (0, 0)) == 3
     assert is_connected(g)
     assert (1, 0) not in neighbours(g, (0, 0))
+
+
+@pytest.mark.parametrize("boundary", ["drop", "dirichlet"])
+@pytest.mark.parametrize("spec", [GraphSpec(d=3, L=8), sphere_deletion_spec(3, 2, 8), star_addition_spec(3, 2, 8),
+                                  GraphSpec(d=2, L=30, deletions={((0, 0), (1, 0))})],
+                         ids=["box-d3", "sphere-deletion-d3", "star-d3", "cut-d2"])
+def test_truncations_above_the_cut_off_rebuild_their_edge_list(spec, boundary):
+    # from the cut-off on, build_graph keeps no edge list and each read rebuilds it from
+    # the box; a directly built Graph of the same pairs stores the rows it must equal
+    g = build_graph(spec, boundary=boundary)
+    assert g.n >= lattice._BOX_MIN_VERTICES and not np.shares_memory(g.tails, g.tails)
+    index = {v: i for i, v in enumerate(box_vertices(spec.d, spec.L))}
+    pairs = [(index[x], index[y]) for x, y in (all_base_edges(spec.d, spec.L) - spec.deletions) | spec.additions]
+    direct = Graph(g.lo, g.shape, np.array(pairs), boundary=boundary)
+    assert np.shares_memory(direct.tails, direct.tails) and g.n_edges == direct.n_edges == len(pairs)
+    for name in ("tails", "heads", "edges"):
+        got, want = getattr(g, name), getattr(direct, name)
+        assert (got.dtype, got.shape, got.flags.c_contiguous, got.flags.f_contiguous) == \
+            (np.dtype(np.int64), want.shape, want.flags.c_contiguous, want.flags.f_contiguous)
+        assert np.array_equal(got, want)
+    small = build_graph(GraphSpec(d=3, L=7), boundary=boundary)  # 2,197 vertices store theirs
+    assert small.n < lattice._BOX_MIN_VERTICES and np.shares_memory(small.tails, small.tails)
+
+
+def test_truncation_above_the_cut_off_retains_no_edge_list():
+    # the two id rows would take 16 bytes per edge; the graph keeps its phantom
+    # counts (8 per vertex) and its BoxEdges, and a read of the list caches nothing
+    build_graph(GraphSpec(d=3, L=3), boundary="dirichlet")  # warm numpy
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build_graph(GraphSpec(d=3, L=20), boundary="dirichlet")
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before < 16 * g.n_edges
+        assert g.edges.shape == (g.n_edges, 2)
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before < 16 * g.n_edges
+    finally:
+        tracemalloc.stop()
+
+
+def test_disconnecting_deletions_above_the_cut_off_still_raise():
+    spec = GraphSpec(d=3, L=8, deletions=set(ball_boundary_edges(3, 2)))
+    with pytest.raises(DisconnectedGraph):
+        build_graph(spec)
 
 
 def test_double_deletion_disconnects_path():
@@ -614,7 +661,7 @@ def _read_positions(g):
 @pytest.mark.parametrize("spec", [GraphSpec(d=3, L=12), sphere_deletion_spec(3, 2, 12)],
                          ids=["box", "sphere-deletion"])
 def test_graph_retains_only_edges_and_phantom_counts(spec):
-    # a Graph keeps tails, heads and phantom (8 bytes each per edge end or
+    # a Graph keeps at most tails, heads and phantom (8 bytes each per edge end or
     # vertex); an (n, d) coordinate table, built or cached, would add 8nd bytes
     _read_positions(build_graph(GraphSpec(d=3, L=3), boundary="dirichlet"))  # warm numpy
     gc.collect()

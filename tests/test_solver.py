@@ -2,7 +2,10 @@
 
 import gc
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -713,6 +716,26 @@ def test_spectral_oracle_dense_matches_closed_form_and_limits():
         spectral_oracle(build_graph(GraphSpec(d=2, L=4)))
     with pytest.raises(TooLarge):
         spectral_oracle(build_graph(sphere_deletion_spec(3, 2, 9), boundary="dirichlet"))
+
+
+SPECTRAL_CUT_SCRIPT = """
+from varopt import Graph, GraphSpec, build_graph
+from varopt.solver import spectral_oracle
+g = build_graph(GraphSpec(d=2, L=26, deletions={((0, 0), (1, 0))}), boundary="dirichlet")
+print(g.n, spectral_oracle(g).hex(), spectral_oracle(Graph(g.lo, g.shape, g.edges, boundary="dirichlet")).hex())
+"""
+
+
+def test_spectral_oracle_on_a_truncation_that_keeps_no_edge_list():
+    # n = 2,601 is above the cut-off, so the dense Laplacian is assembled from the
+    # rebuilt edge list; eigvalsh's bits depend on the BLAS thread count, so pin it
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", SPECTRAL_CUT_SCRIPT], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["2601", "0x1.de445141fab18p-8", "0x1.de445141fab18p-8"]
 
 
 # ---------------------------------------------------------------------------
