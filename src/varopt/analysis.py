@@ -476,11 +476,14 @@ class StarProbeReport:
 
     @property
     def escape_trend_ok(self) -> bool:
+        """A consistency check: com_inf does not fall as L grows, which the plain box passes too."""
         coms = [r.com_inf for r in self.records]
         return all(b >= a - 1e-9 for a, b in zip(coms, coms[1:]))
 
     @property
     def multiplier_ok(self) -> bool:
+        """A consistency check: for NLS, lambda = u(0)^(p-2) + (Delta u)(0)/u(0) at the origin,
+        so it only tests (Delta u)(0) != 0; for Sobolev, lambda = D_p(u)/a > 0 on every graph."""
         return all(r.multiplier_gap >= self.multiplier_floor for r in self.records)
 
 
@@ -503,11 +506,10 @@ def star_nonattainment_probe(d, R, p, q, L_list, a, solver_cfg=None,
     For each L the problem is solved on the star graph and on the plain
     truncation. The witness bundle consists of (i) near-equal energies,
     (ii) a centre of mass drifting outward with L, and (iii) a multiplier
-    compared with a reference value. For the Schrodinger problem the reference
-    is u(0)^(p-2), the value an interior minimizer would force. For the Sobolev
-    problem the reference is zero, and (iii) is only a consistency check:
-    pairing the Euler-Lagrange equation -Delta_p u = lambda u^(q-1) with u gives
-    lambda = D_p(u) / a > 0 at every critical point, on every graph.
+    compared with u(0)^(p-2), the value an interior NLS minimizer would force,
+    or with zero for Sobolev, where pairing -Delta_p u = lambda u^(q-1) with u
+    gives lambda = D_p(u) / a. (ii) and (iii) are consistency checks, which
+    the plain box in place of the star passes too.
 
     On a finite truncation the star infimum is not yet the lattice one: the
     minimizer escapes towards the box end, and its tail still reaches back

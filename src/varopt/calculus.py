@@ -14,14 +14,13 @@ Conventions fixed here once and used everywhere:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidExponent, InvalidSpec
-from .lattice import _BOX_MIN_VERTICES, Graph, _is_finite, _is_int
+from .lattice import Graph, _BoxTruncation, _axis_slices, _is_finite, _is_int
 
 
 @dataclass
@@ -105,17 +104,17 @@ def _signed_pow(x, p):
 #
 # Two layouts hold d, and _scatter, the per-vertex sum over incident edges,
 # takes both. The edge layout gathers d over the edge list, in edge order, and
-# _scatter sums it by bincount. The box layout, taken on a build_graph truncation
-# of at least _BOX_MIN_VERTICES vertices, holds per axis k the differences
-# U[x + e_k] - U[x] of the reshaped field U over every base-lattice edge along k
-# that meets the box: one slice difference for the edges inside, and as first
-# and last slab along k the phantom edges, whose outer end is 0. Deleted edges,
-# and the phantom slabs in drop mode, hold exactly 0; the added edges' gathered
-# differences follow the d axis arrays. So the phantom terms are part of the
-# per-axis sums (the edge layout adds them apart), _scatter is two slice adds per
-# axis plus a bincount over the added edges, and every sum is an np.add.reduce,
-# which no BLAS thread count moves. The layout is a function of the graph alone,
-# so every kernel and the d a caller passes back agree on it.
+# _scatter sums it by bincount. The box layout, taken exactly on a _BoxTruncation,
+# holds per axis k the differences U[x + e_k] - U[x] of the reshaped field U over
+# every base edge along k that meets the box: one slice difference for the edges
+# inside, and as first and last slab along k the phantom edges, whose outer end
+# is 0. Deleted edges, and the phantom slabs in drop mode, hold exactly 0; the
+# added edges' gathered differences follow the d axis arrays. So the phantom terms
+# are part of the per-axis sums (the edge layout adds them apart), _scatter is two
+# slice adds per axis plus a bincount over the added edges, and every sum is an
+# np.add.reduce, which no BLAS thread count moves. The layout is the graph's type,
+# so every kernel and the d a caller passes back agree on it, and every slot is
+# indexed by lattice._axis_slices, as build_graph's edge list is.
 #
 # The cut-off sits at the measured crossover. Box over edge layout time on a
 # dirichlet box (2 CPUs, one BLAS thread, median of 21 interleaved runs) for the
@@ -129,17 +128,7 @@ def _signed_pow(x, p):
 #        n = 3,375: 0.82, 0.98
 #
 # d=3, where the Sobolev problem lives, decides: even at n = 2,197 (L=7) and
-# ahead from n = 3,375 (L=8) on. So _BOX_MIN_VERTICES (lattice.py) is 2,500,
-# and build_graph keeps no edge list from there on.
-
-
-@functools.cache
-def _axis_slices(d: int) -> tuple:
-    """Per axis k, the index tuples (head, tail, inner, first, last) that pick
-    x + e_k and x from a d-dimensional array, and the inner part and the first
-    and last slab along k of an array with one more entry along k."""
-    picks = (slice(1, None), slice(None, -1), slice(1, -1), slice(None, 1), slice(-1, None))
-    return tuple(tuple((slice(None),) * k + (i,) for i in picks) for k in range(d))
+# ahead from n = 3,375 (L=8) on. So _BOX_MIN_VERTICES (lattice.py) is 2,500.
 
 
 def _zero_absent(graph: Graph, w: tuple) -> None:
@@ -156,7 +145,7 @@ def _edge_diff(graph: Graph, u: np.ndarray):
     """The edge differences d = u[head] - u[tail] in the graph's layout: an array
     in the edge layout, a tuple of arrays in the box layout. In the edge layout,
     subtracting in place keeps two edge-length arrays alive instead of three."""
-    if graph.n < _BOX_MIN_VERTICES or graph.box is None:
+    if not isinstance(graph, _BoxTruncation):
         d = u[graph.heads]
         d -= u[graph.tails]
         return d

@@ -16,7 +16,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -24,8 +24,8 @@ import numpy as np
 from .errors import DisconnectedGraph, InvalidSpec, OutOfBox
 
 BOUNDARY_MODES = ("drop", "dirichlet")
-# From this many vertices on, a build_graph truncation keeps no edge list and the
-# calculus kernels take the box layout (the crossover table is in calculus.py).
+# From this many vertices on, build_graph makes a _BoxTruncation: it keeps no edge
+# list and the calculus kernels take the box layout (the crossover table is in calculus.py).
 _BOX_MIN_VERTICES = 2500
 
 
@@ -174,26 +174,32 @@ class BoxEdges(NamedTuple):
     heads: np.ndarray
 
 
+@cache
+def _axis_slices(d: int) -> tuple:
+    """Per axis k, the index tuples (head, tail, inner, first, last) that pick x + e_k and x
+    from a d-dimensional array, and the inner part and the first and last slab along k of an
+    array with one more entry along k. The box layout's one slot convention: the edge
+    (x, x + e_k) sits at x - lo in array[tail] and array[inner], as BoxEdges.deleted[k] indexes it."""
+    picks = (slice(1, None), slice(None, -1), slice(1, -1), slice(None, 1), slice(-1, None))
+    return tuple(tuple((slice(None),) * k + (i,) for i in picks) for k in range(d))
+
+
 class Graph:
     """Immutable truncation: the box lo + [0, shape), its edge list and its phantom counts.
 
-    Vertex ids run in C order, which is lexicographic order on coordinates,
-    so ids and positions are computed, never looked up (``vertex_id`` and
-    ``build_graph`` share ``_flat_ids``). ``coords`` builds the (n, d) position
-    table on each access and is deliberately not cached; ``offsets(c)`` gives
-    the per-axis offsets x_k - c_k as broadcasting ranges, from which radii and
-    distances are reduced without it. ``tails`` and ``heads`` are contiguous
-    int64 rows of the id pairs i < j sorted by (i, j); ``edges`` is their (m, 2)
-    transposed view. A ``build_graph`` truncation from ``_BOX_MIN_VERTICES`` on,
-    whose kernels read the box layout, stores none of them and rebuilds them from
-    its box on each access, as ``coords`` does (10–20 ms at n = 117,649); every
-    other graph stores them. Degrees are ``np.bincount(edges.ravel(), minlength=n)``;
-    ``phantom`` counts each vertex's base-lattice edges that leave the box (one
-    per box face it lies on), read in dirichlet mode only. ``box`` holds the
-    same edges as ``BoxEdges`` and ``spec`` labels them when ``build_graph``
-    made the graph, which sets both; else both are None. ``box`` is the one mark
-    of a box truncation, which the kernels' box layout and the box inverse read.
-    Safe for concurrent reads; never mutated once built.
+    Vertex ids run in C order, which is lexicographic order on coordinates, so ids and positions
+    are computed, never looked up (``vertex_id`` and ``build_graph`` share ``_flat_ids``).
+    ``coords`` builds the (n, d) position table on each access and is deliberately not cached;
+    ``offsets(c)`` gives the per-axis offsets x_k - c_k as broadcasting ranges, from which radii
+    and distances are reduced without it. ``tails`` and ``heads`` are contiguous int64 rows of
+    the id pairs i < j sorted by (i, j); ``edges`` is their (m, 2) transposed view, stored and
+    read by the kernels in the edge layout. Degrees are ``np.bincount(edges.ravel(), minlength=n)``;
+    ``phantom`` counts each vertex's base-lattice edges that leave the box (one per box face it
+    lies on), read in dirichlet mode only. ``box`` holds the same edges as ``BoxEdges`` and
+    ``spec`` labels them when ``build_graph`` made the graph, which sets both; else both are None.
+    ``box`` marks a box truncation, which the box inverse reads. The layout is the type: the
+    kernels read the subclass ``_BoxTruncation`` in the box layout, whose slots ``_axis_slices``
+    fixes. Safe for concurrent reads; never mutated once built.
     """
 
     def __init__(self, lo, shape, edges, boundary="drop"):
@@ -202,7 +208,10 @@ class Graph:
         if boundary not in BOUNDARY_MODES:
             raise InvalidSpec(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
         self.boundary, self.spec, self.box = boundary, None, None
-        self.lo, self.shape = tuple(int(a) for a in lo), tuple(int(m) for m in shape)
+        self.lo, self.shape = tuple(lo), tuple(shape)
+        if bad := [a for a in self.lo + self.shape if not _is_int(a)]:
+            raise InvalidSpec(f"box lo {self.lo} and shape {self.shape} need whole numbers, not {bad[0]!r}")
+        self.lo, self.shape = tuple(map(int, self.lo)), tuple(map(int, self.shape))
         if len(self.lo) != len(self.shape) or min(self.shape, default=0) < 1:
             raise InvalidSpec(f"box needs lo and shape of one length and sides >= 1, got {lo}, {shape}")
         self.d = len(self.shape)
@@ -258,10 +267,10 @@ class Graph:
 
 
 class _BoxTruncation(Graph):
-    """A build_graph truncation from _BOX_MIN_VERTICES vertices on, whose kernels read
-    the box layout. It stores no edge list; each read of tails, heads or edges
-    rebuilds the rows from the box. They are properties only here: on Graph, a
-    property or __getattr__ slowed every attribute read of the small graphs' kernels."""
+    """A build_graph truncation from _BOX_MIN_VERTICES vertices on; the kernels read exactly this
+    type in the box layout, by the slots of _axis_slices. It stores no edge list: each read of
+    tails, heads or edges rebuilds the rows from the box (10–20 ms at n = 117,649). Only here are
+    they properties: on Graph, a property or __getattr__ slowed every small graph's kernel reads."""
 
     tails = property(lambda self: self._stored().tails)
     heads = property(lambda self: self._stored().heads)
@@ -273,19 +282,16 @@ class _BoxTruncation(Graph):
 
 
 def _box_edge_pairs(ids: np.ndarray, box: BoxEdges) -> np.ndarray:
-    """The (m, 2) id pairs of the base edges of the cube whose C-order ids are ``ids``,
+    """The (m, 2) id pairs of the base edges of the box whose C-order ids are ``ids``,
     minus box.deleted, plus box's added edges: one block per axis, then the added edges."""
-    shape = ids.shape
-    # base edges join each vertex to its successor along each axis: one block per axis
-    edges = np.concatenate([np.stack([a[:-1].ravel(), a[1:].ravel()], axis=1)
-                            for a in (np.moveaxis(ids, k, 0) for k in range(len(shape)))])
+    # block k pairs ids[tail] with ids[head], so (x, x + e_k) is its row at x - lo in ids[tail]
+    blocks = [(ids[tail], ids[head]) for head, tail, *_ in _axis_slices(ids.ndim)]
+    edges = np.concatenate([np.stack([t.ravel(), h.ravel()], axis=1) for t, h in blocks])
     if any(slots is not None for slots in box.deleted):
-        # (x, x + e_k) is in block k at x's C-order position in moveaxis(ids, k, 0)[:-1],
-        # whose axes run k first and then the others in order
-        block = (shape[0] - 1,) + shape[1:]
-        edges = np.delete(edges, np.concatenate([
-            k * np.prod(block) + np.ravel_multi_index((t[k],) + t[:k] + t[k + 1:], block)
-            for k, t in enumerate(box.deleted) if t is not None]), axis=0)
+        starts = np.cumsum([0] + [t.size for t, _ in blocks])
+        edges = np.delete(edges, np.concatenate([start + np.ravel_multi_index(slots, t.shape)
+                                                 for start, (t, _), slots in zip(starts, blocks, box.deleted)
+                                                 if slots is not None]), axis=0)
     if len(box.heads):
         edges = np.concatenate([edges, np.stack([box.tails, box.heads], axis=1)])
     return edges
@@ -293,8 +299,9 @@ def _box_edge_pairs(ids: np.ndarray, box: BoxEdges) -> np.ndarray:
 
 def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     """Build the truncation graph for a spec: base edges minus deletions plus additions,
-    labelled with the spec and holding the same edges as BoxEdges. From _BOX_MIN_VERTICES
-    vertices on, the graph keeps no edge list once its connectivity is checked.
+    labelled with the spec and holding the same edges as BoxEdges, whose deleted slots index the
+    edge list as _axis_slices does. From _BOX_MIN_VERTICES vertices on it is a _BoxTruncation, which
+    the kernels read in the box layout, and keeps no edge list once checked connected.
 
     Raises DisconnectedGraph when a deletion spec leaves the box disconnected,
     InvalidSpec when the spec itself is inconsistent.
@@ -318,7 +325,7 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     graph.spec, graph.box = spec, box
     if spec.deletions and not is_connected(graph):
         raise DisconnectedGraph(f"deleting {len(spec.deletions)} edge(s) disconnected the box B_{spec.L}")
-    if graph.n >= _BOX_MIN_VERTICES:  # the kernels read the box layout; keep no edge list
+    if graph.n >= _BOX_MIN_VERTICES:
         del graph.tails, graph.heads, graph.edges
         graph.__class__ = _BoxTruncation
     return graph

@@ -651,16 +651,16 @@ def spectral_oracle(graph: Graph) -> float:
     """Smallest eigenvalue of minus the dirichlet-mode graph Laplacian.
 
     Exact value of the p = q = 2 Sobolev problem per unit mass: its minimum
-    over ||u||_2^2 = a is a times this. For a build_graph truncation whose
-    BoxEdges delete and add no edge it is the closed form d (2 - 2 cos(pi / 2L));
+    over ||u||_2^2 = a is a times this. For a build_graph truncation whose spec
+    deletes and adds no edge it is the closed form d (2 - 2 cos(pi / 2L));
     otherwise the dense Laplacian is assembled from the edge list, without the
     solver or the calculus module, and handed to numpy.linalg.eigvalsh, up to
-    3,000 vertices.
+    3,000 vertices. eigvalsh's bits depend on the BLAS thread count: 1 and 2
+    threads differ by about 1e-14 at n = 225 and 1,331 (pinned below 1e-13).
     """
     if graph.boundary != "dirichlet":
         raise InvalidSpec("the spectral oracle needs a graph in dirichlet mode")
-    box = graph.box
-    if box is not None and all(slots is None for slots in box.deleted) and not len(box.heads):
+    if graph.spec is not None and not (graph.spec.deletions or graph.spec.additions):
         return graph.d * (2.0 - 2.0 * np.cos(np.pi / (2 * graph.L)))
     n = graph.n
     if n > _SPECTRAL_DENSE_LIMIT:

@@ -41,6 +41,8 @@ from varopt.analysis import (
 )
 from varopt.cli import ExperimentConfig, run
 
+from test_cli import CRITERION_10
+
 
 def announce(k, ok, detail, elapsed, budget):
     status = "PASS" if ok else "FAIL"
@@ -241,19 +243,7 @@ def test_criterion_09_star_nonattainment_witness():
 
 def test_criterion_10_bit_identical_reruns(tmp_path):
     t0 = time.time()
-    configs = [
-        {"experiment": "threshold",
-         "graph": {"construction": "lattice", "d": 1, "L": 10},
-         "params": {"p": 4.0, "a_range": [0.5, 6.0], "levels": [10]},
-         "solver": {"restarts": 8, "tol_grad": 1e-8, "max_iters": 30000}},
-        {"experiment": "star-probe",
-         "params": {"d": 1, "R": 4, "p": 4.0, "L_list": [7, 9], "a": 3.0},
-         "solver": {"restarts": 8, "tol_grad": 1e-8, "max_iters": 30000}},
-        {"experiment": "solve-sobolev",
-         "graph": {"construction": "sphere_deletion", "d": 3, "R": 2, "L": 6},
-         "problem": {"a": 1.0, "p": 2.0, "q": 6.0},
-         "solver": {"restarts": 8, "tol_grad": 1e-7, "max_iters": 30000}},
-    ]
+    configs = [payload for payload, _ in CRITERION_10]  # the configs test_cli pins by digest
     identical = True
     for i, payload in enumerate(configs):
         blobs = []

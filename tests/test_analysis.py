@@ -280,6 +280,20 @@ def test_seeds_numpy_cannot_take_are_refused(monkeypatch):
     assert verify_lemma_suite(g, n_fields=1, rng_seed=2**70).all_passed
 
 
+def test_compare_verdict_flips_between_a_cut_and_the_box_itself():
+    # the control for "strict": one cut edge lowers the dirichlet NLS energy well
+    # past the strict margin, and the box against itself has margin exactly 0
+    cut = build_graph(GraphSpec(d=2, L=12, deletions={((0, 0), (1, 0))}), boundary="dirichlet")
+    box = build_graph(GraphSpec(d=2, L=12), boundary="dirichlet")
+    nls = ProblemSpec(kind="nls", a=5.0, p=4.0)
+    report = compare_energies(cut, box, nls, [5.0], solver_cfg=CFG)
+    assert report.verdicts == ["strict"]
+    assert report.perturbed[0] == pytest.approx(-0.14001846185285238, abs=1e-10)
+    assert report.base[0] == pytest.approx(0.05903478142855016, abs=1e-10)
+    itself = compare_energies(box, box, nls, [5.0], solver_cfg=CFG)
+    assert itself.verdicts == ["<= holds"] and itself.margins == [0.0]
+
+
 def test_compare_keeps_the_callers_grid_order():
     g = build_graph(GraphSpec(d=1, L=4))
     report = compare_energies(g, g, ProblemSpec(kind="nls", a=1.0, p=4), (2, 1.0), solver_cfg=CFG)
@@ -494,6 +508,22 @@ def test_star_probe_base_graph_control():
     from varopt import minimize
     res = minimize(g, ProblemSpec(kind="nls", a=4.0, p=4), cfg)
     assert abs(res.localization.center_of_mass[0]) <= 1e-6
+
+
+@pytest.mark.parametrize("boundary,com_inf,multiplier_gap", [
+    ("drop", [13.968, 18.968, 23.968], 4.022), ("dirichlet", [0.0, 0.0, 0.0], 1.561),
+])
+def test_star_probe_consistency_flags_hold_without_a_star(monkeypatch, boundary, com_inf, multiplier_gap):
+    # the control that cannot flip them: criterion 9's probe on the plain box in place of
+    # the star. escape_trend_ok holds at the wall (drop) and at the centre (dirichlet),
+    # whose com_inf does not grow; multiplier_ok only tests that (Delta u)(0) != 0, since
+    # lambda = u(0)^(p-2) + (Delta u)(0)/u(0) at the origin. Both are consistency checks.
+    monkeypatch.setattr(analysis, "star_addition_spec", lambda d, R, L: GraphSpec(d=d, L=L))
+    report = star_nonattainment_probe(1, 11, 4.0, None, [15, 20, 25], 5.0, boundary=boundary)
+    assert report.escape_trend_ok and report.multiplier_ok
+    assert [r.energy_gap for r in report.records] == [0.0, 0.0, 0.0]
+    assert [r.com_inf for r in report.records] == pytest.approx(com_inf, abs=1e-3)
+    assert [r.multiplier_gap for r in report.records] == pytest.approx([multiplier_gap] * 3, abs=1e-3)
 
 
 def test_star_probe_sobolev_multiplier_stays_positive():

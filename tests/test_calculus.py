@@ -30,7 +30,7 @@ from varopt import (
     star_addition_spec,
     translate,
 )
-from varopt import calculus
+from varopt import calculus, lattice
 from varopt.analysis import ball_indicator_field
 from varopt.calculus import _abs_pow, _edge_diff, _kinetic, _signed_pow, _weighted_laplacian
 
@@ -323,24 +323,27 @@ LAYOUT_GRAPHS = {
 }
 
 
-def both_layouts(monkeypatch, g, compute):
-    """compute() in the edge layout and in the box layout, which the cut-off picks."""
+def both_layouts(monkeypatch, spec, boundary, compute):
+    """compute(g) on the spec's truncation built in the edge layout and in the box
+    layout: build_graph picks the layout, by the cut-off, as the graph's type."""
     out = []
-    for cut_off, layout in ((g.n + 1, np.ndarray), (0, tuple)):
-        monkeypatch.setattr(calculus, "_BOX_MIN_VERTICES", cut_off)
+    for cut_off, layout in ((math.inf, np.ndarray), (0, tuple)):
+        monkeypatch.setattr(lattice, "_BOX_MIN_VERTICES", cut_off)
+        g = build_graph(spec, boundary=boundary)
         assert type(_edge_diff(g, np.zeros(g.n))) is layout
-        out.append(compute())
+        out.append(compute(g))
     return out
 
 
 @pytest.mark.parametrize("boundary", ["drop", "dirichlet"])
 @pytest.mark.parametrize("case", list(LAYOUT_GRAPHS))
 def test_box_layout_agrees_with_the_edge_layout(monkeypatch, case, boundary):
-    g = build_graph(LAYOUT_GRAPHS[case], boundary=boundary)
+    spec = LAYOUT_GRAPHS[case]
+    n = (2 * spec.L - 1) ** spec.d
     rng = np.random.default_rng(11)
-    u, v = rng.standard_normal(g.n), rng.standard_normal(g.n)
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
 
-    def kernels():
+    def kernels(g):
         out = [dirichlet_energy(g, u, p) for p in (1.0, 1.5, 2.0, 3.0, 4.0)]
         out += [_kinetic(g, u), nls_energy(g, u, 4.0), laplacian(g, u).values,
                 dirichlet_gradient(g, u, 1.0, 1e-8)]
@@ -350,7 +353,7 @@ def test_box_layout_agrees_with_the_edge_layout(monkeypatch, case, boundary):
             out += [apply(v), diagonal]
         return out
 
-    for edge, box in zip(*both_layouts(monkeypatch, g, kernels)):
+    for edge, box in zip(*both_layouts(monkeypatch, spec, boundary, kernels)):
         assert np.linalg.norm(np.subtract(box, edge)) <= 1e-14 * np.linalg.norm(edge)
 
 
@@ -362,7 +365,8 @@ def test_box_layout_weighs_absent_edges_zero(monkeypatch, case, boundary):
     g = build_graph(LAYOUT_GRAPHS[case], boundary=boundary)
     u = np.random.default_rng(12).standard_normal(g.n)
     degree = np.bincount(g.edges.ravel(), minlength=g.n) + (g.phantom if boundary == "dirichlet" else 0.0)
-    for diagonal in both_layouts(monkeypatch, g, lambda: _weighted_laplacian(g, u, 2.0, 1e-8)[1]):
+    for diagonal in both_layouts(monkeypatch, LAYOUT_GRAPHS[case], boundary,
+                                 lambda h: _weighted_laplacian(h, u, 2.0, 1e-8)[1]):
         assert np.array_equal(diagonal, degree)
 
 
@@ -387,6 +391,18 @@ def test_kernels_pick_the_layout_by_vertex_count():
     g = box[-1]
     direct = Graph(g.lo, g.shape, g.edges, boundary=g.boundary)
     assert direct.box is None and type(_edge_diff(direct, np.zeros(g.n))) is np.ndarray
+
+
+def test_the_layout_is_the_graph_type(monkeypatch):
+    # lattice's cut-off alone picks both the storage and the kernels' layout
+    monkeypatch.setattr(lattice, "_BOX_MIN_VERTICES", 0)
+    small = build_graph(GraphSpec(d=2, L=4), boundary="dirichlet")
+    assert isinstance(small, lattice._BoxTruncation) and type(_edge_diff(small, np.zeros(small.n))) is tuple
+    monkeypatch.setattr(lattice, "_BOX_MIN_VERTICES", 10 ** 9)
+    large = build_graph(GraphSpec(d=3, L=20), boundary="dirichlet")
+    assert type(large) is Graph and np.shares_memory(large.tails, large.tails)
+    assert type(_edge_diff(large, np.zeros(large.n))) is np.ndarray
+    assert not hasattr(calculus, "_BOX_MIN_VERTICES")
 
 
 THREAD_SCRIPT = """

@@ -1,10 +1,12 @@
 """CLI front end: config parsing, artifacts, exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -514,6 +516,18 @@ CRITERION_10 = [
       "solver": {"restarts": 8, "tol_grad": 1e-7, "max_iters": 30000}},
      "54a6563b1887dba674e9b5f697f6bb885f11149cf87a2f1ad2bab6438283929d"),
 ]
+
+
+def test_the_benchmark_runs_the_criterion_10_configs(monkeypatch):
+    # perfbench's criterion-10 task must not drift from these pins; its module is
+    # executed from source, writing no bytecode next to it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclass() looks its module up
+    spec.loader.exec_module(workloads)
+    assert workloads.CLI_CONFIGS == [payload for payload, _ in CRITERION_10]
 
 
 def test_thread_settings_go_to_results_json_only(tmp_path, monkeypatch):

@@ -319,6 +319,18 @@ def test_graph_rejects_malformed_box_or_edges(lo, shape, edges):
         Graph(lo, shape, np.asarray(edges))
 
 
+@pytest.mark.parametrize("lo,shape,bad", [
+    ((0.5,), (3,), "0.5"), ((0,), (3.9,), "3.9"), ((0,), (3.0,), "3.0"), ((True,), (3,), "True"),
+    ((0,), (np.True_,), "np.True_"), (("a",), (3,), "'a'"),
+])
+def test_graph_refuses_a_box_entry_that_is_not_a_whole_number(lo, shape, bad):
+    # int() would truncate 3.9 to 3 and read True as 1
+    with pytest.raises(InvalidSpec, match=f"not {re.escape(bad)}$"):
+        Graph(lo, shape, np.array([[0, 1], [1, 2]]))
+    g = Graph((np.int64(-1),), (np.int32(3),), np.array([[0, 1], [1, 2]]))
+    assert (g.lo, g.shape) == ((-1,), (3,)) and type(g.lo[0]) is int
+
+
 def test_graph_on_a_shifted_box():
     g = Graph((-1, -1), (3, 3), build_graph(GraphSpec(d=2, L=2)).edges)
     assert g.n_edges == 12

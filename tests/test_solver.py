@@ -11,8 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from varopt import (
+    DisconnectedGraph,
     Field,
     Graph,
     GraphSpec,
@@ -24,6 +26,7 @@ from varopt import (
     TooLarge,
     brute_force_oracle,
     box_inverse,
+    box_vertices,
     build_graph,
     dirichlet_energy,
     dirichlet_gradient,
@@ -718,6 +721,40 @@ def test_spectral_oracle_dense_matches_closed_form_and_limits():
         spectral_oracle(build_graph(sphere_deletion_spec(3, 2, 9), boundary="dirichlet"))
 
 
+@st.composite
+def perturbed_specs(draw):
+    """A d=2 box with L in {3, 4, 5} or the d=3 L=3 box, less 1-5 base edges inside
+    B_{L-1} or plus 1-5 non-base pairs of box vertices."""
+    d, L = draw(st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 3)]))
+    if draw(st.booleans()):
+        inner = np.array(box_vertices(d, L - 1))
+        x = inner[draw(st.lists(st.integers(0, len(inner) - 1), min_size=1, max_size=5))]
+        steps = np.eye(d, dtype=int)[draw(st.lists(st.integers(0, d - 1), min_size=len(x), max_size=len(x)))]
+        ends = [(a, b) for a, b in zip(x.tolist(), (x + steps).tolist()) if max(map(abs, b)) < L - 1]
+        assume(ends)
+        return GraphSpec(d=d, L=L, deletions=ends)
+    vertex = st.tuples(*[st.integers(1 - L, L - 1)] * d)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: sum(abs(a - b) for a, b in zip(*e)) > 1),
+                          min_size=1, max_size=5))
+    return GraphSpec(d=d, L=L, additions=pairs)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(perturbed_specs())
+def test_spectral_oracle_matches_both_metrics_on_random_perturbations(spec):
+    # p = q = 2 is a times the oracle's eigenvalue: through the box-inverse metric on the
+    # truncation, and through the identity metric on the same graph built directly
+    try:
+        g = build_graph(spec, boundary="dirichlet")
+    except DisconnectedGraph:
+        assume(False)
+    exact = SUBCRITICAL_P2.a * spectral_oracle(g)
+    for graph in (g, Graph(g.lo, g.shape, g.edges, "dirichlet")):
+        res = minimize_sobolev(graph, SUBCRITICAL_P2)
+        assert res.converged
+        assert abs(res.energy - exact) <= 1e-12 * SUBCRITICAL_P2.a
+
+
 SPECTRAL_CUT_SCRIPT = """
 from varopt import Graph, GraphSpec, build_graph
 from varopt.solver import spectral_oracle
@@ -736,6 +773,31 @@ def test_spectral_oracle_on_a_truncation_that_keeps_no_edge_list():
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["2601", "0x1.de445141fab18p-8", "0x1.de445141fab18p-8"]
+
+
+SPECTRAL_THREADS_SCRIPT = """
+from varopt import build_graph, sphere_deletion_spec, star_addition_spec
+from varopt.solver import spectral_oracle
+for spec in (star_addition_spec(2, 2, 8), sphere_deletion_spec(3, 2, 6)):
+    print(spectral_oracle(build_graph(spec, boundary="dirichlet")).hex())
+"""
+
+
+def test_spectral_oracle_spread_over_blas_threads():
+    # eigvalsh's bits move with the thread count (884 and 2,703 ulps between 1 and 2
+    # threads on these n = 225 and 1,331 graphs); the solves it checks are held to
+    # 1e-12 * a, about 100x wider than the spread pinned here
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", SPECTRAL_THREADS_SCRIPT], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        values.append([float.fromhex(x) for x in run.stdout.split()])
+    assert len(values[0]) == len(values[1]) == 2
+    assert max(abs(a - b) for a, b in zip(*values)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -1052,7 +1114,7 @@ GOLDEN = {  # float.hex of energy, multiplier and el_residual; n_iters; seed_lab
     "sobolev-p1-capped": ((GraphSpec(d=3, L=3), "dirichlet",
                            ProblemSpec(kind="sobolev", a=1.0, p=1.0, q=6.0, allow_subcritical=True)),
                           ("0x1.8000000000006p+2", "0x1.8000000000006p+2", "0x1.3988e09c0d6cbp+1", 19, "delta")),
-    # above calculus._BOX_MIN_VERTICES: these pin the box layout's summation order
+    # above lattice._BOX_MIN_VERTICES: these pin the box layout's summation order
     "nls-cut-dirichlet-box-layout": ((GraphSpec(d=2, L=30, deletions={((0, 0), (1, 0))}), "dirichlet",
                                       ProblemSpec(kind="nls", a=5.0, p=4.0)),
                                      ("-0x1.1ec1ffd3f53a0p-3", "0x1.f7b71e2858d10p+0", "0x1.cb9e86386909fp-28", 25,
