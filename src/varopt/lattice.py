@@ -228,7 +228,8 @@ class Graph:
         ordered = np.sort(edges[:, 0] * n + edges[:, 1])  # i * n + j sorts like the pair (i, j)
         if np.any(ordered[1:] == ordered[:-1]):
             raise InvalidSpec("an edge is listed twice")
-        pairs = np.stack(np.divmod(ordered, n))  # contiguous rows for the edge kernels
+        pairs = np.empty((2, len(ordered)), dtype=np.int64)  # contiguous rows for the edge kernels
+        np.divmod(ordered, n, out=(pairs[0], pairs[1]))
         self.tails, self.heads = pairs
         self.edges = pairs.T
         self.n_edges = len(self.edges)
@@ -301,10 +302,10 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     """Build the truncation graph for a spec: base edges minus deletions plus additions,
     labelled with the spec and holding the same edges as BoxEdges, whose deleted slots index the
     edge list as _axis_slices does. From _BOX_MIN_VERTICES vertices on it is a _BoxTruncation, which
-    the kernels read in the box layout, and keeps no edge list once checked connected.
+    the kernels read in the box layout, and keeps no edge list.
 
-    Raises DisconnectedGraph when a deletion spec leaves the box disconnected,
-    InvalidSpec when the spec itself is inconsistent.
+    Raises DisconnectedGraph when a deletion spec leaves the box disconnected, decided first, on the
+    ball around the deletions (_check_connected); InvalidSpec when the spec is inconsistent.
     """
     spec.validate()
     lo, shape = (1 - spec.L,) * spec.d, (2 * spec.L - 1,) * spec.d
@@ -313,6 +314,7 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
         x, y = spec._edge_array[:, 0], spec._edge_array[:, 1]
         tails = [np.asarray(x[np.argmax(y - x, axis=1) == k], dtype=np.int64) - lo for k in range(spec.d)]
         deleted = [tuple(t.T) if len(t) else None for t in tails]
+        _check_connected(spec, deleted)  # perturbed-d3-L25 peak 65 MB; 69 if run after Graph()
     if spec.additions:
         added = _flat_ids(spec._edge_array, lo, shape)
     box = BoxEdges(tuple(deleted), *np.ascontiguousarray(added.T))
@@ -323,12 +325,30 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     edges = _box_edge_pairs(ids, box)
     graph = Graph(lo, shape, edges, boundary=boundary)
     graph.spec, graph.box = spec, box
-    if spec.deletions and not is_connected(graph):
-        raise DisconnectedGraph(f"deleting {len(spec.deletions)} edge(s) disconnected the box B_{spec.L}")
     if graph.n >= _BOX_MIN_VERTICES:
         del graph.tails, graph.heads, graph.edges
         graph.__class__ = _BoxTruncation
     return graph
+
+
+def _check_connected(spec: GraphSpec, deleted: list) -> None:
+    """Raise DisconnectedGraph, naming what is cut off from the box corner, unless the box minus the
+    edges at the deleted slots is connected. Decided on T = {|x| <= r}, r = min(R, L - 1), R the
+    perturbation radius: no edge outside B_R is deleted and for d >= 2 the shell box minus B_R is
+    connected, so one hub joined to T's outer layer stands for it; for d = 1 T's ends touch the rays."""
+    r = min(spec.perturbation_radius(), spec.L - 1)
+    ids, shift = np.arange((2 * r + 1) ** spec.d).reshape((2 * r + 1,) * spec.d), spec.L - 1 - r
+    shifted = tuple(None if slots is None else tuple(a - shift for a in slots) for slots in deleted)  # T's corner
+    edges = _box_edge_pairs(ids, BoxEdges(shifted, *np.empty((2, 0), dtype=np.int64)))
+    if hub := spec.d >= 2 and shift > 0:
+        outer = np.delete(ids, ids[(slice(1, -1),) * spec.d])  # ids are their own flat indices
+        edges = np.concatenate([edges, np.stack([outer, np.full_like(outer, ids.size)], axis=1)])
+    if not is_connected(local := Graph((0,), (ids.size + hub,), edges)):
+        roots = _roots(local)  # with no hub, cut off from vertex 0; for d = 1, the right ray too
+        cut = np.flatnonzero(roots[:ids.size] != roots[-1 if hub else 0])
+        raise DisconnectedGraph(f"deleting {len(spec.deletions)} edge(s) disconnected the box B_{spec.L}: "
+                                f"{len(cut) + (not hub) * shift} vertices cut off, the smallest "
+                                f"{tuple(np.subtract(np.unravel_index(cut[0], ids.shape), r).tolist())}")
 
 
 def path_graph(n: int) -> Graph:
@@ -345,7 +365,12 @@ def path_graph(n: int) -> Graph:
 
 
 def is_connected(graph: Graph) -> bool:
-    """True iff the edges join all the vertices into one component.
+    """True iff the edges join all the vertices into one component."""
+    return not np.ptp(_roots(graph))
+
+
+def _roots(graph: Graph) -> np.ndarray:
+    """Each vertex's component root, the smallest id in its component.
 
     Hook-and-compress (Shiloach & Vishkin, J. Algorithms 3, 1982): each round
     hooks the larger root of every edge between two trees onto the smaller,
@@ -359,7 +384,7 @@ def is_connected(graph: Graph) -> bool:
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while not np.array_equal(jumped := parent[parent], parent):
             parent = jumped
-    return bool(np.all(parent == parent[0]))
+    return parent
 
 
 def ball_boundary_edges(d: int, R: int) -> list:

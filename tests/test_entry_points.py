@@ -5,6 +5,7 @@ comparable, so an API cut that drops one of these names, or a parameter the
 harness passes, must fail here rather than break the harness.
 """
 
+import contextlib
 import inspect
 
 import numpy as np
@@ -87,11 +88,18 @@ def test_benchmark_reads_of_results_and_graphs():
 
 def test_build_graph_checks_connectivity_through_the_module_global(monkeypatch):
     # the harness times the check by wrapping lattice.is_connected, so build_graph
-    # must look it up there, and only for deletion specs
+    # must look it up there, and only for deletion specs: once a build, on the ball
+    # T = {|x| <= R} of the perturbation radius R plus at most one hub vertex
     calls, check = [], lattice.is_connected
     monkeypatch.setattr(lattice, "is_connected", lambda g: calls.append(g) or check(g))
-    lattice.build_graph(lattice.sphere_deletion_spec(2, 2, 4))
-    assert len(calls) == 1
+    specs = [lattice.sphere_deletion_spec(2, 2, 4), lattice.sphere_deletion_spec(3, 2, 25),
+             lattice.sphere_deletion_spec(1, 3, 40), lattice.sphere_deletion_spec(2, 4, 5),
+             lattice.GraphSpec(d=4, L=6, deletions={((0, 0, 0, 0), (0, 1, 0, 0))})]
+    for k, spec in enumerate(specs, 1):
+        with contextlib.suppress(lattice.DisconnectedGraph):  # a d = 1 deletion always disconnects
+            lattice.build_graph(spec)
+        assert len(calls) == k
+        assert calls[-1].n <= (2 * spec.perturbation_radius() + 1) ** spec.d + 1
     lattice.build_graph(lattice.GraphSpec(d=2, L=4))
     lattice.build_graph(lattice.star_addition_spec(2, 2, 4))
-    assert len(calls) == 1
+    assert len(calls) == len(specs)

@@ -131,10 +131,110 @@ def test_truncation_above_the_cut_off_retains_no_edge_list():
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("spec", [sphere_deletion_spec(3, 3, 20), GraphSpec(d=3, L=20)],
+                         ids=["sphere-deletion", "box"])
+def test_build_peak_memory_per_edge(spec):
+    # the unsorted pairs (16 bytes per edge), the sorted keys (8) and the sorted rows
+    # written in place (16), with the id grid and the phantom counts, stay below 50
+    # bytes per edge; a connectivity pass over the whole truncation would add 32 more
+    build_graph(GraphSpec(d=3, L=3), boundary="dirichlet")  # warm numpy
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build_graph(spec, boundary="dirichlet")
+        assert tracemalloc.get_traced_memory()[1] - before < 50 * g.n_edges
+    finally:
+        tracemalloc.stop()
+
+
 def test_disconnecting_deletions_above_the_cut_off_still_raise():
     spec = GraphSpec(d=3, L=8, deletions=set(ball_boundary_edges(3, 2)))
     with pytest.raises(DisconnectedGraph):
         build_graph(spec)
+
+
+@pytest.mark.parametrize("spec,message", [
+    (GraphSpec(d=3, L=8, deletions=set(ball_boundary_edges(3, 2))),
+     "deleting 54 edge(s) disconnected the box B_8: 27 vertices cut off, the smallest (-1, -1, -1)"),
+    (GraphSpec(d=2, L=3, deletions=set(ball_boundary_edges(2, 2))),  # T is the whole box
+     "deleting 12 edge(s) disconnected the box B_3: 9 vertices cut off, the smallest (-1, -1)"),
+    (sphere_deletion_spec(1, 2, 5),  # B_5 minus ((-2,), (-1,)): (-1,) ... (4,) lose the corner (-4,)
+     "deleting 1 edge(s) disconnected the box B_5: 6 vertices cut off, the smallest (-1,)"),
+], ids=["ball-d3", "whole-box-d2", "ray-d1"])
+def test_disconnected_graph_names_what_was_cut_off(spec, message):
+    with pytest.raises(DisconnectedGraph, match=f"^{re.escape(message)}$"):
+        build_graph(spec)
+
+
+def _cut_off(g):
+    """Ids of the vertices that no path joins to vertex 0, the box corner, by breadth-first search."""
+    adj = [[] for _ in range(g.n)]
+    for i, j in g.edges.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    seen, frontier = {0}, [0]
+    while frontier:
+        v = frontier.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return [v for v in range(g.n) if v not in seen]
+
+
+def _random_deletions(rng, d, R):
+    """Base edges inside B_R: a sphere cut missing up to two edges, a vertex's star or a random set."""
+    inside = sorted(all_base_edges(d, R))
+    deletions = set()
+    if R >= 2 and rng.random() < 0.5:
+        rho = int(rng.integers(1, R))
+        sphere = ball_boundary_edges(d, rho)
+        deletions |= {sphere[i] for i in rng.permutation(len(sphere))[int(rng.integers(0, 3)):]}
+    if R >= 2 and rng.random() < 0.4:
+        x = tuple(int(c) for c in rng.integers(2 - R, R - 1, size=d))
+        deletions |= {e for e in inside if x in e}
+    if inside and (not deletions or rng.random() < 0.5):
+        k = int(rng.integers(1, min(len(inside), 4 * d) + 1))
+        deletions |= {inside[i] for i in rng.choice(len(inside), size=k, replace=False)}
+    return deletions
+
+
+def test_local_connectivity_check_agrees_with_the_whole_graph():
+    # build_graph decides connectivity on the ball around the deletions; it must raise
+    # exactly when the whole truncation, built by hand, is disconnected, and name its cut
+    rng = np.random.default_rng(20261020)
+    specs = [sphere_deletion_spec(2, 4, 5), GraphSpec(d=2, L=5, deletions=set(ball_boundary_edges(2, 4)))]
+    while len(specs) < 600:
+        d = int(rng.integers(1, 5))
+        L = int(rng.integers(2, (12, 8, 6, 4)[d - 1] + 1))
+        R = int(rng.integers(2, L + 1 if rng.random() < 0.3 else max(L - 1, 3)))  # mostly R < L - 1
+        if deletions := _random_deletions(rng, d, R):
+            specs.append(GraphSpec(d=d, L=L, deletions=deletions))
+    kinds = ("whole-box", "hub", "ray")  # T is the box; T and a hub; d = 1 with rays outside T
+    seen = dict.fromkeys(["cut", *kinds, *(f"{k}-cut" for k in kinds), *(f"d={d}" for d in (1, 2, 3, 4))], 0)
+    for spec in specs:
+        box = build_graph(GraphSpec(d=spec.d, L=spec.L))
+        gone = {box.vertex_id(x) * box.n + box.vertex_id(y) for x, y in spec.deletions}
+        keys = box.edges[:, 0] * box.n + box.edges[:, 1]
+        whole = Graph(box.lo, box.shape, box.edges[~np.isin(keys, list(gone))])
+        cut = _cut_off(whole)
+        assert is_connected(whole) == (not cut)
+        if cut:
+            smallest = tuple(whole.coords[cut[0]].tolist())
+            tail = f": {len(cut)} vertices cut off, the smallest {smallest}"
+            with pytest.raises(DisconnectedGraph, match=re.escape(tail) + "$"):
+                build_graph(spec)
+        else:
+            assert build_graph(spec).n_edges == whole.n_edges
+        kind = "whole-box" if spec.perturbation_radius() >= spec.L - 1 else "hub" if spec.d >= 2 else "ray"
+        seen[kind] += 1
+        seen[f"d={spec.d}"] += 1
+        if cut:
+            seen["cut"] += 1
+            seen[f"{kind}-cut"] += 1
+    # every kind, and each cut, at least 50 times; at least 150 connected specs
+    assert min(seen.values()) >= 50 and seen["cut"] <= 450, seen
 
 
 def test_double_deletion_disconnects_path():
