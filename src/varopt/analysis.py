@@ -41,7 +41,10 @@ def _check_tolerances(**tolerances) -> None:
 
 def _mass_grid(a_grid) -> list:
     """The masses of a grid as floats, in the caller's order; at least one."""
-    a_grid = list(a_grid)
+    try:
+        a_grid = list(a_grid)
+    except TypeError:  # a scalar, say
+        raise InvalidSpec(f"a_grid must list at least one mass, got {a_grid!r}") from None
     if not (a_grid and all(map(_is_number, a_grid))):
         raise InvalidSpec(f"a_grid must list at least one mass, all numbers, got {a_grid!r}")
     return [float(a) for a in a_grid]
@@ -49,7 +52,10 @@ def _mass_grid(a_grid) -> list:
 
 def _sorted_radii(radii, name: str, what: str) -> list:
     """The radii in increasing order: at least one, and none twice, which would repeat a probe."""
-    radii = sorted(radii)
+    try:
+        radii = sorted(radii)
+    except TypeError:  # a scalar, or entries that do not compare
+        raise InvalidSpec(f"{name} must list at least one {what}, got {radii!r}") from None
     if not radii:
         raise InvalidSpec(f"{name} must list at least one {what}")
     twice = next((r for r, s in zip(radii, radii[1:]) if r == s), None)
@@ -63,10 +69,10 @@ def _graph_label(graph: Graph) -> str:
     if spec is None:
         return f"graph-n{graph.n}"
     kind = "lattice"
-    if spec.deletions:
-        kind = f"del{len(spec.deletions)}"
-    elif spec.additions:
-        kind = f"add{len(spec.additions)}"
+    if len(spec.deletion_array):
+        kind = f"del{len(spec.deletion_array)}"
+    elif len(spec.addition_array):
+        kind = f"add{len(spec.addition_array)}"
     return f"{kind}-d{spec.d}-L{spec.L}"
 
 

@@ -3,7 +3,8 @@
 Vertices are d-tuples of ints with sup-norm < L (the box B_L); base edges
 connect points at l1-distance 1. A perturbation either deletes a finite set
 of base edges (connectivity must survive) or adds a finite set of non-base
-edges, all inside a ball B_R around the origin. Fields on a truncation are
+edges, all inside a ball B_R around the origin; a GraphSpec holds each set as one
+canonical (k, 2, d) int64 array of edges. Fields on a truncation are
 zero-extended outside the box; edges crossing the box boundary are either
 dropped entirely (``boundary="drop"``, the default) or kept with a
 zero-valued phantom endpoint (``boundary="dirichlet"``).
@@ -15,8 +16,8 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+import reprlib
+from functools import cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -69,77 +70,90 @@ def box_vertices(d: int, L: int):
     return [tuple(c) for c in itertools.product(range(-(L - 1), L), repeat=d)]
 
 
-@dataclass(frozen=True)
 class GraphSpec:
     """Recipe for a perturbed truncation: dimension, box radius, edge changes.
 
-    Deletions and additions are mutually exclusive (the two perturbation
-    families are handled separately); the radius of the ball holding them is
-    derived, never stated (``perturbation_radius``).
+    ``deletion_array`` and ``addition_array`` hold the perturbation, each as one
+    read-only canonical int64 array of shape (k, 2, d): every row an edge (x, y)
+    with x < y lexicographically, the rows sorted lexicographically, none twice.
+    The constructor takes such an integer array or any collection of (x, y)
+    vertex pairs, in any order and orientation and with repeats, so two specs
+    with the same d, L and edges are equal. ``deletions`` and ``additions`` are
+    the same edges as a frozenset of coordinate-tuple pairs, built anew on each
+    access. Deletions and additions are mutually exclusive (the two
+    perturbation families are handled separately); the radius of the ball
+    holding them is derived, never stated (``perturbation_radius``).
     """
 
-    d: int
-    L: int
-    deletions: frozenset = field(default_factory=frozenset)
-    additions: frozenset = field(default_factory=frozenset)
+    def __init__(self, d, L, deletions=(), additions=()):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "deletion_array", _read_edges("deletions", deletions, d, L))
+        object.__setattr__(self, "addition_array", _read_edges("additions", additions, d, L))
 
-    def __post_init__(self):
-        object.__setattr__(self, "deletions", frozenset(canonical_edge(*e) for e in self.deletions))
-        object.__setattr__(self, "additions", frozenset(canonical_edge(*e) for e in self.additions))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a GraphSpec is immutable: cannot set {name}")
 
-    @cached_property
-    def _edge_array(self) -> np.ndarray:
-        """Deletions then additions as one (k >= 1, 2, d) int64 array (object beyond int64)."""
-        edges = [*self.deletions, *self.additions]
-        try:
-            return np.array(edges, dtype=np.int64)
-        except OverflowError:
-            return np.array(edges, dtype=object)
-        except ValueError:  # vertices of different lengths
-            v = next(v for e in edges for v in e if len(v) != self.d)
-            raise InvalidSpec(f"vertex {v} has wrong dimension (expected {self.d})") from None
+    def __delattr__(self, name):
+        raise AttributeError(f"a GraphSpec is immutable: cannot delete {name}")
 
-    @classmethod
-    def _from_array(cls, d, L, kind: str, edges: np.ndarray) -> "GraphSpec":
-        """The spec whose ``kind`` are the rows of ``edges``, cached as given with no canonical_edge pass.
-        Callers pass a (k, 2, d) int64 array of distinct rows, x < y as tuples: a repeat is built twice."""
-        spec = cls(d=d, L=L)
-        spec.__dict__.update({kind: frozenset(_pairs(edges)), "_edge_array": edges})
-        return spec
+    @property
+    def deletions(self) -> frozenset:
+        """The deleted edges as (x, y) coordinate-tuple pairs, built on each access."""
+        return frozenset(_pairs(self.deletion_array))
+
+    @property
+    def additions(self) -> frozenset:
+        """The added edges as (x, y) coordinate-tuple pairs, built on each access."""
+        return frozenset(_pairs(self.addition_array))
+
+    def _key(self) -> tuple:
+        """What equality and the hash compare: d, L and each array's shape and bytes."""
+        return (self.d, self.L, *((a.shape, a.tobytes()) for a in (self.deletion_array, self.addition_array)))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is GraphSpec else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"GraphSpec(d={self.d!r}, L={self.L!r}, {len(self.deletion_array)} deletions, "
+                f"{len(self.addition_array)} additions)")
 
     def perturbation_radius(self) -> int | None:
         """The smallest R whose ball B_R holds every perturbed edge; None with no perturbation."""
-        if not (self.deletions or self.additions):
-            return None
-        return max(-int(self._edge_array.min()), int(self._edge_array.max())) + 1
+        return max((max(-int(a.min()), int(a.max())) + 1 for a in (self.deletion_array, self.addition_array)
+                    if a.size), default=None)
 
     def validate(self) -> None:
         if not _is_int(self.d) or self.d < 1:
             raise InvalidSpec(f"dimension must be an integer >= 1, got {self.d!r}")
         if not _is_int(self.L) or self.L < 2:
             raise InvalidSpec(f"box radius L must be an integer >= 2, got {self.L!r}")
-        if self.deletions and self.additions:
+        deleting = len(self.deletion_array) > 0
+        if deleting and len(self.addition_array):
             raise InvalidSpec("deletions and additions cannot both be nonempty")
-        if not (self.deletions or self.additions):
+        edges = self.deletion_array if deleting else self.addition_array
+        if not len(edges):
             return
-        edges = self._edge_array
         outside = edges[((edges <= -self.L) | (edges >= self.L)).any(axis=2)]
         if len(outside):
             raise InvalidSpec(f"perturbed vertex {tuple(outside[0].tolist())} lies outside the box B_{self.L}")
         if edges.shape[2] != self.d:
             raise InvalidSpec(f"vertex {tuple(edges[0, 0].tolist())} has wrong dimension (expected {self.d})")
         base = np.abs(edges[:, 0] - edges[:, 1]).sum(axis=1) == 1
-        if self.deletions and not base.all():
+        if deleting and not base.all():
             raise InvalidSpec(f"deletion {next(_pairs(edges[~base]))} is not a base lattice edge")
-        if self.additions and base.any():
+        if not deleting and base.any():
             raise InvalidSpec(f"addition {next(_pairs(edges[base]))} is already a base lattice edge")
 
     def to_json_dict(self) -> dict:
         return {
             "d": int(self.d),
             "L": int(self.L),
-            "deletions": [[list(x), list(y)] for x, y in sorted(self.deletions)],
-            "additions": [[list(x), list(y)] for x, y in sorted(self.additions)],
+            "deletions": self.deletion_array.tolist(),
+            "additions": self.addition_array.tolist(),
         }
 
     @classmethod
@@ -150,9 +164,52 @@ class GraphSpec:
             raise InvalidSpec(f"malformed graph spec: {exc}") from exc
 
 
+def _read_edges(name: str, edges, d, L) -> np.ndarray:
+    """A GraphSpec's deletions or additions as a canonical read-only (k, 2, d') int64 array, d' the
+    vertices' length. An integer array of shape (k, 2, d') is read as it is, anything else as (x, y)
+    pairs by canonical_edge, whose vertices must share one length and fit in int64."""
+    if not (isinstance(edges, np.ndarray) and edges.ndim == 3 and edges.shape[1] == 2
+            and np.issubdtype(edges.dtype, np.integer) and np.can_cast(edges.dtype, np.int64)):
+        try:
+            pairs = [canonical_edge(*e) for e in edges]
+        except TypeError as exc:  # canonical_edge reports bad coordinates itself
+            raise InvalidSpec(f"{name} must be a collection of (x, y) vertex pairs, got {reprlib.repr(edges)}: "
+                              f"{exc}") from None
+        vertices = [v for e in pairs for v in e]
+        if len(set(map(len, vertices))) > 1:
+            raise InvalidSpec(f"vertex {next(v for v in vertices if len(v) != d)} has wrong dimension "
+                              f"(expected {d})")
+        try:
+            edges = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, -1 if pairs else 0)
+        except OverflowError:  # no box that fits in memory holds it
+            big = next(v for v in vertices if not all(-2 ** 63 <= c < 2 ** 63 for c in v))
+            raise InvalidSpec(f"perturbed vertex {big} lies outside the box B_{L}") from None
+    if not len(edges):  # no edges have one shape, however they came
+        edges = np.empty((0, 2, d if _is_int(d) and d >= 1 else 0), dtype=np.int64)
+    return _canonical_edges(edges.astype(np.int64))
+
+
+def _canonical_edges(edges: np.ndarray) -> np.ndarray:
+    """The rows of a (k, 2, d) int64 array, which it overwrites, as a read-only array: each edge
+    (x, y) turned so that x < y lexicographically, sorted lexicographically, each once."""
+    k, _, d = edges.shape
+    if k:
+        differ = edges[:, 0] != edges[:, 1]
+        if not (distinct := differ.any(axis=1)).all():
+            raise InvalidSpec(f"degenerate edge at {tuple(edges[~distinct][0, 0].tolist())}")
+        rows, first = np.arange(k), differ.argmax(axis=1)  # the first coordinate where x and y differ
+        flip = edges[rows, 0, first] > edges[rows, 1, first]
+        edges[flip] = edges[flip, ::-1]
+        flat = edges.reshape(k, 2 * d)
+        flat = flat[np.lexsort(flat.T[::-1])]
+        edges = flat[np.concatenate([[True], (flat[1:] != flat[:-1]).any(axis=1)])].reshape(-1, 2, d)
+    edges.flags.writeable = False
+    return edges
+
+
 def _pairs(edges: np.ndarray):
-    """The rows of a (k, 2, d) edge array as (x, y) pairs of coordinate tuples (zip's grouper)."""
-    return zip(*[iter(map(tuple, edges.reshape(-1, edges.shape[2]).tolist()))] * 2)
+    """The rows of a (k, 2, d) edge array as (x, y) pairs of coordinate tuples."""
+    return ((tuple(x), tuple(y)) for x, y in edges.tolist())
 
 
 def _flat_ids(points, lo, shape) -> np.ndarray:
@@ -310,13 +367,13 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     spec.validate()
     lo, shape = (1 - spec.L,) * spec.d, (2 * spec.L - 1,) * spec.d
     deleted, added = [None] * spec.d, np.empty((0, 2), dtype=np.int64)
-    if spec.deletions:
-        x, y = spec._edge_array[:, 0], spec._edge_array[:, 1]
-        tails = [np.asarray(x[np.argmax(y - x, axis=1) == k], dtype=np.int64) - lo for k in range(spec.d)]
+    if len(spec.deletion_array):
+        x, y = spec.deletion_array[:, 0], spec.deletion_array[:, 1]
+        tails = [x[np.argmax(y - x, axis=1) == k] - lo for k in range(spec.d)]
         deleted = [tuple(t.T) if len(t) else None for t in tails]
         _check_connected(spec, deleted)  # perturbed-d3-L25 peak 65 MB; 69 if run after Graph()
-    if spec.additions:
-        added = _flat_ids(spec._edge_array, lo, shape)
+    if len(spec.addition_array):
+        added = _flat_ids(spec.addition_array, lo, shape)
     box = BoxEdges(tuple(deleted), *np.ascontiguousarray(added.T))
     # ids and the unsorted edges live until the return: the heap a build leaves decides
     # the kernels' page faults, and with ids freed before Graph() each later
@@ -346,7 +403,7 @@ def _check_connected(spec: GraphSpec, deleted: list) -> None:
     if not is_connected(local := Graph((0,), (ids.size + hub,), edges)):
         roots = _roots(local)  # with no hub, cut off from vertex 0; for d = 1, the right ray too
         cut = np.flatnonzero(roots[:ids.size] != roots[-1 if hub else 0])
-        raise DisconnectedGraph(f"deleting {len(spec.deletions)} edge(s) disconnected the box B_{spec.L}: "
+        raise DisconnectedGraph(f"deleting {len(spec.deletion_array)} edge(s) disconnected the box B_{spec.L}: "
                                 f"{len(cut) + (not hub) * shift} vertices cut off, the smallest "
                                 f"{tuple(np.subtract(np.unravel_index(cut[0], ids.shape), r).tolist())}")
 
@@ -387,12 +444,17 @@ def _roots(graph: Graph) -> np.ndarray:
     return parent
 
 
-def ball_boundary_edges(d: int, R: int) -> list:
-    """Base edges (y, z) with y inside B_R and z outside, canonically ordered."""
-    ball, e = np.indices((2 * R - 1,) * d).reshape(d, -1).T - (R - 1), np.eye(d, dtype=int)
+def _ball_boundary_array(d: int, R: int) -> np.ndarray:
+    """Base edges (y, z) with y inside B_R and z outside, as a canonical (k, 2, d) array."""
+    ball, e = np.indices((2 * R - 1,) * d).reshape(d, -1).T - (R - 1), np.eye(d, dtype=np.int64)
     # (t, t + e_k) crosses the sphere exactly when t_k is R - 1 (t inside) or -R (t outside)
     tails = [(k, t) for k in range(d) for t in (ball[ball[:, k] == R - 1], ball[ball[:, k] == 1 - R] - e[k])]
-    return sorted(_pairs(np.concatenate([np.stack([t, t + e[k]], axis=1) for k, t in tails])))
+    return _canonical_edges(np.concatenate([np.stack([t, t + e[k]], axis=1) for k, t in tails]))
+
+
+def ball_boundary_edges(d: int, R: int) -> list:
+    """Base edges (y, z) with y inside B_R and z outside, canonically ordered and sorted."""
+    return list(_pairs(_ball_boundary_array(d, R)))
 
 
 def sphere_deletion_spec(d: int, R: int, L: int) -> GraphSpec:
@@ -402,23 +464,21 @@ def sphere_deletion_spec(d: int, R: int, L: int) -> GraphSpec:
     """
     if not (_is_int(d) and _is_int(R) and _is_int(L) and d >= 1 and 1 <= R < L):
         raise InvalidSpec(f"need integers d >= 1 and 1 <= R < L, got d={d!r}, R={R!r}, L={L!r}")
-    kept = ((R - 1,) + (0,) * (d - 1), (R,) + (0,) * (d - 1))
-    return GraphSpec._from_array(d, L, "deletions", np.array([e for e in ball_boundary_edges(d, R) if e != kept]))
+    crossing, kept = _ball_boundary_array(d, R), np.zeros((2, d), dtype=np.int64)
+    kept[:, 0] = R - 1, R
+    return GraphSpec(d, L, deletions=crossing[(crossing != kept).any(axis=(1, 2))])
 
 
 def star_addition_spec(d: int, R: int, L: int) -> GraphSpec:
     """Join the origin and its lattice neighbours to every vertex of B_R.
 
     Adds (c, y) for each centre c in {0, +-e_k} and every y in B_R that is
-    neither c itself nor already a lattice neighbour of c, deduplicated in
-    canonical form.
+    neither c itself nor already a lattice neighbour of c; the spec keeps
+    each edge once, in canonical form.
     """
     if not (_is_int(d) and _is_int(R) and _is_int(L) and d >= 1 and 2 <= R < L):
         raise InvalidSpec(f"need integers d >= 1 and 2 <= R < L, got d={d!r}, R={R!r}, L={L!r}")
     ball = np.indices((2 * R - 1,) * d).reshape(d, -1).T - (R - 1)
-    ids = np.flatnonzero(np.abs(ball).sum(axis=1) <= 1)  # the centres, by their ids in B_R
-    # pairs (c, y) at l1-distance >= 2, as ids in B_R's C order, which sorts like the points
-    far = np.abs(ball[ids, None] - ball).sum(axis=2) > 1
-    far[:, ids] &= ids[:, None] < ids  # a pair of centres once, from the smaller
-    i, y = np.nonzero(far)
-    return GraphSpec._from_array(d, L, "additions", ball[np.sort(np.stack([ids[i], y], axis=1))])
+    centres = ball[np.abs(ball).sum(axis=1) <= 1]
+    c, y = np.nonzero(np.abs(centres[:, None] - ball).sum(axis=2) > 1)  # l1-distance >= 2
+    return GraphSpec(d, L, additions=np.stack([centres[c], ball[y]], axis=1))

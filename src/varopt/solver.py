@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,7 +202,11 @@ def _seed_recipe(graph: Graph, descriptor, power=1) -> tuple:
     that power must not all vanish, so that the field projects. minimize checks its plan
     this way."""
     if isinstance(descriptor, (np.ndarray, list)):
-        values = np.asarray(descriptor, dtype=np.float64)
+        try:
+            values = np.asarray(descriptor, dtype=np.float64)
+        except (TypeError, ValueError):  # entries that are not numbers, or ragged rows
+            raise InvalidSpec(f"explicit seed needs {graph.n} finite values, "
+                              f"got {reprlib.repr(descriptor)}") from None
         if values.shape != (graph.n,) or not np.all(np.isfinite(values)):
             raise InvalidSpec(f"explicit seed needs {graph.n} finite values, got shape {values.shape}")
         if not _abs_pow(values, power).any():
@@ -660,7 +665,7 @@ def spectral_oracle(graph: Graph) -> float:
     """
     if graph.boundary != "dirichlet":
         raise InvalidSpec("the spectral oracle needs a graph in dirichlet mode")
-    if graph.spec is not None and not (graph.spec.deletions or graph.spec.additions):
+    if graph.spec is not None and graph.spec.perturbation_radius() is None:
         return graph.d * (2.0 - 2.0 * np.cos(np.pi / (2 * graph.L)))
     n = graph.n
     if n > _SPECTRAL_DENSE_LIMIT:

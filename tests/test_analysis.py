@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -259,6 +260,27 @@ def test_repeated_radii_are_rejected_before_any_build_or_solve(monkeypatch):
         star_nonattainment_probe(1, 4, 4.0, None, [8, 7, 8], 3.0, solver_cfg=CFG)
     with pytest.raises(InvalidSpec, match=r"^R_list lists 2 twice, got \[2, 2\]"):
         sobolev_critical_gap(3, 2.0, [2, 2], 6, solver_cfg=CFG)
+    assert calls == []
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda g: compare_energies(g, g, ProblemSpec(kind="nls", a=1.0, p=4), 5.0, solver_cfg=CFG),
+     "a_grid must list at least one mass, got 5.0"),
+    (lambda g: verify_E_properties(g, 4.0, 2, solver_cfg=CFG), "a_grid must list at least one mass, got 2"),
+    (lambda g: star_nonattainment_probe(1, 4, 4.0, None, 9, 3.0, solver_cfg=CFG),
+     "L_list must list at least one truncation radius L, got 9"),
+    (lambda g: star_nonattainment_probe(1, 4, 4.0, None, [9, "x"], 3.0, solver_cfg=CFG), "L_list"),
+    (lambda g: sobolev_critical_gap(3, 2.0, 2, 6, solver_cfg=CFG),
+     "R_list must list at least one sphere radius R, got 2"),
+], ids=["compare-a_grid", "verify-E-a_grid", "star-L_list", "star-L_list-mixed", "gap-R_list"])
+def test_a_scalar_grid_names_its_parameter_before_any_build_or_solve(monkeypatch, call, named):
+    # each once raised TypeError: 'float' object is not iterable (or 'int')
+    g = build_graph(GraphSpec(d=1, L=6))
+    calls = []
+    monkeypatch.setattr(analysis, "build_graph", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(analysis, "minimize", lambda *args: calls.append(args))
+    with pytest.raises(InvalidSpec, match=re.escape(named)):
+        call(g)
     assert calls == []
 
 

@@ -330,6 +330,20 @@ def test_file_errors_exit_2_with_a_json_line(tmp_path, capsys):
     assert err["error"] in ("NotADirectoryError", "FileExistsError") and "file" in err["message"]
 
 
+@pytest.mark.parametrize("experiment,payload,message", [
+    ("compare", {"graph": LINE, "problem": NLS_PROBLEM, "params": {"a_grid": 5.0}},
+     "a_grid must list at least one mass, got 5.0"),
+    ("star-probe", {"params": dict(STAR, L_list=9)}, "L_list must list at least one truncation radius L, got 9"),
+    ("sobolev-gap", {"params": dict(GAP, R_list=2)}, "R_list must list at least one sphere radius R, got 2"),
+], ids=["compare-a_grid", "star-probe-L_list", "sobolev-gap-R_list"])
+def test_a_scalar_grid_exits_2_as_invalid_spec(tmp_path, capsys, experiment, payload, message):
+    # each once exited 2 on a bare TypeError: 'float' object is not iterable (or 'int')
+    path = write_config(tmp_path, "cfg.json", dict(payload, solver={"restarts": 1}))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "InvalidSpec", "message": message}
+    assert not (tmp_path / "o").exists()
+
+
 def test_string_seeds_exit_2(tmp_path, capsys):
     # "delta" was once split into the descriptors "d", "e", ...
     path = write_config(tmp_path, "cfg.json", {"graph": LINE, "problem": NLS_PROBLEM,

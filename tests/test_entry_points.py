@@ -7,6 +7,10 @@ harness passes, must fail here rather than break the harness.
 
 import contextlib
 import inspect
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,3 +107,16 @@ def test_build_graph_checks_connectivity_through_the_module_global(monkeypatch):
     lattice.build_graph(lattice.GraphSpec(d=2, L=4))
     lattice.build_graph(lattice.star_addition_spec(2, 2, 4))
     assert len(calls) == len(specs)
+
+
+def test_traced_perturbed_workload_runs_end_to_end():
+    # the traced harness wraps the GraphSpec class and both spec factories, so a change
+    # to the constructor that breaks the wrappers shows only in a whole run
+    root = Path(__file__).resolve().parent.parent
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", "perturbed-d3-L25", "--size", "toy",
+           "--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0, result
+    assert result["metrics"]["lattice.spec_s"]["value"] > 0

@@ -336,9 +336,9 @@ def test_factories_match_brute_force_comprehensions(d, R):
             continue  # a cut line is disconnected
         g, h = build_graph(built, boundary="dirichlet"), build_graph(again, boundary="dirichlet")
         assert built == again
-        # the factory's array keeps _from_array's rule: distinct rows, each the canonical edge
-        rows = [tuple(map(tuple, e)) for e in built._edge_array.tolist()]
-        assert len(set(rows)) == len(rows) and set(rows) == again.deletions | again.additions
+        # the spec's arrays are canonical: rows sorted, distinct, each the canonical edge
+        rows = [tuple(map(tuple, e)) for e in np.concatenate([built.deletion_array, built.addition_array]).tolist()]
+        assert rows == sorted(set(rows)) and set(rows) == again.deletions | again.additions
         assert all(np.array_equal(getattr(g, a), getattr(h, a)) for a in ("tails", "heads", "phantom"))
 
 
@@ -530,7 +530,11 @@ def test_spec_invariant_violations():
     (lambda: GraphSpec(d=1, L=3, additions={((0,), (5,))}).validate(), "vertex (5,) lies outside the box B_3"),
     (lambda: GraphSpec(d=2, L=4, additions={((0,), (2,))}).validate(), "wrong dimension (expected 2)"),
     (lambda: GraphSpec.from_json_dict({"d": 1, "L": 4, "radius": 2}), "malformed graph spec"),
-], ids=["degenerate-edge", "ball-exceeds-box", "vertex-dimension", "json-unknown-key"])
+    (lambda: GraphSpec(d=2, L=5, additions=5), "additions must be a collection of (x, y) vertex pairs, got 5"),
+    (lambda: GraphSpec(d=1, L=5, deletions=[((0,), (1,), (2,))]), "deletions must be a collection of (x, y) vertex"),
+    (lambda: GraphSpec.from_json_dict({"d": 1, "L": 4, "deletions": 3}), "deletions must be a collection"),
+], ids=["degenerate-edge", "ball-exceeds-box", "vertex-dimension", "json-unknown-key", "edges-scalar",
+        "edge-of-three-vertices", "json-edges-scalar"])
 def test_spec_checks_name_their_cause(call, fragment):
     with pytest.raises(InvalidSpec, match=re.escape(fragment)):
         call()
@@ -626,6 +630,61 @@ def test_equal_perturbations_are_equal_specs():
     assert GraphSpec(d=2, L=5).perturbation_radius() is None
     with pytest.raises(InvalidSpec, match="malformed graph spec"):  # a record that states a radius
         GraphSpec.from_json_dict(dict(cut.to_json_dict(), R=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_spec_is_its_canonical_edge_set(data):
+    # shuffled, flipped, repeated, as pairs or as an array: the same edges make an equal spec
+    d = data.draw(st.integers(1, 3), label="d")
+    verts = box_vertices(d, 3)
+    edge = st.tuples(st.sampled_from(verts), st.sampled_from(verts)).filter(lambda e: e[0] != e[1])
+    pairs = data.draw(st.lists(edge, min_size=1, max_size=10), label="pairs")
+    kind = data.draw(st.sampled_from(["deletions", "additions"]), label="kind")
+    canonical = sorted({canonical_edge(*e) for e in pairs})
+    spec = GraphSpec(d=d, L=3, **{kind: canonical})
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)), label="flips")
+    variant = [e[::-1] if flip else e for e, flip in zip(pairs, flips)]
+    variant += data.draw(st.lists(st.sampled_from(variant), max_size=4), label="repeats")
+    variant = data.draw(st.permutations(variant), label="order")
+    for edges in (variant, np.array(variant), np.array(variant, dtype=np.int32), set(variant),
+                  getattr(spec, kind), spec.deletion_array if kind == "deletions" else spec.addition_array):
+        again = GraphSpec(d=d, L=3, **{kind: edges})
+        assert again == spec and hash(again) == hash(spec)
+    edges, other = (spec.deletion_array, spec.addition_array)[::1 if kind == "deletions" else -1]
+    assert edges.dtype == np.int64 and edges.shape == (len(canonical), 2, d) and other.shape == (0, 2, d)
+    assert [tuple(map(tuple, e)) for e in edges.tolist()] == canonical and not edges.flags.writeable
+    assert getattr(spec, kind) == set(canonical) and not getattr(GraphSpec(d=d, L=3), kind)
+    again = GraphSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+    assert again == spec and hash(again) == hash(spec) and again.to_json_dict() == spec.to_json_dict()
+    assert spec != GraphSpec(d=d, L=4, **{kind: canonical}) and spec != GraphSpec(d=d, L=3, **{kind: canonical[1:]})
+
+
+def test_a_spec_keeps_no_python_object_per_edge():
+    # as frozensets of tuple pairs the star's 9,253 edges once kept about 2.9 MB
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        spec = star_addition_spec(3, 6, 25)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 2 * 9253 * 2 * 3 * 8
+    assert spec.addition_array.shape == (9253, 2, 3) and spec.addition_array.nbytes == 9253 * 2 * 3 * 8
+    # the pairs view is built on each access, never kept
+    assert spec.additions is not spec.additions and spec.additions == spec.additions
+    assert len(spec.additions) == 9253 and not spec.deletions
+    assert repr(spec) == "GraphSpec(d=3, L=25, 0 deletions, 9253 additions)"
+    assert repr(sphere_deletion_spec(2, 2, 5)) == "GraphSpec(d=2, L=5, 11 deletions, 0 additions)"
+    for name in ("d", "addition_array", "additions"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(spec, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(spec, name)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.addition_array[0, 0, 0] = 5
 
 
 def test_graph_takes_no_spec_or_box():

@@ -443,6 +443,20 @@ def test_an_explicit_seed_that_vanishes_fails_before_any_descent(monkeypatch, pr
     assert descents == []
 
 
+@pytest.mark.parametrize("seed", [["x"] * 11, [[1.0, 2.0], [3.0]], [1.0] * 10 + [{}]],
+                         ids=["strings", "ragged", "dict"])
+def test_an_explicit_seed_that_is_not_numbers_fails_before_any_descent(monkeypatch, seed):
+    # the strings once raised numpy's bare ValueError "could not convert string to float"
+    descents = []
+    monkeypatch.setattr(solver, "_descend", lambda *args: descents.append(args))
+    g = build_graph(GraphSpec(d=1, L=6))
+    with pytest.raises(InvalidSpec, match=r"^explicit seed needs 11 finite values, got \["):
+        minimize(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=["delta", seed]))
+    with pytest.raises(InvalidSpec, match="explicit seed"):
+        make_seed(g, seed, np.random.default_rng(0))
+    assert descents == []
+
+
 @pytest.mark.parametrize("call,error,fragment", [
     (lambda g: minimize(g, ProblemSpec(kind="heat", a=1.0, p=4)), InvalidSpec, "unknown problem kind 'heat'"),
     (lambda g: minimize(g, ProblemSpec(kind="sobolev", a=1.0, p=0.5, q=6, allow_subcritical=True)),
