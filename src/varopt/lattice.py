@@ -3,11 +3,11 @@
 Vertices are d-tuples of ints with sup-norm < L (the box B_L); base edges
 connect points at l1-distance 1. A perturbation either deletes a finite set
 of base edges (connectivity must survive) or adds a finite set of non-base
-edges, all inside a ball B_R around the origin; a GraphSpec holds each set as one
-canonical (k, 2, d) int64 array of edges. Fields on a truncation are
-zero-extended outside the box; edges crossing the box boundary are either
-dropped entirely (``boundary="drop"``, the default) or kept with a
-zero-valued phantom endpoint (``boundary="dirichlet"``).
+edges, all inside a ball B_R around the origin; a GraphSpec, checked when it
+is made, holds each set as one canonical (k, 2, d) int64 array of edges.
+Fields on a truncation are zero-extended outside the box; edges crossing the
+box boundary are either dropped entirely (``boundary="drop"``, the default)
+or kept with a zero-valued phantom endpoint (``boundary="dirichlet"``).
 """
 
 from __future__ import annotations
@@ -78,34 +78,37 @@ class GraphSpec:
     with x < y lexicographically, the rows sorted lexicographically, none twice.
     The constructor takes such an integer array or any collection of (x, y)
     vertex pairs, in any order and orientation and with repeats, so two specs
-    with the same d, L and edges are equal. ``deletions`` and ``additions`` are
-    the same edges as a frozenset of coordinate-tuple pairs, built anew on each
-    access. Deletions and additions are mutually exclusive (the two
-    perturbation families are handled separately); the radius of the ball
-    holding them is derived, never stated (``perturbation_radius``).
+    with the same d, L and edges are equal. It checks the spec once, raising
+    InvalidSpec, so every GraphSpec is valid: d >= 1 and L >= 2 integers; per
+    edge set, integer coordinates, no degenerate edge, every vertex of dimension
+    d and inside the box B_L; then deletions and additions not both nonempty
+    (the two perturbation families are handled separately), every deletion a
+    base edge and no addition one. The radius of the ball holding them is
+    derived, never stated (``perturbation_radius``).
     """
 
     def __init__(self, d, L, deletions=(), additions=()):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "deletion_array", _read_edges("deletions", deletions, d, L))
-        object.__setattr__(self, "addition_array", _read_edges("additions", additions, d, L))
+        if not _is_int(d) or d < 1:
+            raise InvalidSpec(f"dimension must be an integer >= 1, got {d!r}")
+        if not _is_int(L) or L < 2:
+            raise InvalidSpec(f"box radius L must be an integer >= 2, got {L!r}")
+        deleted, added = _read_edges("deletions", deletions, d, L), _read_edges("additions", additions, d, L)
+        if len(deleted) and len(added):
+            raise InvalidSpec("deletions and additions cannot both be nonempty")
+        edges = deleted if len(deleted) else added
+        base = np.abs(edges[:, 0] - edges[:, 1]).sum(axis=1) == 1
+        if len(deleted) and not base.all():
+            raise InvalidSpec(f"deletion {next(_pairs(edges[~base]))} is not a base lattice edge")
+        if len(added) and base.any():
+            raise InvalidSpec(f"addition {next(_pairs(edges[base]))} is already a base lattice edge")
+        for name, value in (("d", d), ("L", L), ("deletion_array", deleted), ("addition_array", added)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a GraphSpec is immutable: cannot set {name}")
 
     def __delattr__(self, name):
         raise AttributeError(f"a GraphSpec is immutable: cannot delete {name}")
-
-    @property
-    def deletions(self) -> frozenset:
-        """The deleted edges as (x, y) coordinate-tuple pairs, built on each access."""
-        return frozenset(_pairs(self.deletion_array))
-
-    @property
-    def additions(self) -> frozenset:
-        """The added edges as (x, y) coordinate-tuple pairs, built on each access."""
-        return frozenset(_pairs(self.addition_array))
 
     def _key(self) -> tuple:
         """What equality and the hash compare: d, L and each array's shape and bytes."""
@@ -126,28 +129,6 @@ class GraphSpec:
         return max((max(-int(a.min()), int(a.max())) + 1 for a in (self.deletion_array, self.addition_array)
                     if a.size), default=None)
 
-    def validate(self) -> None:
-        if not _is_int(self.d) or self.d < 1:
-            raise InvalidSpec(f"dimension must be an integer >= 1, got {self.d!r}")
-        if not _is_int(self.L) or self.L < 2:
-            raise InvalidSpec(f"box radius L must be an integer >= 2, got {self.L!r}")
-        deleting = len(self.deletion_array) > 0
-        if deleting and len(self.addition_array):
-            raise InvalidSpec("deletions and additions cannot both be nonempty")
-        edges = self.deletion_array if deleting else self.addition_array
-        if not len(edges):
-            return
-        outside = edges[((edges <= -self.L) | (edges >= self.L)).any(axis=2)]
-        if len(outside):
-            raise InvalidSpec(f"perturbed vertex {tuple(outside[0].tolist())} lies outside the box B_{self.L}")
-        if edges.shape[2] != self.d:
-            raise InvalidSpec(f"vertex {tuple(edges[0, 0].tolist())} has wrong dimension (expected {self.d})")
-        base = np.abs(edges[:, 0] - edges[:, 1]).sum(axis=1) == 1
-        if deleting and not base.all():
-            raise InvalidSpec(f"deletion {next(_pairs(edges[~base]))} is not a base lattice edge")
-        if not deleting and base.any():
-            raise InvalidSpec(f"addition {next(_pairs(edges[base]))} is already a base lattice edge")
-
     def to_json_dict(self) -> dict:
         return {
             "d": int(self.d),
@@ -164,10 +145,10 @@ class GraphSpec:
             raise InvalidSpec(f"malformed graph spec: {exc}") from exc
 
 
-def _read_edges(name: str, edges, d, L) -> np.ndarray:
-    """A GraphSpec's deletions or additions as a canonical read-only (k, 2, d') int64 array, d' the
-    vertices' length. An integer array of shape (k, 2, d') is read as it is, anything else as (x, y)
-    pairs by canonical_edge, whose vertices must share one length and fit in int64."""
+def _read_edges(name: str, edges, d: int, L: int) -> np.ndarray:
+    """A GraphSpec's deletions or additions as a canonical read-only (k, 2, d) int64 array, raising
+    InvalidSpec unless every vertex has dimension d and lies in the box B_L. An integer array of
+    shape (k, 2, d') is read as it is, anything else as (x, y) pairs by canonical_edge."""
     if not (isinstance(edges, np.ndarray) and edges.ndim == 3 and edges.shape[1] == 2
             and np.issubdtype(edges.dtype, np.integer) and np.can_cast(edges.dtype, np.int64)):
         try:
@@ -185,8 +166,13 @@ def _read_edges(name: str, edges, d, L) -> np.ndarray:
             big = next(v for v in vertices if not all(-2 ** 63 <= c < 2 ** 63 for c in v))
             raise InvalidSpec(f"perturbed vertex {big} lies outside the box B_{L}") from None
     if not len(edges):  # no edges have one shape, however they came
-        edges = np.empty((0, 2, d if _is_int(d) and d >= 1 else 0), dtype=np.int64)
-    return _canonical_edges(edges.astype(np.int64))
+        return _canonical_edges(np.empty((0, 2, d), dtype=np.int64))
+    edges = edges.astype(np.int64)
+    if len(outside := edges[((edges <= -L) | (edges >= L)).any(axis=2)]):
+        raise InvalidSpec(f"perturbed vertex {tuple(outside[0].tolist())} lies outside the box B_{L}")
+    if edges.shape[2] != d:
+        raise InvalidSpec(f"vertex {tuple(edges[0, 0].tolist())} has wrong dimension (expected {d})")
+    return _canonical_edges(edges)
 
 
 def _canonical_edges(edges: np.ndarray) -> np.ndarray:
@@ -362,9 +348,9 @@ def build_graph(spec: GraphSpec, boundary: str = "drop") -> Graph:
     the kernels read in the box layout, and keeps no edge list.
 
     Raises DisconnectedGraph when a deletion spec leaves the box disconnected, decided first, on the
-    ball around the deletions (_check_connected); InvalidSpec when the spec is inconsistent.
+    ball around the deletions (_check_connected); InvalidSpec for an unknown boundary mode. The spec
+    needs no check: GraphSpec made it when the spec was made.
     """
-    spec.validate()
     lo, shape = (1 - spec.L,) * spec.d, (2 * spec.L - 1,) * spec.d
     deleted, added = [None] * spec.d, np.empty((0, 2), dtype=np.int64)
     if len(spec.deletion_array):

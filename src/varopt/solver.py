@@ -207,8 +207,11 @@ def _seed_recipe(graph: Graph, descriptor, power=1) -> tuple:
         except (TypeError, ValueError):  # entries that are not numbers, or ragged rows
             raise InvalidSpec(f"explicit seed needs {graph.n} finite values, "
                               f"got {reprlib.repr(descriptor)}") from None
-        if values.shape != (graph.n,) or not np.all(np.isfinite(values)):
+        if values.shape != (graph.n,):
             raise InvalidSpec(f"explicit seed needs {graph.n} finite values, got shape {values.shape}")
+        if not (finite := np.isfinite(values)).all():  # np.asarray reads None as nan
+            i = int(finite.argmin())
+            raise InvalidSpec(f"explicit seed entry {i} is {np.asarray(descriptor, dtype=object)[i]!r}, not finite")
         if not _abs_pow(values, power).any():
             raise InvalidSpec(f"explicit seed vanishes at the constraint power {power:g}, "
                               "so it cannot be projected")

@@ -479,6 +479,17 @@ def test_sobolev_critical_gap_witness():
     assert report.margin > 0
 
 
+def test_sobolev_critical_gap_witness_flips_on_the_uncut_box(monkeypatch):
+    # the control: with the plain box in place of each sphere cut, the indicator of B_R pays for
+    # its whole boundary, |dB_R| (2R - 1)^(-2d/q) = 18 and 30, far above j ~ 4.09, so no R witnesses
+    monkeypatch.setattr(analysis, "sphere_deletion_spec", lambda d, R, L: GraphSpec(d=d, L=L))
+    report = sobolev_critical_gap(3, 2.0, [2, 3], 8, solver_cfg=CFG)
+    assert [r.bound_evaluated for r in report.records] == pytest.approx([18.0, 30.0], abs=1e-9)
+    assert report.j_unperturbed == pytest.approx(4.09, abs=0.01)
+    assert [r.witness for r in report.records] == [False, False]
+    assert report.witness_R is None and report.margin is None
+
+
 def test_sobolev_critical_gap_validation():
     with pytest.raises(InvalidSpec):
         sobolev_critical_gap(3, 2.0, [4], 8, solver_cfg=CFG)  # R >= L/2
@@ -546,6 +557,17 @@ def test_star_probe_consistency_flags_hold_without_a_star(monkeypatch, boundary,
     assert [r.energy_gap for r in report.records] == [0.0, 0.0, 0.0]
     assert [r.com_inf for r in report.records] == pytest.approx(com_inf, abs=1e-3)
     assert [r.multiplier_gap for r in report.records] == pytest.approx([multiplier_gap] * 3, abs=1e-3)
+
+
+def test_star_probe_equality_flag_flips_on_the_star(monkeypatch):
+    # at L = 20 the star's dirichlet gap is a true 1.276e-4, above the 2e-6 tolerance, so
+    # equality_ok reads False; with the plain box in place of the star the gap is 0
+    report = star_nonattainment_probe(1, 3, 4.0, None, [20], 2.0, boundary="dirichlet")
+    assert report.records[0].energy_gap == pytest.approx(1.276e-4, rel=1e-3)
+    assert not report.equality_ok
+    monkeypatch.setattr(analysis, "star_addition_spec", lambda d, R, L: GraphSpec(d=d, L=L))
+    control = star_nonattainment_probe(1, 3, 4.0, None, [20], 2.0, boundary="dirichlet")
+    assert control.records[0].energy_gap == 0.0 and control.equality_ok
 
 
 def test_star_probe_sobolev_multiplier_stays_positive():

@@ -66,6 +66,11 @@ def neighbours(g, x):
     return [tuple(y) for y in g.coords[others].tolist()]
 
 
+def edge_set(edges):
+    """The rows of a spec's (k, 2, d) edge array as a set of (x, y) coordinate-tuple pairs."""
+    return {(tuple(x), tuple(y)) for x, y in edges.tolist()}
+
+
 def all_base_edges(d, L):
     verts = set(box_vertices(d, L))
     out = set()
@@ -101,7 +106,8 @@ def test_truncations_above_the_cut_off_rebuild_their_edge_list(spec, boundary):
     g = build_graph(spec, boundary=boundary)
     assert g.n >= lattice._BOX_MIN_VERTICES and not np.shares_memory(g.tails, g.tails)
     index = {v: i for i, v in enumerate(box_vertices(spec.d, spec.L))}
-    pairs = [(index[x], index[y]) for x, y in (all_base_edges(spec.d, spec.L) - spec.deletions) | spec.additions]
+    edges = (all_base_edges(spec.d, spec.L) - edge_set(spec.deletion_array)) | edge_set(spec.addition_array)
+    pairs = [(index[x], index[y]) for x, y in edges]
     direct = Graph(g.lo, g.shape, np.array(pairs), boundary=boundary)
     assert np.shares_memory(direct.tails, direct.tails) and g.n_edges == direct.n_edges == len(pairs)
     for name in ("tails", "heads", "edges"):
@@ -215,7 +221,7 @@ def test_local_connectivity_check_agrees_with_the_whole_graph():
     seen = dict.fromkeys(["cut", *kinds, *(f"{k}-cut" for k in kinds), *(f"d={d}" for d in (1, 2, 3, 4))], 0)
     for spec in specs:
         box = build_graph(GraphSpec(d=spec.d, L=spec.L))
-        gone = {box.vertex_id(x) * box.n + box.vertex_id(y) for x, y in spec.deletions}
+        gone = {box.vertex_id(x) * box.n + box.vertex_id(y) for x, y in edge_set(spec.deletion_array)}
         keys = box.edges[:, 0] * box.n + box.edges[:, 1]
         whole = Graph(box.lo, box.shape, box.edges[~np.isin(keys, list(gone))])
         cut = _cut_off(whole)
@@ -241,7 +247,7 @@ def test_double_deletion_disconnects_path():
     spec = GraphSpec(d=1, L=3, deletions={((0,), (1,)), ((-1,), (0,))})
     # oracle: removing both edges at 0 splits the 5-vertex path
     verts = box_vertices(1, 3)
-    remaining = all_base_edges(1, 3) - spec.deletions
+    remaining = all_base_edges(1, 3) - edge_set(spec.deletion_array)
     assert not bfs_oracle(verts, remaining)
     with pytest.raises(DisconnectedGraph):
         build_graph(spec)
@@ -250,7 +256,7 @@ def test_double_deletion_disconnects_path():
 def test_sphere_deletion_d1():
     spec = sphere_deletion_spec(1, 2, 4)
     assert set(ball_boundary_edges(1, 2)) == {((-2,), (-1,)), ((1,), (2,))}
-    assert spec.deletions == frozenset({((-2,), (-1,))})  # default keeps ((1,),(2,))
+    assert edge_set(spec.deletion_array) == {((-2,), (-1,))}  # default keeps ((1,),(2,))
 
 
 def test_sphere_deletion_d3_count_and_connectivity():
@@ -264,7 +270,7 @@ def test_sphere_deletion_d3_count_and_connectivity():
                     count += 1
     assert count == len(ball_boundary_edges(3, 2)) == 54
     spec = sphere_deletion_spec(3, 2, 5)
-    assert len(spec.deletions) == 53
+    assert len(spec.deletion_array) == 53
     g = build_graph(spec)
     assert is_connected(g)
     verts = vertex_tuples(g)
@@ -292,7 +298,7 @@ def test_sphere_deletion_d1_truncation_disconnects():
 
 def test_star_addition_d1():
     spec = star_addition_spec(1, 2, 4)
-    assert spec.additions == frozenset({((-1,), (1,))})
+    assert edge_set(spec.addition_array) == {((-1,), (1,))}
 
 
 def test_star_addition_d2_enumeration_oracle():
@@ -306,9 +312,9 @@ def test_star_addition_d2_enumeration_oracle():
             if abs(y[0] - c[0]) + abs(y[1] - c[1]) == 1:
                 continue
             expected.add(canonical_edge(c, y))
-    assert spec.additions == frozenset(expected)
-    assert canonical_edge((0, 0), (1, 1)) in spec.additions
-    assert canonical_edge((1, 0), (-1, 0)) in spec.additions
+    assert edge_set(spec.addition_array) == expected
+    assert canonical_edge((0, 0), (1, 1)) in edge_set(spec.addition_array)
+    assert canonical_edge((1, 0), (-1, 0)) in edge_set(spec.addition_array)
 
 
 @pytest.mark.parametrize("d,R", [(d, R) for d in (1, 2, 3) for R in (1, 2, 3, 4)])
@@ -319,26 +325,27 @@ def test_factories_match_brute_force_comprehensions(d, R):
                 if abs(y[k] + s) >= R}
     assert ball_boundary_edges(d, R) == sorted(crossing)
     kept = ((R - 1,) + (0,) * (d - 1), (R,) + (0,) * (d - 1))
-    assert sphere_deletion_spec(d, R, R + 1).deletions == crossing - {kept}
+    assert edge_set(sphere_deletion_spec(d, R, R + 1).deletion_array) == crossing - {kept}
     if R < 2:
         return
     origin = (0,) * d
     centres = [origin] + [origin[:k] + (s,) + origin[k + 1:] for k, s in steps]
     star = {canonical_edge(c, y) for c in centres for y in ball if y != c and not is_base_edge(c, y)}
     spec = star_addition_spec(d, R, R + 1)
-    assert spec.additions == star and spec.perturbation_radius() == R
+    assert edge_set(spec.addition_array) == star and spec.perturbation_radius() == R
     assert sphere_deletion_spec(d, R, R + 2).perturbation_radius() == R + 1
     # the edge array the factory keeps builds what the same tuples build through the constructor
     for built, again in [(spec, GraphSpec(d=d, L=R + 1, additions=star)),
                          (sphere_deletion_spec(d, R, R + 2),
                           GraphSpec(d=d, L=R + 2, deletions=crossing - {kept}))]:
-        if d == 1 and built.deletions:
+        if d == 1 and len(built.deletion_array):
             continue  # a cut line is disconnected
         g, h = build_graph(built, boundary="dirichlet"), build_graph(again, boundary="dirichlet")
         assert built == again
         # the spec's arrays are canonical: rows sorted, distinct, each the canonical edge
         rows = [tuple(map(tuple, e)) for e in np.concatenate([built.deletion_array, built.addition_array]).tolist()]
-        assert rows == sorted(set(rows)) and set(rows) == again.deletions | again.additions
+        assert rows == sorted(set(rows))
+        assert set(rows) == edge_set(again.deletion_array) | edge_set(again.addition_array)
         assert all(np.array_equal(getattr(g, a), getattr(h, a)) for a in ("tails", "heads", "phantom"))
 
 
@@ -491,7 +498,7 @@ def test_adjacency_symmetry():
 def test_perturbation_locality():
     for spec in (sphere_deletion_spec(2, 2, 5), star_addition_spec(2, 3, 6)):
         R_eff = spec.perturbation_radius()
-        for e in spec.deletions | spec.additions:
+        for e in edge_set(spec.deletion_array) | edge_set(spec.addition_array):
             for vtx in e:
                 assert max(abs(c) for c in vtx) < R_eff
 
@@ -509,26 +516,26 @@ def test_interior_degree_constant_outside_perturbation():
 def test_spec_invariant_violations():
     with pytest.raises(InvalidSpec):
         GraphSpec(d=1, L=3, deletions={((0,), (1,))},
-                  additions={((-2,), (2,))}).validate()
+                  additions={((-2,), (2,))})
     with pytest.raises(InvalidSpec):
-        GraphSpec(d=1, L=3, additions={((0,), (1,))}).validate()  # base edge
+        GraphSpec(d=1, L=3, additions={((0,), (1,))})  # base edge
     with pytest.raises(InvalidSpec):
-        GraphSpec(d=1, L=3, deletions={((0,), (2,))}).validate()  # not a base edge
+        GraphSpec(d=1, L=3, deletions={((0,), (2,))})  # not a base edge
     with pytest.raises(InvalidSpec):
-        GraphSpec(d=1, L=1).validate()
+        GraphSpec(d=1, L=1)
     for bad in ({"d": True}, {"d": 0}, {"L": True}):
         with pytest.raises(InvalidSpec):
-            GraphSpec(**{"d": 2, "L": 5, **bad}).validate()
+            GraphSpec(**{"d": 2, "L": 5, **bad})
     for edge in ([[-1.7], [1]], [["1"], [2]], [[-1], 1]):  # coordinates must be integers
         with pytest.raises(InvalidSpec):
             GraphSpec(d=1, L=6, additions=[edge])
-    assert GraphSpec(d=1, L=6, additions=[[[np.int64(-1)], [1]]]).additions == {((-1,), (1,))}
+    assert GraphSpec(d=1, L=6, additions=[[[np.int64(-1)], [1]]]).addition_array.tolist() == [[[-1], [1]]]
 
 
 @pytest.mark.parametrize("call,fragment", [
     (lambda: canonical_edge((1, 0), (1, 0)), "degenerate edge at (1, 0)"),
-    (lambda: GraphSpec(d=1, L=3, additions={((0,), (5,))}).validate(), "vertex (5,) lies outside the box B_3"),
-    (lambda: GraphSpec(d=2, L=4, additions={((0,), (2,))}).validate(), "wrong dimension (expected 2)"),
+    (lambda: GraphSpec(d=1, L=3, additions={((0,), (5,))}), "vertex (5,) lies outside the box B_3"),
+    (lambda: GraphSpec(d=2, L=4, additions={((0,), (2,))}), "wrong dimension (expected 2)"),
     (lambda: GraphSpec.from_json_dict({"d": 1, "L": 4, "radius": 2}), "malformed graph spec"),
     (lambda: GraphSpec(d=2, L=5, additions=5), "additions must be a collection of (x, y) vertex pairs, got 5"),
     (lambda: GraphSpec(d=1, L=5, deletions=[((0,), (1,), (2,))]), "deletions must be a collection of (x, y) vertex"),
@@ -567,13 +574,15 @@ BIG = 2 ** 70  # beyond int64
     (lambda: GraphSpec(d=1, L=6, additions=[[["1"], [2]]]),
      "needs integer coordinates: 'str' object cannot be interpreted as an integer"),
     (lambda: GraphSpec(d=2, L=4, deletions=[((1, 0), (1, 0))]), "degenerate edge at (1, 0)"),
+    (lambda: GraphSpec(d=True, L=5), "dimension must be an integer >= 1, got True"),
+    (lambda: GraphSpec(d=2.0, L=5), "dimension must be an integer >= 1, got 2.0"),
 ], ids=["dimension", "mixed-dimensions", "outside-R-beyond-int64", "ball-beyond-int64",
         "deletion-not-base", "deletion-diagonal", "addition-base", "both-kinds",
-        "bool", "bool-False", "numpy-bool", "float", "str", "degenerate"])
+        "bool", "bool-False", "numpy-bool", "float", "str", "degenerate", "d-bool", "d-float"])
 def test_each_spec_check_raises_its_message(make, message):
-    # coordinates are checked at construction, the rest by validate(), which build_graph calls first
+    # every check is made at construction, so build_graph is never handed an invalid spec
     with pytest.raises(InvalidSpec, match=re.escape(message)):
-        make().validate()
+        make()
     with pytest.raises(InvalidSpec, match=re.escape(message)):
         build_graph(make())
 
@@ -604,7 +613,7 @@ def test_numpy_integer_sizes_build_the_same_graph():
     assert vertex_tuples(path_graph(np.int64(3))) == vertex_tuples(path_graph(3))
     for bad in ({"d": np.True_}, {"L": np.True_}):
         with pytest.raises(InvalidSpec):
-            GraphSpec(**{"d": 2, "L": 5, **bad}).validate()
+            GraphSpec(**{"d": 2, "L": 5, **bad})
     with pytest.raises(InvalidSpec):
         path_graph(np.True_)
 
@@ -622,7 +631,7 @@ def test_equal_perturbations_are_equal_specs():
     cut = GraphSpec(d=2, L=5, deletions={((0, 0), (1, 0))})
     assert cut == GraphSpec(d=2, L=5, deletions=[[[1, 0], [0, 0]]]) and cut.perturbation_radius() == 2
     for spec in (sphere_deletion_spec(3, 2, 6), star_addition_spec(3, 2, 6)):
-        again = GraphSpec(d=3, L=6, deletions=spec.deletions, additions=spec.additions)
+        again = GraphSpec(d=3, L=6, deletions=edge_set(spec.deletion_array), additions=edge_set(spec.addition_array))
         assert spec == again and hash(spec) == hash(again)
         assert spec.perturbation_radius() == again.perturbation_radius()
         assert _default_probe_radius(build_graph(spec)) == _default_probe_radius(build_graph(again))
@@ -636,25 +645,30 @@ def test_equal_perturbations_are_equal_specs():
 @given(st.data())
 def test_a_spec_is_its_canonical_edge_set(data):
     # shuffled, flipped, repeated, as pairs or as an array: the same edges make an equal spec
+    # deletions are base edges of B_3 and additions pairs that are not: every spec drawn is valid
     d = data.draw(st.integers(1, 3), label="d")
-    verts = box_vertices(d, 3)
-    edge = st.tuples(st.sampled_from(verts), st.sampled_from(verts)).filter(lambda e: e[0] != e[1])
-    pairs = data.draw(st.lists(edge, min_size=1, max_size=10), label="pairs")
     kind = data.draw(st.sampled_from(["deletions", "additions"]), label="kind")
+    verts = box_vertices(d, 3)
+    if kind == "deletions":
+        edge = st.sampled_from(sorted(all_base_edges(d, 3)))
+    else:
+        edge = st.tuples(st.sampled_from(verts), st.sampled_from(verts)).filter(
+            lambda e: e[0] != e[1] and not is_base_edge(*e))
+    pairs = data.draw(st.lists(edge, min_size=1, max_size=10), label="pairs")
     canonical = sorted({canonical_edge(*e) for e in pairs})
     spec = GraphSpec(d=d, L=3, **{kind: canonical})
     flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)), label="flips")
     variant = [e[::-1] if flip else e for e, flip in zip(pairs, flips)]
     variant += data.draw(st.lists(st.sampled_from(variant), max_size=4), label="repeats")
     variant = data.draw(st.permutations(variant), label="order")
-    for edges in (variant, np.array(variant), np.array(variant, dtype=np.int32), set(variant),
-                  getattr(spec, kind), spec.deletion_array if kind == "deletions" else spec.addition_array):
+    array = getattr(spec, f"{kind[:-1]}_array")
+    for edges in (variant, np.array(variant), np.array(variant, dtype=np.int32), set(variant), edge_set(array), array):
         again = GraphSpec(d=d, L=3, **{kind: edges})
         assert again == spec and hash(again) == hash(spec)
     edges, other = (spec.deletion_array, spec.addition_array)[::1 if kind == "deletions" else -1]
     assert edges.dtype == np.int64 and edges.shape == (len(canonical), 2, d) and other.shape == (0, 2, d)
     assert [tuple(map(tuple, e)) for e in edges.tolist()] == canonical and not edges.flags.writeable
-    assert getattr(spec, kind) == set(canonical) and not getattr(GraphSpec(d=d, L=3), kind)
+    assert edge_set(array) == set(canonical) and not len(getattr(GraphSpec(d=d, L=3), f"{kind[:-1]}_array"))
     again = GraphSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
     assert again == spec and hash(again) == hash(spec) and again.to_json_dict() == spec.to_json_dict()
     assert spec != GraphSpec(d=d, L=4, **{kind: canonical}) and spec != GraphSpec(d=d, L=3, **{kind: canonical[1:]})
@@ -673,9 +687,7 @@ def test_a_spec_keeps_no_python_object_per_edge():
         tracemalloc.stop()
     assert retained <= 2 * 9253 * 2 * 3 * 8
     assert spec.addition_array.shape == (9253, 2, 3) and spec.addition_array.nbytes == 9253 * 2 * 3 * 8
-    # the pairs view is built on each access, never kept
-    assert spec.additions is not spec.additions and spec.additions == spec.additions
-    assert len(spec.additions) == 9253 and not spec.deletions
+    assert spec.deletion_array.shape == (0, 2, 3)
     assert repr(spec) == "GraphSpec(d=3, L=25, 0 deletions, 9253 additions)"
     assert repr(sphere_deletion_spec(2, 2, 5)) == "GraphSpec(d=2, L=5, 11 deletions, 0 additions)"
     for name in ("d", "addition_array", "additions"):
@@ -715,8 +727,8 @@ def test_build_graph_attaches_its_spec_and_box(spec):
         edges += zip(tails[keep].tolist(), heads[keep].tolist())
     edges += zip(g.box.tails.tolist(), g.box.heads.tolist())
     assert sorted(edges) == list(map(tuple, g.edges.tolist()))
-    assert sum(0 if s is None else len(s[0]) for s in g.box.deleted) == len(spec.deletions)
-    assert len(g.box.heads) == len(spec.additions)
+    assert sum(0 if s is None else len(s[0]) for s in g.box.deleted) == len(spec.deletion_array)
+    assert len(g.box.heads) == len(spec.addition_array)
 
 
 def test_path_graph():
@@ -775,9 +787,9 @@ def test_build_graph_matches_tuple_reference(data):
     perturbed = [v for e in deletions | additions for v in e]
     # the radius is derived: the smallest whose ball holds every perturbed vertex
     assert spec.perturbation_radius() == (max(max(map(abs, v)) for v in perturbed) + 1 if perturbed else None)
-    edges = (base - spec.deletions) | spec.additions
+    edges = (base - edge_set(spec.deletion_array)) | edge_set(spec.addition_array)
     connected = bfs_oracle(verts, edges)
-    if spec.deletions and not connected:
+    if len(spec.deletion_array) and not connected:
         with pytest.raises(DisconnectedGraph):
             build_graph(spec)
         index = {v: i for i, v in enumerate(verts)}

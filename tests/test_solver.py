@@ -457,6 +457,23 @@ def test_an_explicit_seed_that_is_not_numbers_fails_before_any_descent(monkeypat
     assert descents == []
 
 
+@pytest.mark.parametrize("seed,message", [
+    ([None] * 7, "explicit seed entry 0 is None, not finite"),
+    ([1.0, 2.0, 3.0, np.inf, 1.0, 1.0, 1.0], "explicit seed entry 3 is inf, not finite"),
+    (np.array([1.0] * 5 + [np.nan, 1.0]), "explicit seed entry 5 is nan, not finite"),
+    ([1.0] * 8, "explicit seed needs 7 finite values, got shape (8,)"),
+    (np.ones((7, 1)), "explicit seed needs 7 finite values, got shape (7, 1)"),
+], ids=["none", "inf", "nan-array", "too-long", "column"])
+def test_an_explicit_seed_names_its_fault_before_any_descent(monkeypatch, seed, message):
+    # a None entry once read "got shape (7,)", blaming a shape that is right
+    descents = []
+    monkeypatch.setattr(solver, "_descend", lambda *args: descents.append(args))
+    g = build_graph(GraphSpec(d=1, L=4))
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        minimize(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds=["delta", seed]))
+    assert descents == []
+
+
 @pytest.mark.parametrize("call,error,fragment", [
     (lambda g: minimize(g, ProblemSpec(kind="heat", a=1.0, p=4)), InvalidSpec, "unknown problem kind 'heat'"),
     (lambda g: minimize(g, ProblemSpec(kind="sobolev", a=1.0, p=0.5, q=6, allow_subcritical=True)),
@@ -767,6 +784,52 @@ def test_spectral_oracle_matches_both_metrics_on_random_perturbations(spec):
         res = minimize_sobolev(graph, SUBCRITICAL_P2)
         assert res.converged
         assert abs(res.energy - exact) <= 1e-12 * SUBCRITICAL_P2.a
+
+
+def _ball_edges(d):
+    """The base edges and the non-base pairs of B_2, each pair once, as sorted lists."""
+    ball = box_vertices(d, 2)
+    pairs = [(x, y) for i, x in enumerate(ball) for y in ball[i + 1:]]
+    base = [e for e in pairs if sum(abs(a - b) for a, b in zip(*e)) == 1]
+    return base, [e for e in pairs if e not in base]
+
+
+NLS_P4 = ProblemSpec(kind="nls", a=8.0, p=4)
+SYMMETRY_CASES = [(d, L, problem, boundary) for d, L in [(2, 6), (2, 26), (3, 4), (3, 8)]  # both layouts
+                  for problem, boundary in [(NLS_P4, "drop"), (NLS_P4, "dirichlet")] + (d == 3) * [
+                      (ProblemSpec(kind="sobolev", a=1.0, p=2, q=6), "dirichlet"),
+                      (ProblemSpec(kind="sobolev", a=1.0, p=1.5, q=3), "dirichlet")]]
+
+
+@pytest.mark.parametrize("d,L,problem,boundary", SYMMETRY_CASES,
+                         ids=[f"d{d}-L{L}-{pr.kind}-p{pr.p:g}-{b}" for d, L, pr, b in SYMMETRY_CASES])
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_signed_axis_permutation_solves_to_the_same_energy(d, L, problem, boundary, data):
+    # a signed axis permutation g maps the box to itself, so build_graph(g spec) is the same problem with
+    # its vertices relabelled: a seed that g fixes descends to the same energy, and to the image of the
+    # minimizer under g, up to summation order
+    base, other = _ball_edges(d)
+    origin_edges = {e for e in base if (0,) * d in e}  # deleting them all would cut off the origin
+    kind = data.draw(st.sampled_from(["deletions", "additions"]), label="kind")
+    edges = data.draw(st.sets(st.sampled_from(base if kind == "deletions" else other), min_size=1, max_size=6)
+                      .filter(lambda e: not origin_edges <= e), label="edges")
+    perm = data.draw(st.permutations(range(d)), label="perm")
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d), label="signs"))
+    assume(perm != list(range(d)) or (signs < 0).any())  # g is not the identity
+    seed = data.draw(st.sampled_from(["delta", "uniform", "gauss:2.0"]), label="seed")
+    spec = GraphSpec(d, L, **{kind: edges})
+    image = GraphSpec(d, L, **{kind: getattr(spec, f"{kind[:-1]}_array")[..., perm] * signs})
+    # at the default tol_grad, the two descents on a flat landscape stopped up to 7.2e-7 apart
+    exact = problem.kind == "nls" or problem.p == 2
+    cfg = SolverConfig(seeds=[seed], tol_grad=1e-11 if exact else 1e-8, max_iters=2000)
+    res, res_g = (minimize(build_graph(s, boundary=boundary), problem, cfg) for s in (spec, image))
+    assert abs(res_g.energy - res.energy) <= 1e-12 * abs(res.energy)
+    if exact:
+        # u on g spec at g x is u at x: transpose the axes by perm, then flip those g negates
+        moved = np.flip(np.transpose(res.minimizer.values.reshape((2 * L - 1,) * d), perm),
+                        axis=tuple(np.flatnonzero(signs < 0))).ravel()
+        assert np.max(np.abs(moved - res_g.minimizer.values)) <= 1e-8 * np.max(np.abs(moved))
 
 
 SPECTRAL_CUT_SCRIPT = """
