@@ -27,7 +27,6 @@ from .errors import (
 from .lattice import (
     Graph,
     GraphSpec,
-    ball_boundary_edges,
     box_vertices,
     build_graph,
     canonical_edge,

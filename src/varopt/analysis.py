@@ -416,6 +416,9 @@ def sobolev_critical_gap(d, p, R_list, L, solver_cfg=None) -> GapReport:
     the solver's unperturbed estimate witnesses the strict comparison that
     makes the critical problem attainable on the cut graph.
     """
+    for name, x in (("d", d), ("p", p)):  # compared next, so numbers first
+        if not _is_number(x):
+            raise InvalidSpec(f"{name} must be a number, not a boolean, got {name}={x!r}")
     if not (1 <= p < d):
         raise InvalidSpec(f"critical exponent needs 1 <= p < d, got p={p}, d={d}")
     R_list = _sorted_radii(R_list, "R_list", "sphere radius R")

@@ -50,7 +50,7 @@ def _render_csv(header, rows) -> str:
     return out.getvalue()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     graph: dict = field(default_factory=dict)
@@ -61,26 +61,31 @@ class ExperimentConfig:
     seed: int = 0
     emit_field: bool = False
 
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise InvalidSpec(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
+        sections = {name: getattr(self, name) for name in ("graph", "problem", "solver", "params")}
+        for name, section in sections.items():
+            if not isinstance(section, dict):
+                raise InvalidSpec(f"{name} must be a JSON object, got {section!r}")
+        if not isinstance(self.emit_field, bool):
+            raise InvalidSpec(f"emit_field must be true or false, got {self.emit_field!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise InvalidSpec(f"seed must be a whole number >= 0, not a boolean, got {self.seed!r}")
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise InvalidSpec(f"output_dir must be a nonempty string, got {self.output_dir!r}")
+        for name, section in sections.items():
+            if section and name not in _HANDLERS[self.experiment][1]:
+                raise InvalidSpec(f"{self.experiment} does not read a {name} section, got {sorted(section)}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise InvalidSpec("config must be a JSON object")
-        experiment = data.get("experiment")
-        if experiment not in EXPERIMENTS:
-            raise InvalidSpec(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidSpec(f"unknown config keys: {sorted(unknown)}")
-        for name in ("graph", "problem", "solver", "params"):
-            if not isinstance(data.get(name, {}), dict):
-                raise InvalidSpec(f"{name} must be a JSON object, got {data[name]!r}")
-        if not isinstance(data.get("emit_field", False), bool):
-            raise InvalidSpec(f"emit_field must be true or false, got {data['emit_field']!r}")
-        if not (_is_int(data.get("seed", 0)) and data.get("seed", 0) >= 0):
-            raise InvalidSpec(f"seed must be a whole number >= 0, not a boolean, got {data['seed']!r}")
-        if not (isinstance(data.get("output_dir", "."), str) and data.get("output_dir", ".")):
-            raise InvalidSpec(f"output_dir must be a nonempty string, got {data['output_dir']!r}")
-        return cls(**data)
+        return cls(**{"experiment": None, **data})  # a missing experiment is an unknown one
 
 
 def build_graph_from_config(gcfg: dict, default_boundary: str = "drop") -> Graph:
@@ -108,10 +113,9 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
 
 
 def _problem(cfg: ExperimentConfig, kind: str) -> ProblemSpec:
-    problem = ProblemSpec(**{"kind": kind, "a": 1.0, **cfg.problem})
-    if problem.kind != kind:
-        raise InvalidSpec(f"{cfg.experiment} solves problem kind {kind!r}, not {problem.kind!r}")
-    return problem
+    if cfg.problem.get("kind", kind) != kind:
+        raise InvalidSpec(f"{cfg.experiment} solves problem kind {kind!r}, not {cfg.problem['kind']!r}")
+    return ProblemSpec(**{"kind": kind, "a": 1.0, **cfg.problem})
 
 
 def _graph_summary(graph: Graph) -> dict:
@@ -134,9 +138,9 @@ def _summary(cfg: ExperimentConfig, report, drop=(), **extra) -> dict:
 # experiment handlers: each returns (summary, header, rows, converged_ok, extras)
 
 def _run_solve(cfg: ExperimentConfig, kind: str):
-    problem = _problem(cfg, kind)
+    problem, solver_cfg = _problem(cfg, kind), _solver_config(cfg)
     graph = build_graph_from_config(cfg.graph, DEFAULT_BOUNDARY[kind])
-    result = minimize(graph, problem, _solver_config(cfg))
+    result = minimize(graph, problem, solver_cfg)
     loc = result.localization
     com_inf = max(abs(c) for c in loc.center_of_mass)
     header = ["kind", "d", "L", "boundary", "a", "p", "q", "energy", "multiplier",
@@ -179,13 +183,13 @@ def _run_compare(cfg: ExperimentConfig):
     kind = cfg.problem.get("kind", NLS)
     if kind not in DEFAULT_BOUNDARY:
         raise InvalidSpec(f"unknown problem kind {kind!r}")
+    problem, solver_cfg = _problem(cfg, kind), _solver_config(cfg)
     perturbed = build_graph_from_config(cfg.graph, DEFAULT_BOUNDARY[kind])
     # the base is the plain box of the perturbed graph, in its boundary mode, unless set
     base = build_graph_from_config(params.pop("base_graph", {"d": perturbed.d, "L": perturbed.L}),
                                    perturbed.boundary)
-    report = analysis.compare_energies(
-        perturbed, base, _problem(cfg, kind), solver_cfg=_solver_config(cfg),
-        raise_on_nonconverged=False, **params)
+    report = analysis.compare_energies(perturbed, base, problem, solver_cfg=solver_cfg,
+                                       raise_on_nonconverged=False, **params)
     header = ["a", "E_perturbed", "E_base", "margin", "verdict", "converged"]
     rows = [[a, ep, eb, m, vd, cv] for a, ep, eb, m, vd, cv in
             zip(report.a_grid, report.perturbed, report.base, report.margins,
@@ -225,7 +229,7 @@ def _run_verify_lemmas(cfg: ExperimentConfig):
     return summary, header, rows, True, {}
 
 
-# each handler and the config sections it reads; any other nonempty section is an error
+# each handler and the config sections it reads; ExperimentConfig refuses any other nonempty section
 _HANDLERS = {
     "solve-nls": (lambda cfg: _run_solve(cfg, NLS), ("graph", "problem", "solver")),
     "solve-sobolev": (lambda cfg: _run_solve(cfg, SOBOLEV), ("graph", "problem", "solver")),
@@ -240,14 +244,7 @@ EXPERIMENTS = tuple(_HANDLERS)
 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment and persist results.json / results.csv."""
-    if config.experiment not in _HANDLERS:
-        raise InvalidSpec(f"unknown experiment {config.experiment!r}")
-    handler, reads = _HANDLERS[config.experiment]
-    for name in ("graph", "problem", "solver", "params"):
-        section = getattr(config, name)
-        if section and name not in reads:
-            raise InvalidSpec(f"{config.experiment} does not read a {name} section, got {sorted(section)}")
-    summary, header, rows, converged, extras = handler(config)
+    summary, header, rows, converged, extras = _HANDLERS[config.experiment][0](config)
 
     os.makedirs(config.output_dir, exist_ok=True)
     summary["seed"] = config.seed

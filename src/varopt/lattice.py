@@ -438,11 +438,6 @@ def _ball_boundary_array(d: int, R: int) -> np.ndarray:
     return _canonical_edges(np.concatenate([np.stack([t, t + e[k]], axis=1) for k, t in tails]))
 
 
-def ball_boundary_edges(d: int, R: int) -> list:
-    """Base edges (y, z) with y inside B_R and z outside, canonically ordered and sorted."""
-    return list(_pairs(_ball_boundary_array(d, R)))
-
-
 def sphere_deletion_spec(d: int, R: int, L: int) -> GraphSpec:
     """Delete every edge crossing the sphere of B_R except ((R-1, 0, ..., 0), (R, 0, ..., 0)).
 

@@ -47,6 +47,8 @@ class ProblemSpec:
     whose phantom edges make its energies those of the zero extension to the
     lattice: in drop mode constants give J = 0. ``allow_subcritical`` relaxes
     all three, for exploratory sobolev runs on small, low-d or drop-mode graphs.
+    The fields are checked when the spec is made; admissibility, which needs the
+    graph, by ``minimize`` and ``brute_force_oracle`` (``_check_admissible``).
     """
 
     kind: str
@@ -55,7 +57,7 @@ class ProblemSpec:
     q: float | None = None
     allow_subcritical: bool = False
 
-    def validate_for(self, graph: Graph) -> None:
+    def __post_init__(self):
         if self.kind not in (NLS, SOBOLEV):
             raise InvalidSpec(f"unknown problem kind {self.kind!r}")
         if not all(_is_finite(x) for x in (self.a, self.p, self.q) if x is not None):
@@ -71,29 +73,29 @@ class ProblemSpec:
                 raise InvalidSpec(f"nls problem reads no {name}, got {name}={getattr(self, name)!r}")
             if self.p <= 2:
                 raise InvalidExponent(f"nls problem needs p > 2, got {self.p}")
-        else:
-            if self.q is None:
-                raise InvalidSpec("sobolev problem needs an exponent q")
-            if self.p < 1 or self.q < 1:
-                raise InvalidExponent(f"sobolev problem needs p, q >= 1, got p={self.p}, q={self.q}")
-            if not self.allow_subcritical:
-                d = graph.d
-                if not (1 <= self.p < d):
-                    raise InvalidSpec(
-                        f"sobolev-admissible needs 1 <= p < d, got p={self.p}, d={d} "
-                        "(set allow_subcritical to explore)")
-                critical = d * self.p / (d - self.p)
-                if self.q < critical - 1e-12:
-                    raise InvalidSpec(
-                        f"sobolev-admissible needs q >= dp/(d-p) = {critical}, got q={self.q} "
-                        "(set allow_subcritical to explore)")
-                if graph.boundary != "dirichlet":
-                    raise InvalidSpec(
-                        f"sobolev-admissible needs a dirichlet-mode graph, got {graph!r}: in drop mode "
-                        "constants give J = 0 (set allow_subcritical to explore)")
+        elif self.q is None:
+            raise InvalidSpec("sobolev problem needs an exponent q")
+        elif self.p < 1 or self.q < 1:
+            raise InvalidExponent(f"sobolev problem needs p, q >= 1, got p={self.p}, q={self.q}")
 
 
-@dataclass
+def _check_admissible(problem: ProblemSpec, graph: Graph) -> None:
+    """Refuse a sobolev problem that is not admissible on the graph (see ProblemSpec)."""
+    if problem.kind == NLS or problem.allow_subcritical:
+        return
+    d, p, q = graph.d, problem.p, problem.q
+    if not (1 <= p < d):
+        raise InvalidSpec(f"sobolev-admissible needs 1 <= p < d, got p={p}, d={d} (set allow_subcritical to explore)")
+    critical = d * p / (d - p)
+    if q < critical - 1e-12:
+        raise InvalidSpec(f"sobolev-admissible needs q >= dp/(d-p) = {critical}, got q={q} "
+                          "(set allow_subcritical to explore)")
+    if graph.boundary != "dirichlet":
+        raise InvalidSpec(f"sobolev-admissible needs a dirichlet-mode graph, got {graph!r}: in drop mode "
+                          "constants give J = 0 (set allow_subcritical to explore)")
+
+
+@dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 50000
     tol_grad: float = 1e-8
@@ -102,16 +104,12 @@ class SolverConfig:
     rng_seed: int = 0
     record_trace: bool = False
 
-    def validate(self) -> None:
-        counts = (self.max_iters, self.restarts)
-        if any(isinstance(x, (bool, np.bool_)) for x in counts + (self.tol_grad,)):
-            raise InvalidSpec(f"solver config takes numbers, not booleans: max_iters="
-                              f"{self.max_iters}, restarts={self.restarts}, tol_grad={self.tol_grad}")
-        if not all(_is_int(c) and c >= 1 for c in counts):
+    def __post_init__(self):
+        if not all(_is_int(c) and c >= 1 for c in (self.max_iters, self.restarts)):
             raise InvalidSpec(f"solver config needs whole numbers max_iters >= 1 and restarts >= 1, "
                               f"got max_iters={self.max_iters}, restarts={self.restarts}")
         if not (_is_finite(self.tol_grad) and self.tol_grad > 0):
-            raise InvalidSpec(f"solver config needs a finite tol_grad > 0, got {self.tol_grad}")
+            raise InvalidSpec(f"solver config needs a finite tol_grad > 0, got {self.tol_grad!r}")
         if not (_is_int(self.rng_seed) and self.rng_seed >= 0):
             raise InvalidSpec(f"rng_seed must be a whole number >= 0, not a boolean, got {self.rng_seed!r}")
         if not isinstance(self.record_trace, (bool, np.bool_)):
@@ -541,8 +539,7 @@ def minimize(graph: Graph, problem: ProblemSpec, cfg: SolverConfig | None = None
     earlier restart, ranked first, wins any tie.
     """
     cfg = cfg or SolverConfig()
-    problem.validate_for(graph)
-    cfg.validate()
+    _check_admissible(problem, graph)
     plan = list(cfg.seeds) if cfg.seeds else default_seed_plan(cfg.restarts)
 
     # a bad descriptor anywhere in the plan fails before any descent
@@ -608,7 +605,7 @@ def brute_force_oracle(graph: Graph, problem: ProblemSpec, resolution=1e-3) -> f
     grid points is broadcast against the full grid of the last angle, and the
     energy is summed one edge and one vertex at a time, in edge-list order.
     """
-    problem.validate_for(graph)
+    _check_admissible(problem, graph)
     n = graph.n
     if n > 4:
         raise TooLarge(f"oracle is exhaustive; {n} vertices exceed the limit of 4")

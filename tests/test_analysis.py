@@ -292,13 +292,13 @@ def test_seeds_numpy_cannot_take_are_refused(monkeypatch):
     monkeypatch.setattr(solver, "_descend", lambda *args: descents.append(args))
     for bad in (-1, 1.5, True, np.True_, "0", None):
         with pytest.raises(InvalidSpec, match="^rng_seed must be a whole number >= 0"):
-            SolverConfig(rng_seed=bad).validate()
+            SolverConfig(rng_seed=bad)
         with pytest.raises(InvalidSpec, match="^rng_seed must be a whole number >= 0"):
             solver.minimize(g, ProblemSpec(kind="nls", a=1.0, p=4.0), SolverConfig(rng_seed=bad))
         with pytest.raises(InvalidSpec, match="^rng_seed must be a whole number >= 0"):
             verify_lemma_suite(g, n_fields=1, rng_seed=bad)
     assert descents == []
-    SolverConfig(rng_seed=np.int64(3)).validate()
+    SolverConfig(rng_seed=np.int64(3))
     assert verify_lemma_suite(g, n_fields=1, rng_seed=2**70).all_passed
 
 

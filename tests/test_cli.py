@@ -7,11 +7,13 @@ import json
 import os
 import re
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
-from varopt import GraphSpec, InvalidSpec, MissingColumns, analysis
+from varopt import (GraphSpec, InvalidExponent, InvalidSpec, MissingColumns, ProblemSpec, SolverConfig, analysis,
+                    minimize, path_graph, solver)
 from varopt.cli import ExperimentConfig, _solver_config, build_graph_from_config, emit_plot_data, main, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -344,6 +346,71 @@ def test_a_scalar_grid_exits_2_as_invalid_spec(tmp_path, capsys, experiment, pay
     assert not (tmp_path / "o").exists()
 
 
+def _solve_nls(**fields):
+    return run(ExperimentConfig(experiment="solve-nls", graph=LINE, problem=NLS_PROBLEM, **fields))
+
+
+@pytest.mark.parametrize("act,error,message", [
+    (lambda: SolverConfig(tol_grad="1e-8"), InvalidSpec, "solver config needs a finite tol_grad > 0, got '1e-8'"),
+    (lambda: SolverConfig(restarts=0), InvalidSpec,
+     "solver config needs whole numbers max_iters >= 1 and restarts >= 1, got max_iters=50000, restarts=0"),
+    (lambda: SolverConfig(seeds=[]), InvalidSpec, "seeds must be a nonempty list of seed descriptors or arrays, got []"),
+    (lambda: ProblemSpec(kind="heat", a=1.0, p=4.0), InvalidSpec, "unknown problem kind 'heat'"),
+    (lambda: ProblemSpec(kind="nls", a=1.0, p=2.0), InvalidExponent, "nls problem needs p > 2, got 2.0"),
+    (lambda: ProblemSpec(kind="sobolev", a=1.0, p=2.0), InvalidSpec, "sobolev problem needs an exponent q"),
+    (lambda: _solve_nls(output_dir=5), InvalidSpec, "output_dir must be a nonempty string, got 5"),
+    (lambda: _solve_nls(emit_field="yes"), InvalidSpec, "emit_field must be true or false, got 'yes'"),
+    (lambda: ExperimentConfig(experiment="sobolev-gap", graph=LINE), InvalidSpec,
+     "sobolev-gap does not read a graph section, got ['L', 'construction', 'd']"),
+    (lambda: minimize(path_graph(3), ProblemSpec(kind="sobolev", a=1.0, p=2.0, q=6.0)), InvalidSpec,
+     "sobolev-admissible needs 1 <= p < d, got p=2.0, d=1 (set allow_subcritical to explore)"),
+    (lambda: setattr(SolverConfig(), "tol_grad", "1e-8"), FrozenInstanceError, "cannot assign to field 'tol_grad'"),
+    (lambda: setattr(ExperimentConfig(experiment="solve-nls"), "output_dir", 5), FrozenInstanceError,
+     "cannot assign to field 'output_dir'"),
+], ids=["solver-tol_grad", "solver-restarts", "solver-seeds", "problem-kind", "problem-nls-p", "problem-sobolev-q",
+        "run-output_dir", "run-emit_field", "unread-section", "admissibility", "solver-frozen", "experiment-frozen"])
+def test_each_refusal_comes_when_the_object_is_made(tmp_path, monkeypatch, act, error, message):
+    # output_dir=5 once ran the solve and failed in os.makedirs, and emit_field="yes"
+    # on a config built directly wrote minimizer.json; admissibility needs the graph,
+    # so minimize checks it, but before any descent
+    monkeypatch.setattr(solver, "_descend", lambda *a: pytest.fail("descended before the check"))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error) as info:
+        act()
+    assert str(info.value) == message
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("experiment,payload", [
+    ("compare", {"graph": LINE, "problem": NLS_PROBLEM, "params": {"a_grid": [1.0]}}),
+    ("star-probe", {"params": STAR}),
+], ids=["compare", "star-probe"])
+@pytest.mark.parametrize("tol_grad", ["1e-8", [1e-8]], ids=["str", "list"])
+def test_a_bad_tol_grad_names_itself_before_any_build_or_solve(tmp_path, capsys, monkeypatch, experiment,
+                                                              payload, tol_grad):
+    # compare once exited 2 on "TypeError: can't multiply sequence by non-int of type 'float'", and
+    # star-probe read "got 1e-8", a value that looks valid
+    for name in ("cli.build_graph", "cli.minimize", "analysis.build_graph", "analysis.minimize"):
+        monkeypatch.setattr(f"varopt.{name}", lambda *a, **k: pytest.fail("built or solved before the check"))
+    path = write_config(tmp_path, "cfg.json", dict(payload, solver={"restarts": 1, "tol_grad": tol_grad}))
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidSpec", "message": f"solver config needs a finite tol_grad > 0, got {tol_grad!r}"}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,value", [("p", "2"), ("d", "3"), ("p", None), ("d", True)])
+def test_sobolev_gap_names_a_d_or_p_that_is_not_a_number(tmp_path, capsys, monkeypatch, name, value):
+    # "2" and "3" once exited 2 on "TypeError: '<=' not supported between instances of ..."
+    for target in ("analysis.build_graph", "analysis.minimize_sobolev"):
+        monkeypatch.setattr(f"varopt.{target}", lambda *a, **k: pytest.fail("built or solved before the check"))
+    path = write_config(tmp_path, "cfg.json", {"params": dict(GAP, **{name: value}), "solver": {"restarts": 1}})
+    assert main(["sobolev-gap", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidSpec", "message": f"{name} must be a number, not a boolean, got {name}={value!r}"}
+    assert not (tmp_path / "o").exists()
+
+
 def test_string_seeds_exit_2(tmp_path, capsys):
     # "delta" was once split into the descriptors "d", "e", ...
     path = write_config(tmp_path, "cfg.json", {"graph": LINE, "problem": NLS_PROBLEM,
@@ -395,7 +462,7 @@ def test_readme_configs_load():
     assert blocks
     for block in blocks:
         cfg = ExperimentConfig.from_dict(json.loads(block))
-        _solver_config(cfg).validate()
+        _solver_config(cfg)
         build_graph_from_config(cfg.graph)
         routine, filled = README_ROUTINES[cfg.experiment]
         inspect.signature(routine).bind(**filled, **cfg.params)

@@ -17,7 +17,6 @@ from varopt import (
     GraphSpec,
     InvalidSpec,
     OutOfBox,
-    ball_boundary_edges,
     box_vertices,
     build_graph,
     canonical_edge,
@@ -29,6 +28,7 @@ from varopt import (
 )
 from varopt import lattice
 from varopt.analysis import ball_indicator_field
+from varopt.lattice import _ball_boundary_array
 from varopt.solver import _default_probe_radius, _localize, default_seed_plan, make_seed
 
 
@@ -155,15 +155,15 @@ def test_build_peak_memory_per_edge(spec):
 
 
 def test_disconnecting_deletions_above_the_cut_off_still_raise():
-    spec = GraphSpec(d=3, L=8, deletions=set(ball_boundary_edges(3, 2)))
+    spec = GraphSpec(d=3, L=8, deletions=edge_set(_ball_boundary_array(3, 2)))
     with pytest.raises(DisconnectedGraph):
         build_graph(spec)
 
 
 @pytest.mark.parametrize("spec,message", [
-    (GraphSpec(d=3, L=8, deletions=set(ball_boundary_edges(3, 2))),
+    (GraphSpec(d=3, L=8, deletions=edge_set(_ball_boundary_array(3, 2))),
      "deleting 54 edge(s) disconnected the box B_8: 27 vertices cut off, the smallest (-1, -1, -1)"),
-    (GraphSpec(d=2, L=3, deletions=set(ball_boundary_edges(2, 2))),  # T is the whole box
+    (GraphSpec(d=2, L=3, deletions=edge_set(_ball_boundary_array(2, 2))),  # T is the whole box
      "deleting 12 edge(s) disconnected the box B_3: 9 vertices cut off, the smallest (-1, -1)"),
     (sphere_deletion_spec(1, 2, 5),  # B_5 minus ((-2,), (-1,)): (-1,) ... (4,) lose the corner (-4,)
      "deleting 1 edge(s) disconnected the box B_5: 6 vertices cut off, the smallest (-1,)"),
@@ -195,7 +195,7 @@ def _random_deletions(rng, d, R):
     deletions = set()
     if R >= 2 and rng.random() < 0.5:
         rho = int(rng.integers(1, R))
-        sphere = ball_boundary_edges(d, rho)
+        sphere = sorted(edge_set(_ball_boundary_array(d, rho)))
         deletions |= {sphere[i] for i in rng.permutation(len(sphere))[int(rng.integers(0, 3)):]}
     if R >= 2 and rng.random() < 0.4:
         x = tuple(int(c) for c in rng.integers(2 - R, R - 1, size=d))
@@ -210,7 +210,7 @@ def test_local_connectivity_check_agrees_with_the_whole_graph():
     # build_graph decides connectivity on the ball around the deletions; it must raise
     # exactly when the whole truncation, built by hand, is disconnected, and name its cut
     rng = np.random.default_rng(20261020)
-    specs = [sphere_deletion_spec(2, 4, 5), GraphSpec(d=2, L=5, deletions=set(ball_boundary_edges(2, 4)))]
+    specs = [sphere_deletion_spec(2, 4, 5), GraphSpec(d=2, L=5, deletions=edge_set(_ball_boundary_array(2, 4)))]
     while len(specs) < 600:
         d = int(rng.integers(1, 5))
         L = int(rng.integers(2, (12, 8, 6, 4)[d - 1] + 1))
@@ -255,7 +255,7 @@ def test_double_deletion_disconnects_path():
 
 def test_sphere_deletion_d1():
     spec = sphere_deletion_spec(1, 2, 4)
-    assert set(ball_boundary_edges(1, 2)) == {((-2,), (-1,)), ((1,), (2,))}
+    assert edge_set(_ball_boundary_array(1, 2)) == {((-2,), (-1,)), ((1,), (2,))}
     assert edge_set(spec.deletion_array) == {((-2,), (-1,))}  # default keeps ((1,),(2,))
 
 
@@ -268,7 +268,7 @@ def test_sphere_deletion_d3_count_and_connectivity():
                 z = y[:k] + (y[k] + s,) + y[k + 1:]
                 if max(abs(c) for c in z) >= 2:
                     count += 1
-    assert count == len(ball_boundary_edges(3, 2)) == 54
+    assert count == len(edge_set(_ball_boundary_array(3, 2))) == 54
     spec = sphere_deletion_spec(3, 2, 5)
     assert len(spec.deletion_array) == 53
     g = build_graph(spec)
@@ -323,7 +323,7 @@ def test_factories_match_brute_force_comprehensions(d, R):
     steps = [(k, s) for k in range(d) for s in (1, -1)]
     crossing = {canonical_edge(y, y[:k] + (y[k] + s,) + y[k + 1:]) for y in ball for k, s in steps
                 if abs(y[k] + s) >= R}
-    assert ball_boundary_edges(d, R) == sorted(crossing)
+    assert edge_set(_ball_boundary_array(d, R)) == crossing
     kept = ((R - 1,) + (0,) * (d - 1), (R,) + (0,) * (d - 1))
     assert edge_set(sphere_deletion_spec(d, R, R + 1).deletion_array) == crossing - {kept}
     if R < 2:

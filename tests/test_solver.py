@@ -252,7 +252,7 @@ def test_problem_validation():
     with pytest.raises(InvalidSpec):
         minimize(g, ProblemSpec(kind="nls", a=-1.0, p=4), CFG)
     with pytest.raises(InvalidSpec):
-        ProblemSpec(kind="sobolev", a=1.0, p=2, q=4).validate_for(build_graph(GraphSpec(d=3, L=2)))
+        minimize(build_graph(GraphSpec(d=3, L=2)), ProblemSpec(kind="sobolev", a=1.0, p=2, q=4), CFG)
     for a, p in [(1.0, math.nan), (1.0, math.inf), (math.inf, 4.0), (math.nan, 4.0),
                  (True, 4.0), (1.0, True)]:
         with pytest.raises(InvalidSpec):
@@ -270,11 +270,10 @@ def test_problem_validation():
 ], ids=["q", "q-zero", "allow_subcritical", "both"])
 def test_an_nls_problem_refuses_the_fields_it_never_reads(fields, message):
     # the solve never reads q or allow_subcritical, which once went into results.csv unread
-    problem = ProblemSpec(kind="nls", a=1.0, p=4.0, **fields)
     with pytest.raises(InvalidSpec, match=re.escape(f"nls problem {message}")):
-        minimize(path_graph(3), problem, CFG)
+        minimize(path_graph(3), ProblemSpec(kind="nls", a=1.0, p=4.0, **fields), CFG)
     with pytest.raises(InvalidSpec, match="allow_subcritical must be true or false"):  # the type check first
-        ProblemSpec(kind="nls", a=1.0, p=4.0, q=3.0, allow_subcritical="yes").validate_for(path_graph(3))
+        ProblemSpec(kind="nls", a=1.0, p=4.0, q=3.0, allow_subcritical="yes")
 
 
 def test_determinism_across_runs():
@@ -296,26 +295,26 @@ def test_minimize_dispatch():
 
 def test_solver_config_validation():
     with pytest.raises(InvalidSpec):
-        SolverConfig(max_iters=0).validate()
+        SolverConfig(max_iters=0)
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidSpec):
-            SolverConfig(tol_grad=bad).validate()
+            SolverConfig(tol_grad=bad)
     for bad in (0, 2.5, 3.0, math.inf, math.nan, True, False, np.True_):
         with pytest.raises(InvalidSpec):
-            SolverConfig(max_iters=bad).validate()
+            SolverConfig(max_iters=bad)
         with pytest.raises(InvalidSpec):
-            SolverConfig(restarts=bad).validate()
+            SolverConfig(restarts=bad)
     for bad in (True, np.True_, "1e-8"):  # a JSON true or "1e-8" is no tolerance
         with pytest.raises(InvalidSpec, match="tol_grad"):
-            SolverConfig(tol_grad=bad).validate()
-    SolverConfig(max_iters=np.int64(5), restarts=np.int64(2)).validate()
+            SolverConfig(tol_grad=bad)
+    SolverConfig(max_iters=np.int64(5), restarts=np.int64(2))
 
 
 def test_seeds_must_be_a_list_or_tuple():
     # a string was once split into one-letter descriptors: "unknown seed descriptor 'd'"
     for bad in ("delta", np.ones((2, 3)), 3, {"delta": 1}, [], ()):  # [] once ran the default plan
         with pytest.raises(InvalidSpec, match="seeds"):
-            SolverConfig(seeds=bad).validate()
+            SolverConfig(seeds=bad)
     g = path_graph(3)
     with pytest.raises(InvalidSpec, match="seeds"):
         minimize(g, ProblemSpec(kind="nls", a=1.0, p=4), SolverConfig(seeds="delta"))
